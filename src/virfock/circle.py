@@ -7,7 +7,7 @@ e^{i k theta}; vector fields f(theta) d/dtheta, s-densities u(theta)
 operations (derivative, integration, the two 2-cocycles) are exact on
 coefficients; nonlinear operations (products, compositions, Schwarzian
 derivatives) are evaluated pointwise on uniform grids large enough to be
-alias-free and re-expanded by FFT, recording any discarded tail energy.
+alias-free and re-expanded by FFT.
 
 Complex coefficient fields are allowed throughout so that the Witt basis
 d_n = i e^{i n theta} d/dtheta can be manipulated directly; everything at
@@ -40,17 +40,11 @@ class FourierFunction:
         If True, enforce the reality invariant c_{-k} = conj(c_k) to
         within ``REALITY_TOL`` (raising ValueError on failure); if None,
         detect it.
-
-    Attributes
-    ----------
-    tail : float
-        Coefficient l2-energy discarded by the truncation that produced
-        this function (0.0 for exact constructions).
     """
 
-    __slots__ = ("coeffs", "degree", "real_flag", "tail")
+    __slots__ = ("coeffs", "degree", "real_flag")
 
-    def __init__(self, coeffs, real: bool | None = None, tail: float = 0.0):
+    def __init__(self, coeffs, real: bool | None = None):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coeffs must have odd length 2N+1")
@@ -60,7 +54,6 @@ class FourierFunction:
         if real is True and sym > REALITY_TOL:
             raise ValueError(f"reality violated: max |conj(c_-k) - c_k| = {sym:.3e}")
         self.real_flag = bool(sym <= REALITY_TOL) if real is None else bool(real)
-        self.tail = float(tail)
 
     # -- constructors -------------------------------------------------
 
@@ -89,7 +82,7 @@ class FourierFunction:
                   real: bool | None = None) -> "FourierFunction":
         """Least-degree-(N) fit from samples on the uniform grid
         theta_j = 2 pi j / M, exact for trig polynomials of degree <= N
-        when M >= 2N + 1; the dropped spectral tail is recorded."""
+        when M >= 2N + 1."""
         values = np.asarray(values, dtype=complex)
         M = values.size
         if M < 2 * degree + 1:
@@ -98,12 +91,7 @@ class FourierFunction:
         c = np.empty(2 * degree + 1, dtype=complex)
         for k in range(-degree, degree + 1):
             c[k + degree] = a[k % M]
-        kept = np.concatenate([np.arange(0, degree + 1), np.arange(M - degree, M)]) \
-            if degree > 0 else np.array([0])
-        mask = np.ones(M, bool)
-        mask[kept % M] = False
-        tail = float(np.linalg.norm(a[mask])) if M > 2 * degree + 1 else 0.0
-        return cls(c, real=real, tail=tail)
+        return cls(c, real=real)
 
     # -- basic queries ------------------------------------------------
 
@@ -118,16 +106,14 @@ class FourierFunction:
             raise ValueError("padded() cannot shrink; use truncated()")
         c = np.zeros(2 * degree + 1, dtype=complex)
         c[degree - self.degree: degree + self.degree + 1] = self.coeffs
-        return FourierFunction(c, real=self.real_flag or None, tail=self.tail)
+        return FourierFunction(c, real=self.real_flag or None)
 
     def truncated(self, degree: int) -> "FourierFunction":
-        """Drop modes with |k| > degree, recording their l2 energy."""
+        """Drop modes with |k| > degree."""
         if degree >= self.degree:
             return self.padded(degree)
         lo, hi = self.degree - degree, self.degree + degree + 1
-        dropped = np.concatenate([self.coeffs[:lo], self.coeffs[hi:]])
-        return FourierFunction(self.coeffs[lo:hi],
-                               tail=float(np.linalg.norm(dropped)))
+        return FourierFunction(self.coeffs[lo:hi])
 
     def evaluate(self, theta):
         """Pointwise values at arbitrary angles (vectorized); real output
@@ -228,7 +214,7 @@ class CircleDiffeo:
     def __init__(self, p: FourierFunction, grid_size: int | None = None):
         if not p.is_real():
             raise ValueError("diffeomorphism displacement must be real")
-        self.p = FourierFunction(p.coeffs, real=True, tail=p.tail)
+        self.p = FourierFunction(p.coeffs, real=True)
         M = grid_size or max(4 * p.degree + 1, 129)
         dp = derivative(self.p).grid_values(M)
         self.grid_size = M
@@ -298,8 +284,7 @@ def multiply(f: FourierFunction, g: FourierFunction,
     Computed as the exact coefficient convolution at degree N_f + N_g
     (equivalently: sampled on any uniform grid with M >= 2(N_f+N_g) + 1
     points and transformed back), then re-truncated to
-    ``max(N_f, N_g)`` unless the caller requests another degree.  The
-    truncated tail energy is recorded on the result.
+    ``max(N_f, N_g)`` unless the caller requests another degree.
     """
     full = np.convolve(f.coeffs, g.coeffs)
     prod = FourierFunction(full)
@@ -433,26 +418,18 @@ def schwarzian(phi: CircleDiffeo, grid_size: int | None = None) -> FourierFuncti
     expression is formed pointwise on an 8N grid and re-expanded to the
     degree of phi.
     """
-    n = phi.degree
-    M = grid_size or 8 * max(n, 4)
-    d1 = 1.0 + derivative(phi.p, 1).grid_values(M)
-    d2 = derivative(phi.p, 2).grid_values(M)
-    d3 = derivative(phi.p, 3).grid_values(M)
-    vals = d3 / d1 - 1.5 * (d2 / d1) ** 2
-    return FourierFunction.from_grid(vals, n)
+    M = grid_size or 8 * max(phi.degree, 4)
+    vals = _schwarzian(phi, lambda f: f.grid_values(M), modified=False)
+    return FourierFunction.from_grid(vals, phi.degree)
 
 
 def modified_schwarzian(phi: CircleDiffeo,
                         grid_size: int | None = None) -> FourierFunction:
     """S~(phi) = S(phi) + (1/2)((phi')^2 - 1); its derivative at the
     identity in direction f d/dtheta is f''' + f'."""
-    n = phi.degree
-    M = grid_size or 8 * max(n, 4)
-    d1 = 1.0 + derivative(phi.p, 1).grid_values(M)
-    d2 = derivative(phi.p, 2).grid_values(M)
-    d3 = derivative(phi.p, 3).grid_values(M)
-    vals = d3 / d1 - 1.5 * (d2 / d1) ** 2 + 0.5 * (d1 ** 2 - 1.0)
-    return FourierFunction.from_grid(vals, n)
+    M = grid_size or 8 * max(phi.degree, 4)
+    vals = _schwarzian(phi, lambda f: f.grid_values(M), modified=True)
+    return FourierFunction.from_grid(vals, phi.degree)
 
 
 def schwarzian_values(phi: CircleDiffeo, theta,
@@ -460,13 +437,20 @@ def schwarzian_values(phi: CircleDiffeo, theta,
     """S(phi) (or S~(phi)) at arbitrary angles, straight from the exact
     coefficient derivatives of the displacement; no grid refit."""
     theta = np.asarray(theta, dtype=float)
-    d1 = 1.0 + derivative(phi.p, 1).evaluate(theta)
-    d2 = derivative(phi.p, 2).evaluate(theta)
-    d3 = derivative(phi.p, 3).evaluate(theta)
+    return np.real(_schwarzian(phi, lambda f: f.evaluate(theta), modified))
+
+
+def _schwarzian(phi: CircleDiffeo, sample, modified: bool) -> np.ndarray:
+    """S(phi), or S~(phi) when ``modified``, pointwise from phi', phi'' and
+    phi''', each sampled by ``sample`` from the exact coefficient
+    derivatives of the displacement."""
+    d1 = 1.0 + sample(derivative(phi.p, 1))
+    d2 = sample(derivative(phi.p, 2))
+    d3 = sample(derivative(phi.p, 3))
     vals = d3 / d1 - 1.5 * (d2 / d1) ** 2
     if modified:
         vals = vals + 0.5 * (d1 ** 2 - 1.0)
-    return np.real(vals)
+    return vals
 
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,

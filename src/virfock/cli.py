@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import FourierFunction, random_diffeo
+from .circle import random_diffeo
 from .reports import emit
 from .suites import DEFAULT_SEED, SuiteConfig, run_suite, suite_names
 from .virasoro import (
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="suite name, or 'all'; may come from --config")
     p_verify.add_argument("--config", default=None,
                           help="JSON config with a 'suite' key and flat "
-                               "numeric overrides")
+                               "positive integer overrides")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--tol-scale", type=float, default=None)
     p_verify.add_argument("--out", default=None, help="also write the report here")

@@ -117,18 +117,6 @@ def support_function(X: SampledSet, v) -> float:
     return float(np.max(X.points @ (-v)))
 
 
-def bounded_below_directions(X: SampledSet, directions) -> np.ndarray:
-    """Boolean mask of sampled directions v with s_X(-v) < +inf.
-
-    For a finite sample every direction is bounded below; the mask is kept
-    for symmetry with the infinite-family reading, where B(X) is a proper
-    cone.  Callers exercising unbounded families should threshold
-    ``support_function`` themselves.
-    """
-    directions = _as_matrix(directions)
-    return np.isfinite([support_function(X, -d) for d in directions])
-
-
 # ---------------------------------------------------------------------------
 # generated <-> half-space conversions
 

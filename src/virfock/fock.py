@@ -13,9 +13,16 @@ a*(f) = sum_i f_i a*_i is linear, so [a(f), a*(g)] = <g, f> on the safe
 subspace (total number <= N - 2) and {a(f), a*(g)} = <g, f> exactly.
 
 Truncation policy: operations that would push amplitude above the
-cutoff drop it and record the lost norm (the `leak` field on operators
-built here and on vectors produced by the product routines).  The CAR
-side is exact because the fermionic space is complete at dimension 2^d.
+cutoff drop it without a record.  The truncation error actually
+incurred is measured where it matters, by `vacuum_residuals`, which
+applies the annihilation conditions on a space two levels higher.  The
+CAR side is exact because the fermionic space is complete at dimension
+2^d.
+
+Every operator built here is a polynomial in the single-mode ladders:
+each ModeSpace tabulates, once, where a_i and a*_i send each basis state
+and with which amplitude, and one builder sums coefficient-weighted
+ladder words over those tables.
 
 Quadratic elements x = x_1 + x_2 (linear plus antilinear part, stored as
 a RealLinearMap) are second-quantized normally ordered,
@@ -38,23 +45,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 from scipy.linalg import expm
 
-from .realmaps import (
-    RealLinearMap,
-    in_o,
-    in_sp,
-    inner,
-    is_orthogonal,
-    is_symplectic,
-    omega,
-    orthogonal_defect,
-    symplectic_defect,
-)
+from .realmaps import RealLinearMap, in_o, in_sp, omega
 
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
@@ -66,9 +63,16 @@ class ModeSpace:
 
     The basis is ordered by total particle number, ties broken
     lexicographically, so the vacuum always sits at index 0.
+
+    ``ladders['-']`` and ``ladders['+']`` are the tables of a_i and a*_i:
+    a pair (target, amp) of (d, dim + 1) arrays with a_i|basis[j]> =
+    amp[i, j] |basis[target[i, j]]>.  Index ``dim`` stands for "killed or
+    pushed past the cutoff"; its own column maps to itself with amplitude
+    zero, so ladder words can be chained without masking.
     """
 
-    __slots__ = ("d", "statistics", "cutoff", "basis", "index", "dim", "totals")
+    __slots__ = ("d", "statistics", "cutoff", "basis", "index", "dim", "totals",
+                 "ladders")
 
     def __init__(self, d: int, statistics: str, cutoff: int | None = None):
         if d < 1:
@@ -91,6 +95,36 @@ class ModeSpace:
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.totals = np.array([sum(occ) for occ in self.basis])
+        self.ladders = self._ladder_tables(top)
+
+    def _ladder_tables(self, top: int) -> dict:
+        occ = np.array(self.basis).reshape(self.dim, self.d)
+        # lexicographic key with room for occupation top + 1
+        radix = (top + 2) ** np.arange(self.d - 1, -1, -1)
+        keys = occ @ radix
+        order = np.argsort(keys)
+
+        def table(valid, shift, amp):
+            target = np.searchsorted(keys, keys + shift, sorter=order)
+            # an invalid shift may search past the end; it is masked out
+            target = np.where(valid, order[np.minimum(target, self.dim - 1)],
+                              self.dim)
+            none = np.full((self.d, 1), self.dim)
+            return (np.hstack([target, none]),
+                    np.hstack([np.where(valid, amp, 0.0), np.zeros((self.d, 1))]))
+
+        n = occ.T
+        shift = radix[:, None]
+        if self.statistics == BOSONIC:
+            lower = table(n > 0, -shift, np.sqrt(n))
+            upper = table(self.totals < self.cutoff, shift, np.sqrt(n + 1))
+        else:
+            # Jordan-Wigner sign (-1)^(occupied modes below i)
+            below = np.cumsum(n, axis=0) - n
+            sign = 1.0 - 2.0 * (below % 2)
+            lower = table(n == 1, -shift, sign)
+            upper = table(n == 0, shift, sign)
+        return {"-": lower, "+": upper}
 
     def __repr__(self):
         return f"ModeSpace(d={self.d}, statistics={self.statistics!r}, cutoff={self.cutoff})"
@@ -116,7 +150,6 @@ class FockVector:
 
     space: ModeSpace
     amps: np.ndarray
-    leak: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
@@ -154,25 +187,23 @@ class FockVector:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.space, self.amps / n, self.leak / n)
+        return FockVector(self.space, self.amps / n)
 
     def __add__(self, other):
         _same_space(self.space, other.space)
-        return FockVector(self.space, self.amps + other.amps,
-                          self.leak + other.leak)
+        return FockVector(self.space, self.amps + other.amps)
 
     def __sub__(self, other):
         _same_space(self.space, other.space)
-        return FockVector(self.space, self.amps - other.amps,
-                          self.leak + other.leak)
+        return FockVector(self.space, self.amps - other.amps)
 
     def __mul__(self, t: complex):
-        return FockVector(self.space, t * self.amps, abs(t) * self.leak)
+        return FockVector(self.space, t * self.amps)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FockVector(self.space, -self.amps, self.leak)
+        return FockVector(self.space, -self.amps)
 
 
 def vacuum(space: ModeSpace) -> FockVector:
@@ -205,11 +236,10 @@ def random_fock_vector(rng: np.random.Generator, space: ModeSpace,
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense matrix in the occupation basis, with truncation-leak record."""
+    """Dense matrix in the occupation basis."""
 
     space: ModeSpace
     mat: np.ndarray
-    leak: float = 0.0
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
@@ -234,12 +264,11 @@ class FockOperator:
                                 self.space.index[tuple(occ_in)]])
 
     def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, self.mat.conj().T, self.leak)
+        return FockOperator(self.space, self.mat.conj().T)
 
     def compose(self, other: "FockOperator") -> "FockOperator":
         _same_space(self.space, other.space)
-        return FockOperator(self.space, self.mat @ other.mat,
-                            self.leak + other.leak)
+        return FockOperator(self.space, self.mat @ other.mat)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -250,7 +279,7 @@ class FockOperator:
     def anticommutator(self, other: "FockOperator") -> "FockOperator":
         a = self.compose(other)
         b = other.compose(self)
-        return FockOperator(self.space, a.mat + b.mat, a.leak + b.leak)
+        return FockOperator(self.space, a.mat + b.mat)
 
     def norm(self, kind: str = "fro") -> float:
         if kind == "fro":
@@ -267,83 +296,67 @@ class FockOperator:
 
     def __add__(self, other):
         _same_space(self.space, other.space)
-        return FockOperator(self.space, self.mat + other.mat,
-                            self.leak + other.leak)
+        return FockOperator(self.space, self.mat + other.mat)
 
     def __sub__(self, other):
         _same_space(self.space, other.space)
-        return FockOperator(self.space, self.mat - other.mat,
-                            self.leak + other.leak)
+        return FockOperator(self.space, self.mat - other.mat)
 
     def __mul__(self, t: complex):
-        return FockOperator(self.space, t * self.mat, abs(t) * self.leak)
+        return FockOperator(self.space, t * self.mat)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FockOperator(self.space, -self.mat, self.leak)
+        return FockOperator(self.space, -self.mat)
 
 
 # ---------------------------------------------------------------------------
 # creation and annihilation
 
 
-def _jw_sign(occ, i: int) -> int:
-    """(-1)^(number of occupied modes below i)."""
-    return -1 if sum(occ[:i]) % 2 else 1
+def _ladder_word(space: ModeSpace, coeffs, word: str) -> np.ndarray:
+    """Dense matrix of sum c[i_1..i_k] L_1(i_1) ... L_k(i_k).
+
+    Each letter of ``word`` is '+' (a*_i) or '-' (a_i); ``coeffs`` has one
+    axis of length d per letter, in word order.  The rightmost letter acts
+    first, and states killed or pushed past the cutoff drop out.
+    """
+    dim = space.dim
+    rows = np.arange(dim)
+    amps = np.ones(dim)
+    for letter in reversed(word):
+        target, amp = space.ladders[letter]
+        amps = amp[:, rows] * amps
+        rows = target[:, rows]
+    vals = np.asarray(coeffs, dtype=complex)[..., None] * amps
+    cols = np.broadcast_to(np.arange(dim), rows.shape)
+    keep = rows < dim
+    mat = np.zeros((dim, dim), dtype=complex)
+    np.add.at(mat, (rows[keep], cols[keep]), vals[keep])
+    return mat
+
+
+def _smearing(space: ModeSpace, f) -> np.ndarray:
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (space.d,):
+        raise ValueError("smearing vector has the wrong dimension")
+    return f
 
 
 def create(space: ModeSpace, f) -> FockOperator:
     """Smeared creator a*(f) = sum_i f_i a*_i (linear in f)."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (space.d,):
-        raise ValueError("smearing vector has the wrong dimension")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    dropped = 0.0
-    for j, occ in enumerate(space.basis):
-        total = sum(occ)
-        for i in range(space.d):
-            if f[i] == 0:
-                continue
-            if space.statistics == BOSONIC:
-                if total + 1 > space.cutoff:
-                    dropped += abs(math.sqrt(occ[i] + 1) * f[i]) ** 2
-                    continue
-                occ2 = occ[:i] + (occ[i] + 1,) + occ[i + 1:]
-                mat[space.index[occ2], j] += math.sqrt(occ[i] + 1) * f[i]
-            else:
-                if occ[i] == 1:
-                    continue
-                occ2 = occ[:i] + (1,) + occ[i + 1:]
-                mat[space.index[occ2], j] += _jw_sign(occ, i) * f[i]
-    return FockOperator(space, mat, leak=math.sqrt(dropped))
+    return FockOperator(space, _ladder_word(space, _smearing(space, f), "+"))
 
 
 def annihilate(space: ModeSpace, f) -> FockOperator:
     """Smeared annihilator a(f) = sum_i conj(f_i) a_i (antilinear in f)."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (space.d,):
-        raise ValueError("smearing vector has the wrong dimension")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, occ in enumerate(space.basis):
-        for i in range(space.d):
-            if f[i] == 0 or occ[i] == 0:
-                continue
-            occ2 = occ[:i] + (occ[i] - 1,) + occ[i + 1:]
-            if space.statistics == BOSONIC:
-                mat[space.index[occ2], j] += math.sqrt(occ[i]) * np.conj(f[i])
-            else:
-                mat[space.index[occ2], j] += _jw_sign(occ, i) * np.conj(f[i])
-    return FockOperator(space, mat)
+    f = np.conj(_smearing(space, f))
+    return FockOperator(space, _ladder_word(space, f, "-"))
 
 
 def number_operator(space: ModeSpace) -> FockOperator:
     return FockOperator(space, np.diag(space.totals.astype(complex)))
-
-
-def degree_projector(space: ModeSpace, max_degree: int) -> FockOperator:
-    diag = (space.totals <= max_degree).astype(complex)
-    return FockOperator(space, np.diag(diag))
 
 
 def dgamma(space: ModeSpace, M) -> FockOperator:
@@ -351,90 +364,7 @@ def dgamma(space: ModeSpace, M) -> FockOperator:
     M = np.asarray(M, dtype=complex)
     if M.shape != (space.d, space.d):
         raise ValueError("coefficient matrix has the wrong shape")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, occ in enumerate(space.basis):
-        for i2 in range(space.d):
-            if occ[i2] == 0:
-                continue
-            if space.statistics == BOSONIC:
-                amp1 = math.sqrt(occ[i2])
-                occ1 = occ[:i2] + (occ[i2] - 1,) + occ[i2 + 1:]
-                for i1 in range(space.d):
-                    if M[i1, i2] == 0:
-                        continue
-                    occ2 = occ1[:i1] + (occ1[i1] + 1,) + occ1[i1 + 1:]
-                    amp = amp1 * math.sqrt(occ1[i1] + 1)
-                    mat[space.index[occ2], j] += M[i1, i2] * amp
-            else:
-                s2 = _jw_sign(occ, i2)
-                occ1 = occ[:i2] + (0,) + occ[i2 + 1:]
-                for i1 in range(space.d):
-                    if M[i1, i2] == 0 or occ1[i1] == 1:
-                        continue
-                    occ2 = occ1[:i1] + (1,) + occ1[i1 + 1:]
-                    mat[space.index[occ2], j] += M[i1, i2] * s2 * _jw_sign(occ1, i1)
-    return FockOperator(space, mat)
-
-
-def _pair_creator(space: ModeSpace, M) -> FockOperator:
-    """sum_{ij} M_ij a*_i a*_j, recording the truncation leak."""
-    M = np.asarray(M, dtype=complex)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    dropped: dict = {}
-    for j, occ in enumerate(space.basis):
-        total = sum(occ)
-        for i2 in range(space.d):
-            if space.statistics == BOSONIC:
-                occ1 = occ[:i2] + (occ[i2] + 1,) + occ[i2 + 1:]
-                amp2 = math.sqrt(occ[i2] + 1)
-                for i1 in range(space.d):
-                    if M[i1, i2] == 0:
-                        continue
-                    amp = amp2 * math.sqrt(occ1[i1] + 1) * M[i1, i2]
-                    occ2 = occ1[:i1] + (occ1[i1] + 1,) + occ1[i1 + 1:]
-                    if total + 2 > space.cutoff:
-                        dropped[(occ2, j)] = dropped.get((occ2, j), 0.0) + amp
-                    else:
-                        mat[space.index[occ2], j] += amp
-            else:
-                if occ[i2] == 1:
-                    continue
-                s2 = _jw_sign(occ, i2)
-                occ1 = occ[:i2] + (1,) + occ[i2 + 1:]
-                for i1 in range(space.d):
-                    if M[i1, i2] == 0 or occ1[i1] == 1:
-                        continue
-                    occ2 = occ1[:i1] + (1,) + occ1[i1 + 1:]
-                    mat[space.index[occ2], j] += M[i1, i2] * s2 * _jw_sign(occ1, i1)
-    leak = math.sqrt(sum(abs(v) ** 2 for v in dropped.values()))
-    return FockOperator(space, mat, leak=leak)
-
-
-def _pair_annihilator(space: ModeSpace, M) -> FockOperator:
-    """sum_{ij} M_ij a_i a_j."""
-    M = np.asarray(M, dtype=complex)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, occ in enumerate(space.basis):
-        for i2 in range(space.d):
-            if occ[i2] == 0:
-                continue
-            if space.statistics == BOSONIC:
-                amp2 = math.sqrt(occ[i2])
-                occ1 = occ[:i2] + (occ[i2] - 1,) + occ[i2 + 1:]
-                for i1 in range(space.d):
-                    if M[i1, i2] == 0 or occ1[i1] == 0:
-                        continue
-                    occ2 = occ1[:i1] + (occ1[i1] - 1,) + occ1[i1 + 1:]
-                    mat[space.index[occ2], j] += M[i1, i2] * amp2 * math.sqrt(occ1[i1])
-            else:
-                s2 = _jw_sign(occ, i2)
-                occ1 = occ[:i2] + (0,) + occ[i2 + 1:]
-                for i1 in range(space.d):
-                    if M[i1, i2] == 0 or occ1[i1] == 0:
-                        continue
-                    occ2 = occ1[:i1] + (0,) + occ1[i1 + 1:]
-                    mat[space.index[occ2], j] += M[i1, i2] * s2 * _jw_sign(occ1, i1)
-    return FockOperator(space, mat)
+    return FockOperator(space, _ladder_word(space, M, "+-"))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +377,7 @@ def weyl(space: ModeSpace, t: float, f) -> FockOperator:
         raise ValueError("Weyl operators live on the bosonic space")
     gen = annihilate(space, f) + create(space, f)
     mat = expm((1j / math.sqrt(2.0)) * gen.mat)
-    return FockOperator(space, cmath.exp(1j * t) * mat, leak=gen.leak)
+    return FockOperator(space, cmath.exp(1j * t) * mat)
 
 
 def heisenberg_mul(a: tuple, b: tuple) -> tuple:
@@ -464,13 +394,6 @@ def heisenberg_inverse(a: tuple) -> tuple:
     return (-float(t), -np.asarray(v, dtype=complex))
 
 
-def bogoliubov_transform(g: RealLinearMap, f) -> tuple[np.ndarray, np.ndarray]:
-    """Components (g_1 f, g_2 f) of the transformed annihilator a_g(f):
-    the linear image G1 f and the antilinear image G2 conj(f)."""
-    f = np.asarray(f, dtype=complex)
-    return g.G1 @ f, g.G2 @ np.conj(f)
-
-
 # ---------------------------------------------------------------------------
 # graded products
 
@@ -480,14 +403,13 @@ def symmetric_product(T: FockVector, S: FockVector) -> FockVector:
 
     On basis states |mu> v |kappa> = sqrt(prod_i C(mu_i + kappa_i, mu_i))
     |mu + kappa>, extended bilinearly; amplitude pushed past the cutoff
-    is dropped and recorded in the leak field.  Satisfies the norm bound
+    is dropped.  Satisfies the norm bound
     ||T v S|| <= sqrt(C(n + m, n)) ||T|| ||S|| for homogeneous degrees.
     """
     space = _same_space(T.space, S.space)
     if space.statistics != BOSONIC:
         raise ValueError("symmetric product needs a bosonic space")
     out = np.zeros(space.dim, dtype=complex)
-    dropped: dict = {}
     jt = np.nonzero(T.amps)[0]
     js = np.nonzero(S.amps)[0]
     for a in jt:
@@ -501,12 +423,9 @@ def symmetric_product(T: FockVector, S: FockVector) -> FockVector:
                 mult *= math.comb(occ_a[i] + occ_b[i], occ_a[i])
             amp *= math.sqrt(mult)
             occ = tuple(occ_a[i] + occ_b[i] for i in range(space.d))
-            if sum(occ) > space.cutoff:
-                dropped[occ] = dropped.get(occ, 0.0) + amp
-            else:
+            if sum(occ) <= space.cutoff:
                 out[space.index[occ]] += amp
-    leak = math.sqrt(sum(abs(v) ** 2 for v in dropped.values()))
-    return FockVector(space, out, leak=leak)
+    return FockVector(space, out)
 
 
 def exterior_product(T: FockVector, S: FockVector) -> FockVector:
@@ -545,15 +464,13 @@ def exp_vector(T: FockVector, max_terms: int | None = None) -> FockVector:
         raise ValueError("the exponential series needs a bosonic space")
     total = vacuum(space)
     term = vacuum(space)
-    leak = 0.0
     n_max = max_terms if max_terms is not None else space.cutoff
     for n in range(1, n_max + 1):
         term = symmetric_product(term, (1.0 / n) * T)
-        leak += term.leak
         if term.norm() == 0.0:
             break
         total = total + term
-    return FockVector(space, total.amps, leak=leak)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -632,15 +549,12 @@ def second_quantize(space: ModeSpace, x: RealLinearMap,
         if not in_o(x, tol):
             raise ValueError("x is not in o: need skew-hermitian linear and "
                              "antisymmetric antilinear part")
-    op = dgamma(space, x.G1)
+    mat = _ladder_word(space, x.G1, "+-")
     if np.any(x.G2 != 0):
-        if space.statistics == BOSONIC:
-            op = op - 0.5 * _pair_creator(space, x.G2) \
-                 + 0.5 * _pair_annihilator(space, np.conj(x.G2))
-        else:
-            op = op + 0.5 * _pair_creator(space, x.G2) \
-                 + 0.5 * _pair_annihilator(space, np.conj(x.G2))
-    return op
+        pair = -0.5 if space.statistics == BOSONIC else 0.5
+        mat = mat + pair * _ladder_word(space, x.G2, "++") \
+            + 0.5 * _ladder_word(space, np.conj(x.G2), "--")
+    return FockOperator(space, mat)
 
 
 def central_term(space: ModeSpace, x: RealLinearMap, y: RealLinearMap) -> float:
@@ -698,7 +612,7 @@ def vacuum_implementer(space: ModeSpace,
     that = hat_element(space, T)
     F = exp_vector(-that)
     c = 1.0 / F.norm()
-    return c, FockVector(space, c * F.amps, leak=c * F.leak)
+    return c, FockVector(space, c * F.amps)
 
 
 def embed(F: FockVector, bigger: ModeSpace) -> FockVector:
@@ -710,7 +624,7 @@ def embed(F: FockVector, bigger: ModeSpace) -> FockVector:
     amps = np.zeros(bigger.dim, dtype=complex)
     for occ, a in zip(F.space.basis, F.amps):
         amps[bigger.index[occ]] = a
-    return FockVector(bigger, amps, leak=F.leak)
+    return FockVector(bigger, amps)
 
 
 def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
@@ -784,9 +698,3 @@ def quasifree_twist(space: ModeSpace, P, Gamma, f) -> FockOperator:
         raise ValueError("Gamma does not commute with P")
     f = np.asarray(f, dtype=complex)
     return annihilate(space, (I - P) @ f) + create(space, G @ np.conj(P @ f))
-
-
-def charge_operator(space: ModeSpace, P) -> FockOperator:
-    """Q = dGamma(1 - 2P), the charge grading of the P-twisted picture."""
-    P = np.asarray(P, dtype=complex)
-    return dgamma(space, np.eye(space.d) - 2.0 * P)

@@ -298,8 +298,3 @@ def random_o_element(rng: np.random.Generator, d: int,
 def random_symplectic(rng: np.random.Generator, d: int,
                       scale: float = 0.5) -> RealLinearMap:
     return random_sp_element(rng, d, scale).exp()
-
-
-def random_orthogonal_map(rng: np.random.Generator, d: int,
-                          scale: float = 0.5) -> RealLinearMap:
-    return random_o_element(rng, d, scale).exp()

