@@ -88,10 +88,7 @@ class FourierFunction:
         if M < 2 * degree + 1:
             raise ValueError("need at least 2N+1 samples for degree N")
         a = np.fft.fft(values) / M
-        c = np.empty(2 * degree + 1, dtype=complex)
-        for k in range(-degree, degree + 1):
-            c[k + degree] = a[k % M]
-        return cls(c, real=real)
+        return cls(a[np.arange(-degree, degree + 1) % M], real=real)
 
     # -- basic queries ------------------------------------------------
 
@@ -116,20 +113,35 @@ class FourierFunction:
         return FourierFunction(self.coeffs[lo:hi])
 
     def evaluate(self, theta):
-        """Pointwise values at arbitrary angles (vectorized); real output
-        for real functions."""
+        """Pointwise values at arbitrary angles (any shape, 0-d included);
+        real output for real functions.
+
+        Horner's rule in z = e^{i theta}.  A real function is folded onto
+        its k >= 0 half, a_0 = Re c_0 and a_k = c_k + conj(c_{-k}), and
+        evaluated as Re sum_{k>=0} a_k z^k, which equals Re sum_k c_k z^k
+        even where the reality invariant holds only to ``REALITY_TOL``; a
+        complex one as e^{-i N theta} sum_{j=0}^{2N} c_{j-N} z^j.  The cost
+        on M angles is one or two exponentials per angle and N (real) or
+        2N (complex) multiply-adds on M-vectors, O(M N) in all, with no
+        M x (2N+1) table of exponentials.
+        """
         theta = np.asarray(theta, dtype=float)
-        ks = np.arange(-self.degree, self.degree + 1)
-        vals = np.exp(1j * np.multiply.outer(theta, ks)) @ self.coeffs
-        return vals.real if self.real_flag else vals
+        N, c = self.degree, self.coeffs
+        if self.real_flag:
+            c = np.concatenate(([c[N].real], c[N + 1:] + np.conj(c[N - 1::-1])))
+        z = np.exp(1j * theta)
+        acc = np.full(theta.shape, c[-1], dtype=complex)
+        for ck in c[-2::-1]:
+            acc *= z
+            acc += ck
+        return acc.real if self.real_flag else acc * np.exp(-1j * N * theta)
 
     def grid_values(self, M: int):
         """Values on the uniform grid theta_j = 2 pi j / M via FFT."""
         if M < 2 * self.degree + 1:
             raise ValueError("grid too coarse for this degree")
         a = np.zeros(M, dtype=complex)
-        for k in range(-self.degree, self.degree + 1):
-            a[k % M] += self.coeffs[k + self.degree]
+        a[np.arange(-self.degree, self.degree + 1) % M] = self.coeffs
         vals = np.fft.ifft(a) * M
         return vals.real if self.real_flag else vals
 
@@ -395,12 +407,13 @@ def invert(phi: CircleDiffeo, grid_size: int | None = None) -> CircleDiffeo:
     n = phi.degree
     M = grid_size or 8 * max(n, 4)
     theta = grid_points(M)
+    dp = derivative(phi.p)
     x = theta.copy()
     for _ in range(NEWTON_MAX_ITER):
         res = x + phi.p.evaluate(x) - theta
         if np.max(np.abs(res)) < 1e-13:
             break
-        x = x - res / phi.derivative_values(x)
+        x = x - res / (1.0 + dp.evaluate(x))
     else:
         raise RuntimeError("Newton inversion did not converge in "
                            f"{NEWTON_MAX_ITER} iterations")

@@ -352,6 +352,10 @@ def compatible_complex_structure(A) -> np.ndarray:
     With omega(v, w) = v^T A w this satisfies J^2 = -1,
     omega(Jv, v) = v^T (A^T A)^{1/2} v > 0, and J is orthogonal for the
     derived inner product g(v, w) = omega(Jv, w).
+
+    J is the orthogonal polar factor U V^T of the SVD A = U diag(s) V^T,
+    which equals A (A^T A)^{-1/2} without forming A^T A, so its accuracy
+    follows the condition number of A rather than its square.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -359,11 +363,10 @@ def compatible_complex_structure(A) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if np.linalg.norm(A + A.T) > 1e-10 * max(1.0, float(np.linalg.norm(A))):
         raise ValueError("expected a skew-symmetric matrix")
-    S = A.T @ A
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
-    if w[0] <= 1e-14 * max(1.0, w[-1]):
+    U, s, Vt = np.linalg.svd(A)
+    if s[-1] ** 2 <= 1e-14 * max(1.0, s[0] ** 2):
         raise ValueError("expected an invertible matrix")
-    return A @ _sym_sqrt(S, -0.5)
+    return U @ Vt
 
 
 def derived_inner_product(A) -> np.ndarray:

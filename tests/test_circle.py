@@ -1,5 +1,6 @@
 """Truncated Fourier calculus: products, brackets, diffeos, Schwarzians."""
 
+import cmath
 import math
 
 import numpy as np
@@ -96,6 +97,83 @@ def test_integral_of_derivative_vanishes():
     for _ in range(5):
         f = random_field(rng, 10)
         assert abs(integrate(derivative(f))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# pointwise evaluation against independent routes
+
+
+def random_function(rng, degree, real, scale=1.0):
+    c = scale * (rng.normal(size=2 * degree + 1)
+                 + 1j * rng.normal(size=2 * degree + 1))
+    if real:
+        c = 0.5 * (c + np.conj(c[::-1]))
+    return FourierFunction(c, real=real)
+
+
+def explicit_sum(f, theta):
+    """sum_k c_k e^{i k theta}, term by term."""
+    ks = range(-f.degree, f.degree + 1)
+    return np.array([sum(c * cmath.exp(1j * k * t) for k, c in zip(ks, f.coeffs))
+                     for t in theta])
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("degree", [0, 1, 48, 96])
+def test_evaluate_matches_fft_on_the_uniform_grid(degree, real):
+    rng = np.random.default_rng(40 + degree)
+    f = random_function(rng, degree, real)
+    M = 2 * degree + 5
+    vals = f.evaluate(grid_points(M))
+    assert np.isrealobj(vals) == real
+    scale = np.sum(np.abs(f.coeffs))
+    assert np.max(np.abs(vals - f.grid_values(M))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("degree", [0, 1, 48, 96])
+def test_evaluate_matches_explicit_sum_at_arbitrary_angles(degree, real):
+    rng = np.random.default_rng(50 + degree)
+    f = random_function(rng, degree, real)
+    theta = np.concatenate([rng.uniform(-20.0, 20.0, 40),
+                            [0.0, -1.0, -TWO_PI, 3 * TWO_PI + 0.25]])
+    oracle = explicit_sum(f, theta)
+    if real:
+        oracle = oracle.real
+    scale = np.sum(np.abs(f.coeffs))
+    assert np.max(np.abs(f.evaluate(theta) - oracle)) <= 1e-12 * scale
+
+
+def test_evaluate_nearly_real_function_is_real_part_of_full_sum():
+    # c_{-k} - conj(c_k) ~ 1e-13 is inside REALITY_TOL, so the function is
+    # flagged real; its values must still be Re sum_k c_k e^{ik theta},
+    # which differs from c_0 + 2 Re sum_{k>=1} c_k e^{ik theta}.
+    rng = np.random.default_rng(44)
+    N = 12
+    c = random_function(rng, N, real=True, scale=1e-2).coeffs
+    c = c + 1e-13 * (rng.normal(size=c.size) + 1j * rng.normal(size=c.size))
+    f = FourierFunction(c, real=True)
+    assert f.real_flag and not np.allclose(np.conj(c[::-1]), c, rtol=0, atol=1e-14)
+    theta = rng.uniform(-10.0, 10.0, 100)
+    oracle = explicit_sum(f, theta).real
+    tol = 1e-14 * np.sum(np.abs(c))
+    assert np.max(np.abs(f.evaluate(theta) - oracle)) <= tol
+    positive_half = FourierFunction(np.concatenate([np.zeros(N), c[N:]]))
+    two_re = 2 * positive_half.evaluate(theta).real - c[N].real
+    assert np.max(np.abs(two_re - oracle)) > 10 * tol
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_evaluate_keeps_the_shape_of_theta(real):
+    rng = np.random.default_rng(45)
+    f = random_function(rng, 5, real)
+    scalar = f.evaluate(0.7)
+    assert np.ndim(scalar) == 0
+    assert scalar == f.evaluate(np.array([0.7]))[0]
+    theta = rng.uniform(-4.0, 4.0, size=(3, 5))
+    vals = f.evaluate(theta)
+    assert vals.shape == (3, 5)
+    assert np.array_equal(vals, f.evaluate(theta.ravel()).reshape(3, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from virfock.symplectic import (
     sl2_matrix,
     spectral_support,
 )
+from virfock.suites import SuiteConfig, run_suite
 
 
 def random_vec(rng, d):
@@ -271,3 +272,25 @@ def test_compatible_complex_structure_postconditions(two_d):
         assert np.abs(G - G.T).max() < 1e-9
         assert np.linalg.eigvalsh(0.5 * (J.T @ A + (J.T @ A).T))[0] > -1e-9
         assert np.abs(J.T @ G @ J - G).max() < 1e-9
+
+
+def test_compatible_complex_structure_ill_conditioned_form():
+    # A = Q diag(lam_i [[0, 1], [-1, 0]]) Q^T with condition number 1e5:
+    # forming A^T A would square it to 1e10.
+    rng = np.random.default_rng(97)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A = Q @ np.kron(np.diag([1e-4, 1.0, 10.0]), block) @ Q.T
+    A = 0.5 * (A - A.T)
+    J = compatible_complex_structure(A)
+    G = J.T @ A
+    assert np.linalg.norm(J @ J + np.eye(6)) <= 1e-11
+    assert -np.linalg.eigvalsh(0.5 * (G + G.T))[0] <= 1e-11
+    assert np.linalg.norm(J.T @ G @ J - G) <= 1e-11
+
+
+@pytest.mark.parametrize("seed", [75, 763814656])
+def test_suite_compatible_structure_passes_at_ill_conditioned_seeds(seed):
+    report = run_suite(SuiteConfig(suite="symplectic-cones", seed=seed))
+    (c13,) = [c for c in report.checks if c.check_id == "13-compatible-structure"]
+    assert c13.passed, c13.residual
