@@ -55,14 +55,11 @@ from .fock import (
     central_term_trace,
     create,
     dgamma,
-    exp_vector,
-    exterior_product,
     hat_element,
     hat_pairing,
     number_operator,
     quasifree_twist,
     second_quantize,
-    symmetric_product,
     truncated_vacuum_oracle,
     vacuum,
     vacuum_implementer,

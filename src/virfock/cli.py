@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="suite name, or 'all'; may come from --config")
     p_verify.add_argument("--config", default=None,
                           help="JSON config with a 'suite' key and flat "
-                               "positive integer overrides")
+                               "integer overrides of the params that suite "
+                               "declares")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--tol-scale", type=float, default=None)
     p_verify.add_argument("--out", default=None, help="also write the report here")
@@ -90,7 +91,7 @@ def _cmd_verify(args) -> int:
     if args.config is not None:
         try:
             cfg = SuiteConfig.from_file(args.config)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return 2
     elif args.suite is not None:
@@ -110,10 +111,16 @@ def _cmd_verify(args) -> int:
                   file=sys.stderr)
             return 2
 
+    try:
+        configs = [SuiteConfig(suite=name, seed=seed, tol_scale=tol_scale,
+                               params=cfg.params) for name in targets]
+    except ValueError as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return 2
+
     reports = []
-    for name in targets:
-        rep = run_suite(SuiteConfig(suite=name, seed=seed,
-                                    tol_scale=tol_scale, params=cfg.params))
+    for target in configs:
+        rep = run_suite(target)
         reports.append(rep)
         for line in rep.summary_lines():
             print(line, file=sys.stderr)

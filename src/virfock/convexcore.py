@@ -98,9 +98,6 @@ class Polyhedron:
     def dim(self) -> int:
         return self.normals.shape[1]
 
-    def contains(self, x, tol: float = TOL) -> bool:
-        return bool(np.all(self.normals @ np.asarray(x, float) >= self.offsets - tol))
-
     def is_empty(self) -> bool:
         """LP feasibility of {x : Ax >= b}."""
         A, b = self.normals, self.offsets

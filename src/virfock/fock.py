@@ -22,7 +22,10 @@ CAR side is exact because the fermionic space is complete at dimension
 Every operator built here is a polynomial in the single-mode ladders:
 each ModeSpace tabulates, once, where a_i and a*_i send each basis state
 and with which amplitude, and one builder sums coefficient-weighted
-ladder words over those tables.
+ladder words over those tables.  States need no product algebra of their
+own: the Bogoliubov vacuum series applies powers of the pair creator
+-1/2 sum T_ji a*_i a*_j to Omega, and degree-2 hat vectors are written
+straight onto the occupation index.
 
 Quadratic elements x = x_1 + x_2 (linear plus antilinear part, stored as
 a RealLinearMap) are second-quantized normally ordered,
@@ -36,7 +39,7 @@ linear part, and puts the whole central defect of [dpi(x), dpi(y)] -
 dpi([x, y]) into the scalar i eta(x, y) coming from the antilinear
 parts.  The companion `hat_element` realizes an (anti)symmetric
 antilinear A as the degree-2 vector with <A-hat, f v g> = <A f, g>,
-solved from the pairing equations and checked against the norm identity
+written in closed form and checked against the norm identity
 ||A-hat||^2 = 1/2 ||A||_HS^2; the two constructions are glued by
 dpi(x_2) Omega = -x_2-hat.
 """
@@ -167,21 +170,12 @@ class FockVector:
     def amplitude(self, occ) -> complex:
         return complex(self.amps[self.space.index[tuple(occ)]])
 
-    def degree_component(self, n: int) -> "FockVector":
-        mask = self.space.totals == n
-        amps = np.where(mask, self.amps, 0.0)
-        return FockVector(self.space, amps)
-
     def degree_norms(self) -> np.ndarray:
         """Norm of each fixed-particle-number component, index = degree."""
         out = np.zeros(self.space.cutoff + 1)
         for n in range(self.space.cutoff + 1):
             out[n] = float(np.linalg.norm(self.amps[self.space.totals == n]))
         return out
-
-    def support(self, tol: float = 0.0) -> dict:
-        return {occ: complex(a) for occ, a in zip(self.space.basis, self.amps)
-                if abs(a) > tol}
 
     def normalized(self) -> "FockVector":
         n = self.norm()
@@ -207,22 +201,13 @@ class FockVector:
 
 
 def vacuum(space: ModeSpace) -> FockVector:
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[space.index[(0,) * space.d]] = 1.0
-    return FockVector(space, amps)
+    return basis_vector(space, (0,) * space.d)
 
 
 def basis_vector(space: ModeSpace, occ) -> FockVector:
     amps = np.zeros(space.dim, dtype=complex)
     amps[space.index[tuple(occ)]] = 1.0
     return FockVector(space, amps)
-
-
-def mode_vector(space: ModeSpace, i: int) -> FockVector:
-    """The one-particle state e_i."""
-    occ = [0] * space.d
-    occ[i] = 1
-    return basis_vector(space, occ)
 
 
 def random_fock_vector(rng: np.random.Generator, space: ModeSpace,
@@ -259,10 +244,6 @@ class FockOperator:
         _same_space(self.space, v.space)
         return FockVector(self.space, self.mat @ v.amps)
 
-    def matrix_element(self, occ_out, occ_in) -> complex:
-        return complex(self.mat[self.space.index[tuple(occ_out)],
-                                self.space.index[tuple(occ_in)]])
-
     def adjoint(self) -> "FockOperator":
         return FockOperator(self.space, self.mat.conj().T)
 
@@ -281,18 +262,15 @@ class FockOperator:
         b = other.compose(self)
         return FockOperator(self.space, a.mat + b.mat)
 
-    def norm(self, kind: str = "fro") -> float:
-        if kind == "fro":
-            return float(np.linalg.norm(self.mat))
-        return float(np.linalg.norm(self.mat, 2))
+    def norm(self) -> float:
+        """Frobenius norm."""
+        return float(np.linalg.norm(self.mat))
 
-    def restricted_norm(self, max_degree: int, kind: str = "fro") -> float:
-        """Norm of P A P with P the projection onto total number <= max_degree."""
+    def restricted_norm(self, max_degree: int) -> float:
+        """Frobenius norm of P A P with P the projection onto total number
+        <= max_degree."""
         keep = self.space.totals <= max_degree
-        block = self.mat[np.ix_(keep, keep)]
-        if kind == "fro":
-            return float(np.linalg.norm(block))
-        return float(np.linalg.norm(block, 2))
+        return float(np.linalg.norm(self.mat[np.ix_(keep, keep)]))
 
     def __add__(self, other):
         _same_space(self.space, other.space)
@@ -395,85 +373,6 @@ def heisenberg_inverse(a: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# graded products
-
-
-def symmetric_product(T: FockVector, S: FockVector) -> FockVector:
-    """T v S in occupation coordinates.
-
-    On basis states |mu> v |kappa> = sqrt(prod_i C(mu_i + kappa_i, mu_i))
-    |mu + kappa>, extended bilinearly; amplitude pushed past the cutoff
-    is dropped.  Satisfies the norm bound
-    ||T v S|| <= sqrt(C(n + m, n)) ||T|| ||S|| for homogeneous degrees.
-    """
-    space = _same_space(T.space, S.space)
-    if space.statistics != BOSONIC:
-        raise ValueError("symmetric product needs a bosonic space")
-    out = np.zeros(space.dim, dtype=complex)
-    jt = np.nonzero(T.amps)[0]
-    js = np.nonzero(S.amps)[0]
-    for a in jt:
-        occ_a = space.basis[a]
-        amp_a = T.amps[a]
-        for b in js:
-            occ_b = space.basis[b]
-            amp = amp_a * S.amps[b]
-            mult = 1.0
-            for i in range(space.d):
-                mult *= math.comb(occ_a[i] + occ_b[i], occ_a[i])
-            amp *= math.sqrt(mult)
-            occ = tuple(occ_a[i] + occ_b[i] for i in range(space.d))
-            if sum(occ) <= space.cutoff:
-                out[space.index[occ]] += amp
-    return FockVector(space, out)
-
-
-def exterior_product(T: FockVector, S: FockVector) -> FockVector:
-    """T wedge S: merge disjoint subsets with the sorting sign."""
-    space = _same_space(T.space, S.space)
-    if space.statistics != FERMIONIC:
-        raise ValueError("exterior product needs a fermionic space")
-    out = np.zeros(space.dim, dtype=complex)
-    jt = np.nonzero(T.amps)[0]
-    js = np.nonzero(S.amps)[0]
-    for a in jt:
-        occ_a = space.basis[a]
-        amp_a = T.amps[a]
-        for b in js:
-            occ_b = space.basis[b]
-            if any(occ_a[i] and occ_b[i] for i in range(space.d)):
-                continue
-            # sign of the merge: count pairs (p in A, q in B) with q < p
-            inversions = 0
-            count_b = 0
-            for i in range(space.d):
-                if occ_a[i]:
-                    inversions += count_b
-                if occ_b[i]:
-                    count_b += 1
-            sign = -1 if inversions % 2 else 1
-            occ = tuple(occ_a[i] + occ_b[i] for i in range(space.d))
-            out[space.index[occ]] += sign * amp_a * S.amps[b]
-    return FockVector(space, out)
-
-
-def exp_vector(T: FockVector, max_terms: int | None = None) -> FockVector:
-    """Exponential series sum_n T^{v n}/n! on the truncated space."""
-    space = T.space
-    if space.statistics != BOSONIC:
-        raise ValueError("the exponential series needs a bosonic space")
-    total = vacuum(space)
-    term = vacuum(space)
-    n_max = max_terms if max_terms is not None else space.cutoff
-    for n in range(1, n_max + 1):
-        term = symmetric_product(term, (1.0 / n) * T)
-        if term.norm() == 0.0:
-            break
-        total = total + term
-    return total
-
-
-# ---------------------------------------------------------------------------
 # hat vectors and second quantization
 
 
@@ -485,16 +384,10 @@ def _antilinear_matrix(A) -> np.ndarray:
     return np.asarray(A, dtype=complex)
 
 
-def hat_element(space: ModeSpace, A) -> FockVector:
-    """Degree-2 vector with <A-hat, f v g> = <A f, g> for all basis pairs.
-
-    A is an antilinear map, given as a RealLinearMap with vanishing
-    linear part or as its raw matrix M (action v -> M conj(v)); it must
-    be hermitian (M symmetric) on a bosonic space and skew (M
-    antisymmetric) on a fermionic one.  Coefficients are solved from the
-    pairing equations, then the identity ||A-hat||^2 = 1/2 ||A||_HS^2 is
-    asserted.
-    """
+def _pair_matrix(space: ModeSpace, A) -> np.ndarray:
+    """Matrix M of an antilinear A that can be paired into a degree-2 state:
+    symmetric within 1e-10 relative on a bosonic space with cutoff >= 2,
+    antisymmetric on a fermionic one."""
     M = _antilinear_matrix(A)
     if M.shape != (space.d, space.d):
         raise ValueError("antilinear matrix has the wrong shape")
@@ -507,18 +400,27 @@ def hat_element(space: ModeSpace, A) -> FockVector:
     else:
         if np.linalg.norm(M + M.T) > 1e-10 * scale:
             raise ValueError("fermionic hat vectors need an antisymmetric matrix")
+    return M
+
+
+def hat_element(space: ModeSpace, A) -> FockVector:
+    """Degree-2 vector with <A-hat, f v g> = <A f, g> for all basis pairs.
+
+    A is an antilinear map, given as a RealLinearMap with vanishing
+    linear part or as its raw matrix M (action v -> M conj(v)); it must
+    be hermitian (M symmetric) on a bosonic space and skew (M
+    antisymmetric) on a fermionic one.  Written in closed form, without
+    the ladder tables: M_ji on |e_i + e_j> for i < j and, bosonic,
+    M_ii / sqrt(2) on |2 e_i>.  The identity ||A-hat||^2 = 1/2 ||A||_HS^2
+    is asserted.
+    """
+    M = _pair_matrix(space, A)
     amps = np.zeros(space.dim, dtype=complex)
-    prod = symmetric_product if space.statistics == BOSONIC else exterior_product
-    for i in range(space.d):
-        start = i if space.statistics == BOSONIC else i + 1
-        for j in range(start, space.d):
-            pair = prod(mode_vector(space, i), mode_vector(space, j))
-            nz = np.nonzero(pair.amps)[0]
-            if nz.size != 1:
-                raise ArithmeticError("basis pair is not a single occupation state")
-            k = nz[0]
-            target = complex(M[j, i])
-            amps[k] = target / np.conj(pair.amps[k])
+    unit = np.eye(space.d, dtype=int)
+    first = 0 if space.statistics == BOSONIC else 1
+    for i, j in zip(*np.triu_indices(space.d, first)):
+        k = space.index[tuple(unit[i] + unit[j])]
+        amps[k] = M[j, i] / math.sqrt(2.0) if i == j else M[j, i]
     vec = FockVector(space, amps)
     lhs = vec.norm() ** 2
     rhs = 0.5 * float(np.linalg.norm(M)) ** 2
@@ -597,8 +499,11 @@ def vacuum_implementer(space: ModeSpace,
                        g: RealLinearMap) -> tuple[float, FockVector]:
     """Normalized truncation of c(g) e^{-T-hat(g)} with c = norm^{-1}.
 
-    Requires an invertible linear part and ||T(g)||_HS < 1.  The
-    returned scalar is the vacuum overlap <F, Omega> = c(g) > 0.
+    Requires an invertible linear part, ||T(g)||_HS < 1, T(g) symmetric
+    and a cutoff >= 2.  With Q = -1/2 sum T_ji a*_i a*_j one has
+    Q Omega = -T-hat, so the series is sum_{n <= N/2} Q^n Omega / n!,
+    built from the ladder tables.  The returned scalar is the vacuum
+    overlap <F, Omega> = c(g) > 0.
     """
     if space.statistics != BOSONIC:
         raise ValueError("vacuum implementers are bosonic here")
@@ -609,10 +514,14 @@ def vacuum_implementer(space: ModeSpace,
     T = twist_matrix(g)
     if np.linalg.norm(T) >= 1.0:
         raise ValueError("||T(g)|| >= 1: outside the convergence domain")
-    that = hat_element(space, T)
-    F = exp_vector(-that)
-    c = 1.0 / F.norm()
-    return c, FockVector(space, c * F.amps)
+    Q = -0.5 * _ladder_word(space, _pair_matrix(space, T).T, "++")
+    term = vacuum(space).amps
+    F = term
+    for n in range(1, space.cutoff // 2 + 1):
+        term = Q @ term / n
+        F = F + term
+    c = 1.0 / float(np.linalg.norm(F))
+    return c, FockVector(space, c * F)
 
 
 def embed(F: FockVector, bigger: ModeSpace) -> FockVector:
@@ -621,9 +530,9 @@ def embed(F: FockVector, bigger: ModeSpace) -> FockVector:
         raise ValueError("spaces are not compatible")
     if bigger.cutoff < F.space.cutoff:
         raise ValueError("target cutoff is smaller")
+    # both bases are sorted by (total, occupation): the smaller is a prefix
     amps = np.zeros(bigger.dim, dtype=complex)
-    for occ, a in zip(F.space.basis, F.amps):
-        amps[bigger.index[occ]] = a
+    amps[:F.space.dim] = F.amps
     return FockVector(bigger, amps)
 
 
@@ -638,13 +547,8 @@ def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
     T = twist_matrix(g)
     roomy = ModeSpace(space.d, BOSONIC, space.cutoff + 2)
     Fe = embed(F, roomy)
-    out = np.zeros(space.d)
-    for i in range(space.d):
-        e = np.zeros(space.d)
-        e[i] = 1.0
-        op = annihilate(roomy, e) + create(roomy, T @ e)
-        out[i] = op.apply(Fe).norm()
-    return out
+    return np.array([(annihilate(roomy, e) + create(roomy, T @ e)).apply(Fe).norm()
+                     for e in np.eye(space.d)])
 
 
 def truncated_vacuum_oracle(space: ModeSpace,
@@ -653,13 +557,8 @@ def truncated_vacuum_oracle(space: ModeSpace,
     system a(e_i) F + a*(T e_i) F = 0, normalized with positive vacuum
     overlap.  Returns (vacuum amplitude, F)."""
     T = twist_matrix(g)
-    blocks = []
-    for i in range(space.d):
-        e = np.zeros(space.d)
-        e[i] = 1.0
-        op = annihilate(space, e) + create(space, T @ e)
-        blocks.append(op.mat)
-    K = np.vstack(blocks)
+    K = np.vstack([(annihilate(space, e) + create(space, T @ e)).mat
+                   for e in np.eye(space.d)])
     _, _, vh = np.linalg.svd(K)
     F = vh[-1].conj()
     c0 = F[space.index[(0,) * space.d]]

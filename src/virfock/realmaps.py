@@ -114,11 +114,6 @@ class RealLinearMap:
     def __neg__(self):
         return RealLinearMap(-self.G1, -self.G2)
 
-    def star(self) -> "RealLinearMap":
-        """Adjoint: conjugate transpose on the linear part, plain
-        transpose on the antilinear part (<A* v, w> = <A w, v>)."""
-        return RealLinearMap(self.G1.conj().T, self.G2.T)
-
     def commutator(self, other: "RealLinearMap") -> "RealLinearMap":
         return self.compose(other) - other.compose(self)
 
@@ -158,9 +153,6 @@ class RealLinearMap:
 
     def antilinear_norm(self) -> float:
         return float(np.linalg.norm(self.G2))
-
-    def is_complex_linear(self, tol: float = PREDICATE_TOL) -> bool:
-        return self.antilinear_norm() <= tol * max(1.0, self.linear_norm())
 
     def is_antilinear(self, tol: float = PREDICATE_TOL) -> bool:
         return self.linear_norm() <= tol * max(1.0, self.antilinear_norm())

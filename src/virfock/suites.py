@@ -6,8 +6,9 @@ identical reports.  Tolerances are multiplied by the config's tol_scale
 to allow exploratory loosening without editing code; anchors are plain
 statements of the identity being checked.
 
-A few suites take size parameters (notably fock-vacuum's cutoff N);
-unknown config keys are rejected to keep configs honest.
+Each suite declares the integer parameters it reads, with a default and
+an allowed range (`SUITES`); a config that names any other key, or a
+value outside its range, is rejected before the suite runs.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .reports import CheckResult, VerificationReport, boolean_check, check
 
 DEFAULT_SEED = 12345
 
-KNOWN_PARAMS = {"trials", "N", "cutoff", "degree", "max_level"}
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite name plus seed, tolerance scale, and positive integer overrides."""
+    """Suite name plus seed, tolerance scale, and integer overrides of the
+    parameters the suite declares.  Params are checked only for a
+    registered suite; run_suite rejects any other name."""
 
     suite: str
     seed: int = DEFAULT_SEED
@@ -45,14 +46,21 @@ class SuiteConfig:
     def __post_init__(self):
         if self.tol_scale <= 0.0:
             raise ValueError("tol_scale must be positive")
+        if self.suite not in SUITES:
+            return
+        declared = SUITES[self.suite][2]
         for key, val in self.params.items():
-            if key not in KNOWN_PARAMS:
-                raise ValueError(f"unknown config parameter {key!r}")
-            if isinstance(val, bool) or not isinstance(val, int) or val <= 0:
-                raise ValueError(f"parameter {key!r} must be a positive integer")
+            if key not in declared:
+                raise ValueError(f"unknown config parameter {key!r} for suite "
+                                 f"{self.suite!r}")
+            _, low, high = declared[key]
+            if isinstance(val, bool) or not isinstance(val, int) \
+                    or not low <= val <= high:
+                raise ValueError(f"parameter {key!r} must be a positive integer "
+                                 f"in [{low}, {high}]")
 
-    def get(self, key: str, default: int) -> int:
-        return self.params.get(key, default)
+    def get(self, key: str) -> int:
+        return self.params.get(key, SUITES[self.suite][2][key][0])
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -112,7 +120,7 @@ def _random_projection_and_conjugation(rng, d: int):
 def _suite_convex_cones(cfg: SuiteConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     t = cfg.tol_scale
-    trials = cfg.get("trials", 50)
+    trials = cfg.get("trials")
     out = []
 
     worst_h = 0.0
@@ -373,7 +381,7 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(check("04-gelfand-fuchs-decomposition",
                      "omega = omega_GF - (1/2) int [f, g]", worst, 1e-10 * t))
 
-    trials = cfg.get("trials", 50)
+    trials = cfg.get("trials")
     worst = 0.0
     for _ in range(trials):
         phi = ci.random_diffeo(rng, degree=32, modes=5, amplitude=0.06,
@@ -431,7 +439,7 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig) -> list[CheckResult]:
 def _suite_virasoro_orbits(cfg: SuiteConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     t = cfg.tol_scale
-    degree = cfg.get("degree", 48)
+    degree = cfg.get("degree")
     out = []
 
     f = ci.FourierFunction.from_dict({0: 2.0, 1: 0.5, -1: 0.5}, degree=8)
@@ -445,7 +453,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig) -> list[CheckResult]:
     x = vi.VirasoroElement(0.25, base)
     chi0 = vi.chi(x)
     inv0 = vi.orbit_invariants(x)
-    trials = cfg.get("trials", 30)
+    trials = cfg.get("trials")
     worst_chi = 0.0
     worst_inv = 0.0
     for _ in range(trials):
@@ -463,8 +471,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig) -> list[CheckResult]:
                      worst_inv, 1e-7 * t))
 
     cart = vi.VirasoroElement.cartan(0.0, 1.0, degree)
-    rep = vi.convexity_check(cart, trials=cfg.get("trials", 200), rng=rng,
-                             degree=degree)
+    rep = vi.convexity_check(cart, trials=200, rng=rng, degree=degree)
     slack = min(rep["min_beta_margin"], rep["min_alpha_margin"])
     out.append(check("04-convexity-margins",
                      "Cartan projection of Ad_phi(x) dominates x in both "
@@ -609,7 +616,7 @@ def _suite_virasoro_verma(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(check("05-exact-vs-float",
                      "float Gram agrees with the rational one", worst, 1e-9 * t))
 
-    rep = vi.unitarity_scan([1.0], [1.0], max_level=cfg.get("max_level", 5))
+    rep = vi.unitarity_scan([1.0], [1.0], max_level=cfg.get("max_level"))
     ok_pos = rep[(1.0, 1.0)]["first_negative_level"] is None
     rep2 = vi.unitarity_scan([0.0], [0.5], max_level=3)
     ok_neg = rep2[(0.0, 0.5)]["first_negative_level"] == 2
@@ -631,7 +638,7 @@ def _suite_fock_ccr(cfg: SuiteConfig) -> list[CheckResult]:
     t = cfg.tol_scale
     out = []
 
-    bs = fk.ModeSpace(3, fk.BOSONIC, cutoff=cfg.get("cutoff", 12))
+    bs = fk.ModeSpace(3, fk.BOSONIC, cutoff=cfg.get("cutoff"))
     safe = bs.cutoff - 2
     worst_comm = 0.0
     worst_aa = 0.0
@@ -683,7 +690,7 @@ def _suite_fock_ccr(cfg: SuiteConfig) -> list[CheckResult]:
                      "[N, a*(f)] = a*(f); dpi(i 1) commutes with N",
                      max(grading, comm_I), 1e-12 * t))
 
-    ws = fk.ModeSpace(1, fk.BOSONIC, cutoff=cfg.get("N", 32))
+    ws = fk.ModeSpace(1, fk.BOSONIC, cutoff=cfg.get("N"))
     worst = 0.0
     for norm2 in (1.0, 2.0, 4.0):
         fvec = np.array([math.sqrt(norm2)])
@@ -746,7 +753,7 @@ def _suite_fock_ccr(cfg: SuiteConfig) -> list[CheckResult]:
 def _suite_fock_vacuum(cfg: SuiteConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     t = cfg.tol_scale
-    N = cfg.get("N", 40)
+    N = cfg.get("N")
     out = []
 
     space = fk.ModeSpace(1, fk.BOSONIC, cutoff=N)
@@ -951,7 +958,7 @@ def _suite_symplectic(cfg: SuiteConfig) -> list[CheckResult]:
     t = cfg.tol_scale
     out = []
 
-    trials = cfg.get("trials", 100)
+    trials = cfg.get("trials")
     worst = 0.0
     for _ in range(trials):
         d = int(rng.integers(1, 5))
@@ -1124,25 +1131,38 @@ def _suite_symplectic(cfg: SuiteConfig) -> list[CheckResult]:
 # registry
 
 
+# name -> (function, description, params); params maps each config key
+# the suite reads to (default, smallest, largest).
 SUITES = {
     "convex-cones": (_suite_convex_cones,
-                     "support functions, dual cones, recession and averaging"),
+                     "support functions, dual cones, recession and averaging",
+                     {"trials": (50, 1, 1000)}),
     "circle-calculus": (_suite_circle,
-                        "truncated Fourier calculus and diffeomorphisms"),
+                        "truncated Fourier calculus and diffeomorphisms", {}),
     "virasoro-cocycle": (_suite_virasoro_cocycle,
-                         "central cocycles and Schwarzian chain rules"),
+                         "central cocycles and Schwarzian chain rules",
+                         {"trials": (50, 1, 1000)}),
+    # degree 3 is the smallest that holds the mode-3 projection curve
     "virasoro-orbits": (_suite_virasoro_orbits,
-                        "adjoint orbit invariants and Cartan projections"),
+                        "adjoint orbit invariants and Cartan projections",
+                        {"degree": (48, 3, 128), "trials": (30, 1, 1000)}),
     "virasoro-verma": (_suite_virasoro_verma,
-                       "exact Verma Gram matrices and unitarity scans"),
+                       "exact Verma Gram matrices and unitarity scans",
+                       {"max_level": (5, 1, vi.MAX_VERMA_LEVEL)}),
+    # below cutoff 4 the safe subspace (total number <= cutoff - 2) holds
+    # no two degrees that [a(f), a(g)] connects, so checks 01-02 pass
+    # vacuously; above 16 (dim 969) each dense operator exceeds 15 MB
     "fock-ccr": (_suite_fock_ccr,
-                 "CCR/CAR, Weyl relations, Heisenberg product"),
+                 "CCR/CAR, Weyl relations, Heisenberg product",
+                 {"cutoff": (12, 4, 16), "N": (32, 1, 200)}),
     "fock-vacuum": (_suite_fock_vacuum,
-                    "Bogoliubov vacuum implementers and residual decay"),
+                    "Bogoliubov vacuum implementers and residual decay",
+                    {"N": (40, 2, 200)}),
     "fock-central": (_suite_fock_central,
-                     "second quantization, hat vectors, central terms"),
+                     "second quantization, hat vectors, central terms", {}),
     "symplectic-cones": (_suite_symplectic,
-                         "symplectic cones, momentum maps, sl2 Lorentz model"),
+                         "symplectic cones, momentum maps, sl2 Lorentz model",
+                         {"trials": (100, 1, 1000)}),
 }
 
 
@@ -1155,7 +1175,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     if cfg.suite not in SUITES:
         names = ", ".join(suite_names())
         raise KeyError(f"unknown suite {cfg.suite!r}: valid suites are {names}")
-    func, _ = SUITES[cfg.suite]
+    func = SUITES[cfg.suite][0]
     checks = func(cfg)
     return VerificationReport(suite=cfg.suite, seed=cfg.seed,
                               tol_scale=cfg.tol_scale, checks=tuple(checks))

@@ -82,10 +82,6 @@ class VirasoroElement:
     field: FourierFunction
 
     @classmethod
-    def central(cls, z: complex, degree: int) -> "VirasoroElement":
-        return cls(z, FourierFunction.zero(degree))
-
-    @classmethod
     def cartan(cls, beta: float, alpha: float, degree: int) -> "VirasoroElement":
         """beta c + alpha dtheta."""
         return cls(beta, FourierFunction.constant(alpha, degree))
@@ -386,23 +382,20 @@ def _apply_generator(m: int, mono: tuple[int, ...], coeff,
     if m + head != 0:
         _apply_generator(m - head, rest, coeff * (m + head), out, c, h)
     if m == head:
-        central = (Fraction(m ** 3 - m, 12) if isinstance(c, (int, Fraction))
-                   else (m ** 3 - m) / 12.0)
-        _accumulate(out, rest, coeff * central * c)
+        _accumulate(out, rest, coeff * ((m ** 3 - m) / type(c)(12)) * c)
 
 
 def _gram_entry(mu: tuple[int, ...], nu: tuple[int, ...], c, h):
     """<d_{-mu} v, d_{-nu} v> via adjoint raising: apply d_{mu_1}, d_{mu_2}, ...
-    (largest first) to the nu-monomial and read off the coefficient of v."""
-    state = {nu: Fraction(1) if isinstance(c, (int, Fraction)) and isinstance(h, (int, Fraction)) else 1.0}
+    (largest first) to the nu-monomial and read off the coefficient of v.
+    c and h share one type, Fraction or float, and so does the result."""
+    state = {nu: type(h)(1)}
     for m in mu:
         nxt: dict = {}
         for mono, coeff in state.items():
             _apply_generator(m, mono, coeff, nxt, c, h)
         state = {k: v for k, v in nxt.items() if v != 0}
-        if not state:
-            return 0 if isinstance(c, (int, Fraction)) else 0.0
-    return state.get((), 0 if isinstance(c, (int, Fraction)) else 0.0)
+    return state.get((), type(h)(0))
 
 
 def verma_gram(basis: VermaBasis) -> np.ndarray:
@@ -412,22 +405,14 @@ def verma_gram(basis: VermaBasis) -> np.ndarray:
     rational; float entries otherwise.  The matrix is symmetric because
     the adjoint exchanges d_n and d_{-n}.
     """
+    num = Fraction if basis.exact else float
+    c, h = num(basis.c), num(basis.h)
     parts = basis.partitions
     k = len(parts)
-    if basis.exact:
-        G = np.empty((k, k), dtype=object)
-        for i in range(k):
-            for j in range(i, k):
-                val = Fraction(_gram_entry(parts[i], parts[j], Fraction(basis.c), Fraction(basis.h)))
-                G[i, j] = val
-                G[j, i] = val
-        return G
-    G = np.empty((k, k), dtype=float)
+    G = np.empty((k, k), dtype=object if basis.exact else float)
     for i in range(k):
         for j in range(i, k):
-            val = float(_gram_entry(parts[i], parts[j], float(basis.c), float(basis.h)))
-            G[i, j] = val
-            G[j, i] = val
+            G[i, j] = G[j, i] = _gram_entry(parts[i], parts[j], c, h)
     return G
 
 

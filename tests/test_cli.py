@@ -111,6 +111,23 @@ def test_config_rejects_parameters_no_suite_reads(key):
         SuiteConfig(suite="fock-vacuum", params={key: 3})
 
 
+def test_config_params_default_to_the_suite_declaration():
+    assert SuiteConfig(suite="virasoro-orbits").get("trials") == 30
+    assert SuiteConfig(suite="symplectic-cones").get("trials") == 100
+    assert SuiteConfig(suite="fock-ccr", params={"cutoff": 16}).get("cutoff") == 16
+
+
+def test_cli_verify_checks_every_target_before_running(tmp_path, capsys):
+    # N is read by fock-vacuum but not by circle-calculus, the first suite
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suite": "fock-vacuum", "N": 16}))
+    assert main(["verify", "all", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad config")
+    assert "circle-calculus" in captured.err
+
+
 def test_config_from_file_round_trip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(
@@ -253,6 +270,23 @@ def test_cli_verify_bad_config_is_a_usage_error(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['[1, 2]',
+                                  '{"suite": "fock-vacuum", "seed": [1]}',
+                                  '{"suite": "fock-vacuum", "tol_scale": null}',
+                                  '{"suite": ["fock-vacuum"]}'],
+                         ids=["list", "seed-list", "tol-scale-null", "suite-list"])
+def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_cli_verify_nonpositive_tol_scale_is_a_usage_error(capsys):
+    assert main(["verify", "fock-vacuum", "--tol-scale", "0"]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_one_on_failures(capsys):
     # an absurd tolerance scale turns nonzero residuals into failures
     rc = main(["verify", "virasoro-cocycle", "--tol-scale", "1e-30",
@@ -336,7 +370,12 @@ def test_module_entry_point_usage_error_code():
 
 
 @pytest.mark.parametrize("config", [{"suite": "fock-vacuum", "N": 1.5},
-                                    {"suite": "fock-vacuum", "M": 3}])
+                                    {"suite": "fock-vacuum", "M": 3},
+                                    {"suite": "fock-ccr", "trials": 3},
+                                    {"suite": "fock-ccr", "cutoff": 1},
+                                    {"suite": "virasoro-verma", "max_level": 7},
+                                    {"suite": "fock-vacuum", "N": 1},
+                                    {"suite": "virasoro-orbits", "degree": 1}])
 def test_module_entry_point_bad_parameter_is_a_usage_error(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

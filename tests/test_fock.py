@@ -18,7 +18,6 @@ from virfock.fock import (
     create,
     dgamma,
     embed,
-    exp_vector,
     hat_element,
     hat_pairing,
     heisenberg_inverse,
@@ -269,6 +268,19 @@ def test_squeeze_vacuum_overlap_closed_form(r):
     assert np.max(odd) < 1e-14
 
 
+@pytest.mark.parametrize("N", [8, 40, 80])
+@pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+def test_squeeze_vacuum_matches_closed_form_amplitudes(N, r):
+    # e^{-T-hat} Omega with T = tanh r has F_2n / F_0 =
+    # (-tanh(r)/2)^n sqrt((2n)!) / n!, with no truncation error for 2n <= N
+    _, F = vacuum_implementer(ModeSpace(1, BOSONIC, cutoff=N), squeeze_map(r))
+    for n in range(N // 2 + 1):
+        want = (-math.tanh(r) / 2) ** n * math.sqrt(math.factorial(2 * n)) \
+            / math.factorial(n)
+        got = F.amplitude((2 * n,)) / F.amplitude((0,))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_squeeze_residual_decreases_geometrically():
     g = squeeze_map(math.atanh(0.5))
     residuals = []
@@ -300,6 +312,13 @@ def test_vacuum_implementer_rejects_large_twist():
     bad = RealLinearMap(np.eye(1), 2.0 * np.eye(1))
     with pytest.raises(ValueError):
         vacuum_implementer(ModeSpace(1, BOSONIC, 8), bad)
+
+
+def test_vacuum_implementer_rejects_nonsymmetric_twist():
+    # T(g) = G2 here, small enough for the series but not symmetric
+    bad = RealLinearMap(np.eye(2), np.array([[0.0, 0.3], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        vacuum_implementer(ModeSpace(2, BOSONIC, 8), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +409,15 @@ def test_hat_pairing_half_trace(stat, d):
         assert abs(got - want) < 1e-10
 
 
-def test_second_quantized_antilinear_part_hits_vacuum_as_hat():
+@pytest.mark.parametrize("stat,d", [(BOSONIC, 2), (FERMIONIC, 3),
+                                    (FERMIONIC, 4)])
+def test_second_quantized_antilinear_part_hits_vacuum_as_hat(stat, d):
     # dpi of a purely antilinear generator sends the vacuum to minus the
     # hat vector of its coefficient matrix
     rng = np.random.default_rng(65)
-    sp = ModeSpace(2, BOSONIC, cutoff=6)
-    x = random_sp_element(rng, 2)
-    x2 = RealLinearMap(np.zeros((2, 2)), x.G2)
+    sp = ModeSpace(d, stat, cutoff=6)
+    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    x2 = RealLinearMap(np.zeros((d, d)), x.G2)
     out = second_quantize(sp, x2).apply(vacuum(sp))
     assert (out + hat_element(sp, x.G2)).norm() < 1e-12
 
