@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 from .realmaps import RealLinearMap, in_o, in_sp, omega
@@ -59,6 +60,15 @@ from .realmaps import RealLinearMap, in_o, in_sp, omega
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 PREDICATE_TOL = 1e-10
+
+# Smallest space dimension at which FockOperator.compose multiplies in CSR.
+# Measured on a 2-vCPU x86-64 host (numpy 2.4.6, scipy 1.17.1, one BLAS
+# thread) on ladder products (a(f) a*(f), about d nonzeros per column)
+# and normally ordered quadratics (8-15 per column): dense BLAS wins below
+# dim ~170 (0.14 ms vs 0.58 ms at dim 84), neither wins by more than a
+# third at dim 170-220, and CSR wins above (5.4 ms vs 18 ms at dim 455,
+# 24 ms vs 162 ms at dim 969, 72 ms vs 765 ms at dim 1771).
+SPARSE_COMPOSE_DIM = 200
 
 
 class ModeSpace:
@@ -221,7 +231,12 @@ def random_fock_vector(rng: np.random.Generator, space: ModeSpace,
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense matrix in the occupation basis."""
+    """Operator on a ModeSpace, stored as a dense matrix in the occupation
+    basis.
+
+    Storage stays dense; only `compose` (and through it the commutators)
+    multiplies in CSR once the space reaches SPARSE_COMPOSE_DIM.
+    """
 
     space: ModeSpace
     mat: np.ndarray
@@ -248,8 +263,20 @@ class FockOperator:
         return FockOperator(self.space, self.mat.conj().T)
 
     def compose(self, other: "FockOperator") -> "FockOperator":
+        """Operator product self * other (other acts first).
+
+        Ladder polynomials have O(d^k) nonzeros per column, so from
+        SPARSE_COMPOSE_DIM on the product is taken in CSR, where it costs
+        about nnz * (nonzeros per row) instead of dim^3; below it, dense
+        BLAS is faster than converting.  A dense operand on a large space
+        (a Weyl operator, say) is slower in CSR; the suites compose Weyl
+        operators only below the crossover.
+        """
         _same_space(self.space, other.space)
-        return FockOperator(self.space, self.mat @ other.mat)
+        if self.space.dim < SPARSE_COMPOSE_DIM:
+            return FockOperator(self.space, self.mat @ other.mat)
+        product = sparse.csr_array(self.mat) @ sparse.csr_array(other.mat)
+        return FockOperator(self.space, product.toarray())
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -269,8 +296,9 @@ class FockOperator:
     def restricted_norm(self, max_degree: int) -> float:
         """Frobenius norm of P A P with P the projection onto total number
         <= max_degree."""
-        keep = self.space.totals <= max_degree
-        return float(np.linalg.norm(self.mat[np.ix_(keep, keep)]))
+        # the basis is sorted by total number, so P keeps a prefix
+        k = int(np.searchsorted(self.space.totals, max_degree, side="right"))
+        return float(np.linalg.norm(self.mat[:k, :k]))
 
     def __add__(self, other):
         _same_space(self.space, other.space)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ DEFAULT_SEED = 12345
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite name plus seed, tolerance scale, and integer overrides of the
+    """Suite name plus seed (a non-negative int), tolerance scale (a finite
+    positive number, stored as a float), and integer overrides of the
     parameters the suite declares.  Params are checked only for a
     registered suite; run_suite rejects any other name."""
 
@@ -44,8 +46,16 @@ class SuiteConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tol_scale <= 0.0:
-            raise ValueError("tol_scale must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        tol = self.tol_scale
+        # nan fails both comparisons; the upper bound rejects inf and ints
+        # too large for float()
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+                or not 0.0 < tol <= sys.float_info.max:
+            raise ValueError("tol_scale must be a finite positive number")
+        object.__setattr__(self, "tol_scale", float(tol))
         if self.suite not in SUITES:
             return
         declared = SUITES[self.suite][2]
@@ -66,8 +76,8 @@ class SuiteConfig:
     def from_dict(cls, data: dict) -> "SuiteConfig":
         data = dict(data)
         suite = data.pop("suite")
-        seed = int(data.pop("seed", DEFAULT_SEED))
-        tol_scale = float(data.pop("tol_scale", 1.0))
+        seed = data.pop("seed", DEFAULT_SEED)
+        tol_scale = data.pop("tol_scale", 1.0)
         return cls(suite=suite, seed=seed, tol_scale=tol_scale, params=data)
 
     @classmethod

@@ -273,8 +273,22 @@ def test_cli_verify_bad_config_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("text", ['[1, 2]',
                                   '{"suite": "fock-vacuum", "seed": [1]}',
                                   '{"suite": "fock-vacuum", "tol_scale": null}',
-                                  '{"suite": ["fock-vacuum"]}'],
-                         ids=["list", "seed-list", "tol-scale-null", "suite-list"])
+                                  '{"suite": ["fock-vacuum"]}',
+                                  '{"suite": "virasoro-verma", "seed": 7.9}',
+                                  '{"suite": "virasoro-verma", "seed": "7"}',
+                                  '{"suite": "virasoro-verma", "seed": true}',
+                                  '{"suite": "virasoro-verma", "seed": -1}',
+                                  '{"suite": "virasoro-verma", "tol_scale": "1e300"}',
+                                  '{"suite": "virasoro-verma", "tol_scale": NaN}',
+                                  '{"suite": "virasoro-verma", "tol_scale": Infinity}',
+                                  '{"suite": "virasoro-verma", "tol_scale": 1e400}',
+                                  '{"suite": "virasoro-verma", "tol_scale": 1'
+                                  + '0' * 400 + '}'],
+                         ids=["list", "seed-list", "tol-scale-null", "suite-list",
+                              "seed-float", "seed-string", "seed-bool",
+                              "seed-negative", "tol-scale-string",
+                              "tol-scale-nan", "tol-scale-inf",
+                              "tol-scale-overflow", "tol-scale-huge-int"])
 def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -285,6 +299,22 @@ def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text):
 def test_cli_verify_nonpositive_tol_scale_is_a_usage_error(capsys):
     assert main(["verify", "fock-vacuum", "--tol-scale", "0"]) == 2
     assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--tol-scale", "nan"),
+                                        ("--tol-scale", "inf"),
+                                        ("--tol-scale", "-inf"),
+                                        ("--seed", "-1")])
+def test_cli_verify_out_of_range_flag_is_a_usage_error(capsys, flag, value):
+    assert main(["verify", "virasoro-verma", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad config")
+
+
+def test_config_stores_an_integer_tol_scale_as_a_float():
+    cfg = SuiteConfig.from_dict({"suite": "fock-vacuum", "tol_scale": 2})
+    assert type(cfg.tol_scale) is float and cfg.tol_scale == 2.0
 
 
 def test_cli_verify_exit_one_on_failures(capsys):

@@ -10,6 +10,8 @@ import pytest
 from virfock.fock import (
     BOSONIC,
     FERMIONIC,
+    SPARSE_COMPOSE_DIM,
+    FockOperator,
     ModeSpace,
     annihilate,
     basis_vector,
@@ -192,6 +194,68 @@ def test_builders_match_tensor_product_oracle(d, stat, cutoff):
             assert np.array_equal(built, oracle)
         else:
             assert np.max(np.abs(built - oracle)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# operator products
+
+
+def _ladder_polynomials(rng, sp):
+    f, g, h = (random_vec(rng, sp.d) for _ in range(3))
+    M = rng.normal(size=(sp.d, sp.d)) + 1j * rng.normal(size=(sp.d, sp.d))
+    A = annihilate(sp, f) + create(sp, g) + dgamma(sp, M)
+    B = create(sp, h) - 0.5 * number_operator(sp) + annihilate(sp, g)
+    return A, B
+
+
+def _weyl_pair(rng, sp):
+    return (weyl(sp, 0.3, 0.5 * random_vec(rng, 1)),
+            weyl(sp, -0.1, 0.5 * random_vec(rng, 1)))
+
+
+# (space, operand builder, whether the space reaches the CSR product)
+PRODUCT_CASES = [
+    (ModeSpace(3, BOSONIC, cutoff=6), _ladder_polynomials, False),
+    (ModeSpace(2, BOSONIC, cutoff=24), _ladder_polynomials, True),
+    (ModeSpace(3, BOSONIC, cutoff=16), _ladder_polynomials, True),
+    (ModeSpace(4, FERMIONIC), _ladder_polynomials, False),
+    (ModeSpace(1, BOSONIC, cutoff=32), _weyl_pair, False),
+    (ModeSpace(1, BOSONIC, cutoff=200), _weyl_pair, True),
+]
+
+
+@pytest.mark.parametrize("sp,operands,sparse_side", PRODUCT_CASES,
+                         ids=["b3-6", "b2-24", "b3-16", "f4", "weyl-32",
+                              "weyl-200"])
+def test_products_match_the_dense_matrix_product(sp, operands, sparse_side):
+    assert (sp.dim >= SPARSE_COMPOSE_DIM) == sparse_side
+    A, B = operands(np.random.default_rng(71), sp)
+    AB, BA = A.mat @ B.mat, B.mat @ A.mat
+    scale = 1e-13 * A.norm() * B.norm()
+    for got, want in [(A.compose(B), AB), (A @ B, AB),
+                      (A.commutator(B), AB - BA),
+                      (A.anticommutator(B), AB + BA)]:
+        # perfbench/tracer.py reads .mat.nbytes and np.count_nonzero(.mat)
+        assert type(got.mat) is np.ndarray
+        assert got.mat.dtype == np.complex128
+        assert got.mat.shape == (sp.dim, sp.dim)
+        assert np.linalg.norm(got.mat - want) <= scale
+
+
+@pytest.mark.parametrize("sp", [ModeSpace(3, BOSONIC, cutoff=16),
+                                ModeSpace(2, BOSONIC, cutoff=32),
+                                ModeSpace(1, BOSONIC, cutoff=80),
+                                ModeSpace(3, BOSONIC, cutoff=6),
+                                ModeSpace(4, FERMIONIC)],
+                         ids=["b3-16", "b2-32", "b1-80", "b3-6", "f4"])
+def test_restricted_norm_is_the_norm_of_the_kept_block(sp):
+    rng = np.random.default_rng(72)
+    op = FockOperator(sp, rng.normal(size=(sp.dim, sp.dim))
+                      + 1j * rng.normal(size=(sp.dim, sp.dim)))
+    for m in range(-1, sp.cutoff + 2):
+        keep = sp.totals <= m
+        want = float(np.linalg.norm(op.mat[np.ix_(keep, keep)]))
+        assert op.restricted_norm(m) == want
 
 
 # ---------------------------------------------------------------------------
