@@ -502,6 +502,8 @@ def flow(X: VectorField, t: float = 1.0,
     """
     if not X.real_flag:
         raise ValueError("flows are defined for real vector fields only")
+    if not np.isfinite(t):
+        raise ValueError(f"flow time must be finite, not {t}")
     n = degree or max(X.degree, DEFAULT_DEGREE)
     M = grid_size or 8 * max(n, 4)
     theta = grid_points(M)

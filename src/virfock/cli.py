@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .circle import random_diffeo
 from .reports import emit
-from .suites import DEFAULT_SEED, SuiteConfig, run_suite, suite_names
+from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite, suite_names
 from .virasoro import (
     VermaBasis,
     VirasoroElement,
@@ -132,14 +133,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    from .suites import SUITES
-
     for name in suite_names():
         print(f"{name}: {SUITES[name][1]}")
     return 0
 
 
 def _orbit_rows(args) -> tuple[list[str], list[list]]:
+    _, low, high = SUITES["virasoro-orbits"][2]["degree"]
+    if not low <= args.degree <= high:
+        raise ValueError(f"--degree must be in [{low}, {high}]")
+    if min(args.steps, args.trials) < 1:
+        raise ValueError("--steps and --trials must be at least 1")
+    if not all(map(math.isfinite, (args.beta, args.alpha, args.smax))):
+        raise ValueError("--beta, --alpha and --smax must be finite")
     x = VirasoroElement.cartan(args.beta, args.alpha, args.degree)
     if args.curve == "projection":
         s_values = [args.smax * (k + 1) / args.steps for k in range(args.steps)]

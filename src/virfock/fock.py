@@ -220,15 +220,6 @@ def basis_vector(space: ModeSpace, occ) -> FockVector:
     return FockVector(space, amps)
 
 
-def random_fock_vector(rng: np.random.Generator, space: ModeSpace,
-                       max_degree: int | None = None) -> FockVector:
-    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    if max_degree is not None:
-        amps = np.where(space.totals <= max_degree, amps, 0.0)
-    v = FockVector(space, amps)
-    return v.normalized()
-
-
 @dataclass(frozen=True)
 class FockOperator:
     """Operator on a ModeSpace, stored as a dense matrix in the occupation
@@ -393,11 +384,6 @@ def heisenberg_mul(a: tuple, b: tuple) -> tuple:
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     return (float(t) + float(s) + 0.5 * omega(v, w), v + w)
-
-
-def heisenberg_inverse(a: tuple) -> tuple:
-    t, v = a
-    return (-float(t), -np.asarray(v, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

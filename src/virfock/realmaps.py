@@ -75,10 +75,6 @@ class RealLinearMap:
         M = _as_square(M)
         return cls(np.zeros_like(M), M)
 
-    @classmethod
-    def multiplication_by_i(cls, d: int) -> "RealLinearMap":
-        return cls(1j * np.eye(d), np.zeros((d, d)))
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -6,9 +6,12 @@ order is fixed so that identical runs serialize to identical bytes; the
 timestamp is the one field that varies and can be omitted for
 byte-for-byte comparisons.
 
-Boolean checks are encoded as residual 0.0 (holds) or 1.0 (fails)
-against tolerance 0.5, so the uniform rule pass = residual <= tolerance
-applies everywhere.
+A check reduces a batch of residuals (a number, a list or an array) to
+one: the largest value in the batch, floored at 0.0, so an empty batch
+reads 0.0.  A NaN anywhere in the batch makes the residual NaN, and a
+NaN residual fails.  Boolean checks are encoded as residual 0.0 (holds)
+or 1.0 (fails) against tolerance 0.5, so the uniform rule pass =
+residual <= tolerance applies everywhere.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ class CheckResult:
     passed: bool
 
 
-def check(check_id: str, anchor: str, residual: float,
+def check(check_id: str, anchor: str, residuals,
           tolerance: float) -> CheckResult:
-    residual = float(residual)
+    """Reduce a batch of residuals to its largest value, floored at 0.0
+    (NaN propagates, and fails), and compare it with the tolerance."""
+    # np.max keeps a NaN where max() would drop it; + 0.0 turns -0.0 into 0.0
+    residual = float(np.max(residuals, initial=0.0)) + 0.0
     tolerance = float(tolerance)
     return CheckResult(check_id, anchor, residual, tolerance,
                        passed=bool(residual <= tolerance))

@@ -323,6 +323,13 @@ def test_flow_additivity():
     assert (one.p - two.p).sup_norm() < 1e-8
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_flow_rejects_a_non_finite_time(t):
+    X = VectorField(FourierFunction.from_dict({1: 0.1, -1: 0.1}, degree=4))
+    with pytest.raises(ValueError):
+        flow(X, t)
+
+
 def test_diffeo_rejects_non_monotone_candidate():
     with pytest.raises(ValueError):
         CircleDiffeo(FourierFunction.from_dict({1: 1.2, -1: 1.2}, degree=8))

@@ -1,11 +1,15 @@
 """Suite runner determinism, report serialization, and the CLI front end."""
 
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from virfock import circle
 from virfock.cli import main
 from virfock.reports import (
     VerificationReport,
@@ -35,6 +39,22 @@ ALL_SUITES = (
 
 def test_suite_names_sorted_and_complete():
     assert tuple(suite_names()) == ALL_SUITES
+
+
+def test_a_nan_residual_after_the_first_trial_fails_its_check(monkeypatch):
+    real = circle.schwarzian_cocycle_residual
+    calls = []
+
+    def nan_on_the_second_call(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(circle, "schwarzian_cocycle_residual",
+                        nan_on_the_second_call)
+    rep = run_suite(SuiteConfig("virasoro-cocycle"))
+    result = {c.check_id: c for c in rep.checks}["05-schwarzian-cocycle"]
+    assert math.isnan(result.residual)
+    assert not result.passed and not rep.all_passed
 
 
 def test_virasoro_cocycle_suite_passes_with_defaults():
@@ -186,6 +206,24 @@ def test_boolean_checks_use_the_uniform_residual_rule():
     fails = boolean_check("02", "anchor", False)
     assert (holds.residual, holds.tolerance, holds.passed) == (0.0, 0.5, True)
     assert (fails.residual, fails.tolerance, fails.passed) == (1.0, 0.5, False)
+
+
+def test_check_reduces_a_batch_to_its_largest_value_floored_at_zero():
+    assert check("01", "a", [], 1.0).residual == 0.0
+    assert check("01", "a", [-1.0], 1.0).residual == 0.0
+    assert repr(check("01", "a", [-0.0], 1.0).residual) == "0.0"
+    scalar = check("01", "a", 2.5, 3.0)
+    assert (scalar.residual, scalar.passed) == (2.5, True)
+    rows = check("01", "a", [(1.0, 4.0), (2.0, -3.0)], 3.0)
+    assert (rows.residual, rows.passed) == (4.0, False)
+
+
+@pytest.mark.parametrize("residuals", [[0.0, math.nan], [math.nan, 0.0],
+                                       [-1.0, math.nan], math.nan,
+                                       [(1.0, 0.0), (0.0, math.nan)]])
+def test_a_nan_anywhere_in_the_batch_fails(residuals):
+    result = check("01", "a", residuals, 1.0)
+    assert math.isnan(result.residual) and not result.passed
 
 
 def test_checks_are_ordered_by_id():
@@ -349,6 +387,19 @@ def test_cli_orbit_rejects_flows_past_invertibility(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--smax", "inf"], ["--smax=-inf"],
+                                   ["--steps", "0"], ["--steps", "-2"],
+                                   ["--curve", "convexity", "--trials", "0"],
+                                   ["--beta", "nan"], ["--alpha", "inf"],
+                                   ["--degree", "100000"], ["--degree", "2"]],
+                         ids=" ".join)
+def test_cli_orbit_out_of_range_flag_is_a_usage_error(capsys, flags):
+    assert main(["orbit", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("orbit parameters out of range")
+
+
 def test_cli_orbit_convexity_margins(capsys):
     rc = main(["orbit", "--curve", "convexity", "--trials", "5",
                "--degree", "32", "--beta", "0.0", "--alpha", "1.0"])
@@ -382,20 +433,24 @@ def test_cli_gram_rejects_out_of_range_level(capsys):
 # module entry point wiring
 
 
+def _run_module(*args):
+    """`python -m virfock ...` in a child that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "virfock", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_module_entry_point_runs_a_suite():
-    proc = subprocess.run(
-        [sys.executable, "-m", "virfock", "verify", "virasoro-verma",
-         "--no-timestamp"],
-        capture_output=True, text=True)
+    proc = _run_module("verify", "virasoro-verma", "--no-timestamp")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["all_passed"] is True
 
 
 def test_module_entry_point_usage_error_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "virfock", "verify", "no-such-suite"],
-        capture_output=True, text=True)
+    proc = _run_module("verify", "no-such-suite")
     assert proc.returncode == 2
 
 
@@ -409,9 +464,7 @@ def test_module_entry_point_usage_error_code():
 def test_module_entry_point_bad_parameter_is_a_usage_error(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    proc = subprocess.run(
-        [sys.executable, "-m", "virfock", "verify", "--config", str(path)],
-        capture_output=True, text=True)
+    proc = _run_module("verify", "--config", str(path))
     assert proc.returncode == 2
     assert "bad config" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -13,7 +13,7 @@ import types
 
 import pytest
 
-from virfock.suites import SuiteConfig, suite_names
+from virfock.suites import SuiteConfig, run_suite, suite_names
 
 SPEC_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
 
@@ -47,3 +47,12 @@ def test_workload_configs_are_accepted(workload):
     for suite, params in SPEC.WORKLOADS[workload]["suites"]:
         cfg = SuiteConfig(suite=suite, params=dict(params))
         assert cfg.suite in suite_names()
+
+
+@pytest.mark.parametrize("suite", sorted(SPEC.SUITE_CHECKS))
+def test_suite_emits_the_declared_number_of_checks(suite):
+    # the pass ratio divides by SUITE_CHECKS, so a dropped or merged check
+    # would skew it; ids are numbered 01..NN without gaps
+    ids = [c.check_id for c in run_suite(SuiteConfig(suite)).checks]
+    assert [i.split("-")[0] for i in ids] == \
+        [f"{k:02d}" for k in range(1, SPEC.SUITE_CHECKS[suite] + 1)]

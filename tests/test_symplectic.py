@@ -48,7 +48,7 @@ def random_vec(rng, d):
 
 
 def test_multiplication_by_i_lies_in_cone():
-    J0 = RealLinearMap.multiplication_by_i(3)
+    J0 = RealLinearMap.from_linear(1j * np.eye(3))
     assert in_cone_Wsp(J0)
     assert cone_margin(J0) > 0.9
 
