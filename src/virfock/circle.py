@@ -145,9 +145,8 @@ class FourierFunction:
         vals = np.fft.ifft(a) * M
         return vals.real if self.real_flag else vals
 
-    def sup_norm(self, M: int | None = None) -> float:
-        M = M or (8 * max(self.degree, 1) + 1)
-        return float(np.max(np.abs(self.grid_values(M))))
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.grid_values(8 * max(self.degree, 1) + 1))))
 
     def is_real(self, tol: float = REALITY_TOL) -> bool:
         return bool(np.max(np.abs(np.conj(self.coeffs[::-1]) - self.coeffs)) <= tol)
@@ -221,15 +220,13 @@ class CircleDiffeo:
     M = max(4N+1, 129) points at construction time.
     """
 
-    __slots__ = ("p", "grid_size", "min_derivative")
+    __slots__ = ("p", "min_derivative")
 
-    def __init__(self, p: FourierFunction, grid_size: int | None = None):
+    def __init__(self, p: FourierFunction):
         if not p.is_real():
             raise ValueError("diffeomorphism displacement must be real")
         self.p = FourierFunction(p.coeffs, real=True)
-        M = grid_size or max(4 * p.degree + 1, 129)
-        dp = derivative(self.p).grid_values(M)
-        self.grid_size = M
+        dp = derivative(self.p).grid_values(max(4 * p.degree + 1, 129))
         self.min_derivative = float(1.0 + np.min(dp))
         if self.min_derivative <= 0.0:
             raise ValueError(
@@ -269,6 +266,11 @@ def grid_points(M: int) -> np.ndarray:
     return TWO_PI * np.arange(M) / M
 
 
+def _refit_size(n: int) -> int:
+    """M = 8 max(N, 4), the one grid size for sampling and refitting to degree N."""
+    return 8 * max(n, 4)
+
+
 def derivative(f: FourierFunction, order: int = 1) -> FourierFunction:
     """Exact spectral derivative: (f')_k = (ik) c_k, iterated ``order``
     times."""
@@ -300,20 +302,14 @@ def multiply(f: FourierFunction, g: FourierFunction,
     """
     full = np.convolve(f.coeffs, g.coeffs)
     prod = FourierFunction(full)
-    target = max(f.degree, g.degree) if degree is None else degree
-    return prod.truncated(target) if target < prod.degree else prod.padded(target)
+    return prod.truncated(max(f.degree, g.degree) if degree is None else degree)
 
 
 def lie_bracket(X: VectorField, Y: VectorField,
                 degree: int | None = None) -> VectorField:
-    """[f d, g d] = (f g' - f' g) d, exact up to the final truncation."""
-    f, g = X.f, Y.f
-    full = max(f.degree + g.degree, 1)
-    fg = multiply(f, derivative(g), degree=full)
-    gf = multiply(derivative(f), g, degree=full)
-    target = max(f.degree, g.degree) if degree is None else degree
-    return VectorField((fg - gf).truncated(target)
-                       if target < full else (fg - gf).padded(target))
+    """[f d, g d] = (f g' - f' g) d, the Lie derivative along X of Y read
+    as a (-1)-density; exact up to the final truncation."""
+    return VectorField(lie_derivative(X, Density(Y.f, -1.0), degree).u)
 
 
 def gelfand_fuchs(X: VectorField, Y: VectorField) -> complex:
@@ -345,50 +341,45 @@ def witt_generator(n: int, degree: int | None = None) -> VectorField:
 # densities and the diffeomorphism action
 
 
-def pullback_density(phi: CircleDiffeo, rho: Density,
-                     grid_size: int | None = None) -> Density:
+def pullback_density(phi: CircleDiffeo, rho: Density) -> Density:
     """Pullback (u o phi) (phi')^s (dtheta)^s of an s-density.
 
-    Evaluated pointwise on a uniform grid of M = 8N points (N the larger
-    of the two degrees) and re-expanded; s = -1 reproduces the adjoint
-    action on vector fields, s = 2 the coadjoint one on its dual.
+    Evaluated pointwise on the refit grid of 8 max(N, 4) points (N the
+    larger of the two degrees) and re-expanded; s = -1 reproduces the
+    adjoint action on vector fields, s = 2 the coadjoint one on its dual.
     """
     n = max(rho.degree, phi.degree)
-    M = grid_size or 8 * max(n, 4)
-    theta = grid_points(M)
+    theta = grid_points(_refit_size(n))
     vals = rho.u.evaluate(phi.evaluate(theta)) \
         * phi.derivative_values(theta) ** rho.s
     return Density(FourierFunction.from_grid(vals, n), rho.s)
 
 
-def pullback_field(phi: CircleDiffeo, X: VectorField,
-                   grid_size: int | None = None) -> VectorField:
+def pullback_field(phi: CircleDiffeo, X: VectorField) -> VectorField:
     """Vector-field pullback (f o phi) / phi', the s = -1 density law."""
-    rho = pullback_density(phi, Density(X.f, -1.0), grid_size)
-    return VectorField(rho.u)
+    return VectorField(pullback_density(phi, Density(X.f, -1.0)).u)
 
 
-def lie_derivative(X: VectorField, rho: Density) -> Density:
+def lie_derivative(X: VectorField, rho: Density,
+                   degree: int | None = None) -> Density:
     """L_X (u (dtheta)^s) = (f u' + s f' u) (dtheta)^s, the derivative of
-    the pullback along the flow of X."""
+    the pullback along the flow of X, at ``degree`` (default max(N_f, N_u))."""
     f, u = X.f, rho.u
     full = max(f.degree + u.degree, 1)
     a = multiply(f, derivative(u), degree=full)
     b = multiply(derivative(f), u, degree=full)
-    target = max(f.degree, u.degree)
+    target = max(f.degree, u.degree) if degree is None else degree
     return Density((a + rho.s * b).truncated(target), rho.s)
 
 
-def compose(phi: CircleDiffeo, psi: CircleDiffeo,
-            grid_size: int | None = None) -> CircleDiffeo:
+def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:
     """Plain composition phi o psi (callers pick their group convention).
 
-    Sampled on M = 8N points and refit; the displacement of the result is
-    p_psi + p_phi o psi.
+    Sampled on the refit grid of 8 max(N, 4) points and refit; the
+    displacement of the result is p_psi + p_phi o psi.
     """
     n = max(phi.degree, psi.degree)
-    M = grid_size or 8 * max(n, 4)
-    theta = grid_points(M)
+    theta = grid_points(_refit_size(n))
     vals = psi.p.evaluate(theta) + phi.p.evaluate(psi.evaluate(theta))
     return CircleDiffeo(FourierFunction.from_grid(vals, n, real=None))
 
@@ -396,17 +387,16 @@ def compose(phi: CircleDiffeo, psi: CircleDiffeo,
 NEWTON_MAX_ITER = 50
 
 
-def invert(phi: CircleDiffeo, grid_size: int | None = None) -> CircleDiffeo:
+def invert(phi: CircleDiffeo) -> CircleDiffeo:
     """Inverse diffeomorphism by per-gridpoint Newton iteration.
 
-    Solves phi(x_j) = theta_j on the uniform grid; monotonicity of phi
-    guarantees a unique solution and quadratic convergence from the
-    identity initial guess.  Raises RuntimeError if the residual has not
+    Solves phi(x_j) = theta_j on the refit grid of 8 max(N, 4) points;
+    monotonicity of phi gives a unique solution and quadratic convergence
+    from the identity.  Raises RuntimeError if the residual has not
     reached 1e-13 sup-norm within ``NEWTON_MAX_ITER`` sweeps.
     """
     n = phi.degree
-    M = grid_size or 8 * max(n, 4)
-    theta = grid_points(M)
+    theta = grid_points(_refit_size(n))
     dp = derivative(phi.p)
     x = theta.copy()
     for _ in range(NEWTON_MAX_ITER):
@@ -424,24 +414,25 @@ def invert(phi: CircleDiffeo, grid_size: int | None = None) -> CircleDiffeo:
 # Schwarzian derivatives
 
 
-def schwarzian(phi: CircleDiffeo, grid_size: int | None = None) -> FourierFunction:
+def schwarzian(phi: CircleDiffeo) -> FourierFunction:
     """Schwarzian derivative S(phi) = phi'''/phi' - (3/2)(phi''/phi')^2.
 
     The derivatives of p are exact in coefficients; the rational
-    expression is formed pointwise on an 8N grid and re-expanded to the
-    degree of phi.
+    expression is formed pointwise on the refit grid of 8 max(N, 4)
+    points and re-expanded to the degree N of phi.
     """
-    M = grid_size or 8 * max(phi.degree, 4)
-    vals = _schwarzian(phi, lambda f: f.grid_values(M), modified=False)
-    return FourierFunction.from_grid(vals, phi.degree)
+    return _refit_schwarzian(phi, False)
 
 
-def modified_schwarzian(phi: CircleDiffeo,
-                        grid_size: int | None = None) -> FourierFunction:
+def modified_schwarzian(phi: CircleDiffeo) -> FourierFunction:
     """S~(phi) = S(phi) + (1/2)((phi')^2 - 1); its derivative at the
     identity in direction f d/dtheta is f''' + f'."""
-    M = grid_size or 8 * max(phi.degree, 4)
-    vals = _schwarzian(phi, lambda f: f.grid_values(M), modified=True)
+    return _refit_schwarzian(phi, True)
+
+
+def _refit_schwarzian(phi: CircleDiffeo, modified: bool) -> FourierFunction:
+    M = _refit_size(phi.degree)
+    vals = _schwarzian(phi, lambda f: f.grid_values(M), modified)
     return FourierFunction.from_grid(vals, phi.degree)
 
 
@@ -493,20 +484,19 @@ RK4_MAX_STEP = 1e-2
 
 
 def flow(X: VectorField, t: float = 1.0,
-         degree: int | None = None, grid_size: int | None = None) -> CircleDiffeo:
+         degree: int | None = None) -> CircleDiffeo:
     """Time-t flow of the (real) vector field f d/dtheta as a
     diffeomorphism.
 
-    Integrates theta' = f(theta) from every grid point with classical
-    4th-order Runge-Kutta at step <= 1e-2 and refits the displacement.
+    Integrates theta' = f(theta) from every point of the refit grid of
+    8 max(N, 4) points with RK4 at step <= 1e-2 and refits to degree N.
     """
     if not X.real_flag:
         raise ValueError("flows are defined for real vector fields only")
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, not {t}")
     n = degree or max(X.degree, DEFAULT_DEGREE)
-    M = grid_size or 8 * max(n, 4)
-    theta = grid_points(M)
+    theta = grid_points(_refit_size(n))
     steps = max(1, int(np.ceil(abs(t) / RK4_MAX_STEP)))
     h = t / steps
     f = X.f.evaluate

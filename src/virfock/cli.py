@@ -142,6 +142,8 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
     _, low, high = SUITES["virasoro-orbits"][2]["degree"]
     if not low <= args.degree <= high:
         raise ValueError(f"--degree must be in [{low}, {high}]")
+    if args.n == 0:
+        raise ValueError("--n must be nonzero (d_0 - d_0 is the zero field)")
     if min(args.steps, args.trials) < 1:
         raise ValueError("--steps and --trials must be at least 1")
     if not all(map(math.isfinite, (args.beta, args.alpha, args.smax))):

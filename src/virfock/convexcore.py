@@ -261,12 +261,12 @@ def lineality_space(C: Polyhedron) -> np.ndarray:
     return _nullspace(C.normals, TOL)
 
 
-def cone_is_pointed(C: PolyCone, tol: float = TOL) -> bool:
+def cone_is_pointed(C: PolyCone) -> bool:
     """A generated cone is pointed iff 0 is not a convex combination of its
     normalized generators (no nonzero x with x and -x in the cone)."""
-    G = cone_generators(C, tol)
+    G = cone_generators(C, TOL)
     norms = np.linalg.norm(G, axis=1)
-    G = G[norms > tol] / norms[norms > tol, None]
+    G = G[norms > TOL] / norms[norms > TOL, None]
     if G.shape[0] == 0:
         return True
     m, n = G.shape

@@ -242,10 +242,6 @@ class FockOperator:
     def identity(cls, space: ModeSpace) -> "FockOperator":
         return cls(space, np.eye(space.dim))
 
-    @classmethod
-    def zero(cls, space: ModeSpace) -> "FockOperator":
-        return cls(space, np.zeros((space.dim, space.dim)))
-
     def apply(self, v: FockVector) -> FockVector:
         _same_space(self.space, v.space)
         return FockVector(self.space, self.mat @ v.amps)
@@ -452,19 +448,16 @@ def hat_pairing(space: ModeSpace, A, B) -> complex:
     return sign * complex(np.trace(MA @ np.conj(MB)))
 
 
-def second_quantize(space: ModeSpace, x: RealLinearMap,
-                    tol: float = 1e-8) -> FockOperator:
+def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
     """Normally ordered dpi(x) for x in sp (bosonic) or o (fermionic)."""
     if x.d != space.d:
         raise ValueError("dimension mismatch")
-    if space.statistics == BOSONIC:
-        if not in_sp(x, tol):
-            raise ValueError("x is not in sp: need skew-hermitian linear and "
-                             "symmetric antilinear part")
-    else:
-        if not in_o(x, tol):
-            raise ValueError("x is not in o: need skew-hermitian linear and "
-                             "antisymmetric antilinear part")
+    if space.statistics == BOSONIC and not in_sp(x, 1e-8):
+        raise ValueError("x is not in sp: need skew-hermitian linear and "
+                         "symmetric antilinear part")
+    if space.statistics == FERMIONIC and not in_o(x, 1e-8):
+        raise ValueError("x is not in o: need skew-hermitian linear and "
+                         "antisymmetric antilinear part")
     mat = _ladder_word(space, x.G1, "+-")
     if np.any(x.G2 != 0):
         pair = -0.5 if space.statistics == BOSONIC else 0.5
@@ -550,6 +543,12 @@ def embed(F: FockVector, bigger: ModeSpace) -> FockVector:
     return FockVector(bigger, amps)
 
 
+def _vacuum_conditions(space: ModeSpace, g: RealLinearMap) -> list[FockOperator]:
+    """The d operators a(e_i) + a*(T(g) e_i) that kill the Bogoliubov vacuum."""
+    T = twist_matrix(g)
+    return [annihilate(space, e) + create(space, T @ e) for e in np.eye(space.d)]
+
+
 def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
                      F: FockVector) -> np.ndarray:
     """Norms of a(e_i) F + a*(T(g) e_i) F for each mode i.
@@ -558,11 +557,9 @@ def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
     creator pushes past the original cutoff counts as residual instead
     of being silently clipped; this is what decays geometrically in N.
     """
-    T = twist_matrix(g)
     roomy = ModeSpace(space.d, BOSONIC, space.cutoff + 2)
     Fe = embed(F, roomy)
-    return np.array([(annihilate(roomy, e) + create(roomy, T @ e)).apply(Fe).norm()
-                     for e in np.eye(space.d)])
+    return np.array([op.apply(Fe).norm() for op in _vacuum_conditions(roomy, g)])
 
 
 def truncated_vacuum_oracle(space: ModeSpace,
@@ -570,9 +567,7 @@ def truncated_vacuum_oracle(space: ModeSpace,
     """Independent vacuum: smallest singular vector of the stacked
     system a(e_i) F + a*(T e_i) F = 0, normalized with positive vacuum
     overlap.  Returns (vacuum amplitude, F)."""
-    T = twist_matrix(g)
-    K = np.vstack([(annihilate(space, e) + create(space, T @ e)).mat
-                   for e in np.eye(space.d)])
+    K = np.vstack([op.mat for op in _vacuum_conditions(space, g)])
     _, _, vh = np.linalg.svd(K)
     F = vh[-1].conj()
     c0 = F[space.index[(0,) * space.d]]

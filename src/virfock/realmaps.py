@@ -62,10 +62,6 @@ class RealLinearMap:
         return cls(np.eye(d), np.zeros((d, d)))
 
     @classmethod
-    def zero(cls, d: int) -> "RealLinearMap":
-        return cls(np.zeros((d, d)), np.zeros((d, d)))
-
-    @classmethod
     def from_linear(cls, M) -> "RealLinearMap":
         M = _as_square(M)
         return cls(M, np.zeros_like(M))
@@ -117,10 +113,10 @@ class RealLinearMap:
         return RealLinearMap.from_real_matrix(
             np.linalg.inv(self.to_real_matrix()))
 
-    def exp(self, t: float = 1.0) -> "RealLinearMap":
-        """Exponential of t times the map, via the real 2d x 2d picture
+    def exp(self) -> "RealLinearMap":
+        """Exponential of the map, via the real 2d x 2d picture
         (scaling-and-squaring)."""
-        return RealLinearMap.from_real_matrix(expm(t * self.to_real_matrix()))
+        return RealLinearMap.from_real_matrix(expm(self.to_real_matrix()))
 
     # -- the real 2d x 2d picture -------------------------------------
 
@@ -190,55 +186,53 @@ def _rel_err(M, target) -> float:
     return float(np.linalg.norm(M - target) / max(1.0, np.linalg.norm(target)))
 
 
+def _bogoliubov_defect(g: RealLinearMap, pm) -> float:
+    """Largest of the four residuals; pm = np.subtract (sp) or np.add (o)."""
+    G1, G2 = g.G1, g.G2
+    I = np.eye(g.d)
+    return max(
+        _rel_err(pm(G1.conj().T @ G1, G2.T @ np.conj(G2)), I),
+        _rel_err(pm(G1 @ G1.conj().T, G2 @ G2.conj().T), I),
+        float(np.linalg.norm(pm(G1.conj().T @ G2, (G1.conj().T @ G2).T))),
+        float(np.linalg.norm(pm(G1 @ G2.T, (G1 @ G2.T).T))),
+    )
+
+
 def symplectic_defect(g: RealLinearMap) -> float:
     """Largest residual of the bosonic Bogoliubov relations
     g1*g1 - g2*g2 = 1, g1 g1* - g2 g2* = 1, with G1^+ G2 and G1 G2^T
     symmetric."""
-    G1, G2 = g.G1, g.G2
-    I = np.eye(g.d)
-    r = [
-        _rel_err(G1.conj().T @ G1 - G2.T @ np.conj(G2), I),
-        _rel_err(G1 @ G1.conj().T - G2 @ G2.conj().T, I),
-        float(np.linalg.norm(G1.conj().T @ G2 - (G1.conj().T @ G2).T)),
-        float(np.linalg.norm(G1 @ G2.T - (G1 @ G2.T).T)),
-    ]
-    return max(r)
+    return _bogoliubov_defect(g, np.subtract)
 
 
 def orthogonal_defect(g: RealLinearMap) -> float:
     """Largest residual of the fermionic relations g1*g1 + g2*g2 = 1,
     g1 g1* + g2 g2* = 1, with G1^+ G2 and G1 G2^T antisymmetric."""
-    G1, G2 = g.G1, g.G2
-    I = np.eye(g.d)
-    r = [
-        _rel_err(G1.conj().T @ G1 + G2.T @ np.conj(G2), I),
-        _rel_err(G1 @ G1.conj().T + G2 @ G2.conj().T, I),
-        float(np.linalg.norm(G1.conj().T @ G2 + (G1.conj().T @ G2).T)),
-        float(np.linalg.norm(G1 @ G2.T + (G1 @ G2.T).T)),
-    ]
-    return max(r)
+    return _bogoliubov_defect(g, np.add)
 
 
-def is_symplectic(g: RealLinearMap, tol: float = PREDICATE_TOL) -> bool:
-    return symplectic_defect(g) <= tol
+def is_symplectic(g: RealLinearMap) -> bool:
+    return symplectic_defect(g) <= PREDICATE_TOL
 
 
-def is_orthogonal(g: RealLinearMap, tol: float = PREDICATE_TOL) -> bool:
-    return orthogonal_defect(g) <= tol
+def is_orthogonal(g: RealLinearMap) -> bool:
+    return orthogonal_defect(g) <= PREDICATE_TOL
+
+
+def _algebra_defect(x: RealLinearMap, pm) -> float:
+    """Lie-algebra residual; pm = np.subtract (sp) or np.add (o)."""
+    return max(float(np.linalg.norm(x.G1 + x.G1.conj().T)),
+               float(np.linalg.norm(pm(x.G2, x.G2.T))))
 
 
 def sp_defect(x: RealLinearMap) -> float:
-    """Residual of membership in sp: skew-hermitian linear part and
-    symmetric antilinear matrix."""
-    return max(float(np.linalg.norm(x.G1 + x.G1.conj().T)),
-               float(np.linalg.norm(x.G2 - x.G2.T)))
+    """Residual of membership in sp: skew-hermitian G1, symmetric G2."""
+    return _algebra_defect(x, np.subtract)
 
 
 def o_defect(x: RealLinearMap) -> float:
-    """Residual of membership in o: skew-hermitian linear part and
-    antisymmetric antilinear matrix."""
-    return max(float(np.linalg.norm(x.G1 + x.G1.conj().T)),
-               float(np.linalg.norm(x.G2 + x.G2.T)))
+    """Residual of membership in o: skew-hermitian G1, antisymmetric G2."""
+    return _algebra_defect(x, np.add)
 
 
 def in_sp(x: RealLinearMap, tol: float = PREDICATE_TOL) -> bool:
@@ -275,12 +269,10 @@ def random_sp_element(rng: np.random.Generator, d: int,
                          scale * 0.5 * (z + z.T))
 
 
-def random_o_element(rng: np.random.Generator, d: int,
-                     scale: float = 1.0) -> RealLinearMap:
+def random_o_element(rng: np.random.Generator, d: int) -> RealLinearMap:
     """Random element of o: skew-hermitian G1, antisymmetric G2."""
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return RealLinearMap(random_skew_hermitian(rng, d, scale),
-                         scale * 0.5 * (z - z.T))
+    return RealLinearMap(random_skew_hermitian(rng, d), 0.5 * (z - z.T))
 
 
 def random_symplectic(rng: np.random.Generator, d: int,

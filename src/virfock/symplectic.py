@@ -44,6 +44,7 @@ from .realmaps import (
     complex_to_real,
     inner,
     omega,
+    random_symplectic,
     real_matrix_of_i,
     real_to_complex,
 )
@@ -126,16 +127,12 @@ def hamiltonian(X, v) -> float:
 
 def in_cone_Wsp(X) -> bool:
     """True iff the symmetric matrix of omega(X., .) is positive definite."""
-    Xs = _as_sp(X)
-    M = omega_matrix(Xs.X)
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return bool(eigs[0] > CONE_EIG_MIN)
+    return cone_margin(X) > CONE_EIG_MIN
 
 
 def cone_margin(X) -> float:
     """Smallest eigenvalue of the Hamiltonian form; positive inside W_sp."""
-    Xs = _as_sp(X)
-    M = omega_matrix(Xs.X)
+    M = omega_matrix(_as_sp(X).X)
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
@@ -251,7 +248,7 @@ def lorentz_form(a: Sl2Element, b: Sl2Element) -> float:
     return -float(np.trace(sl2_matrix(a) @ sl2_matrix(b)))
 
 
-def orbit_type(a: Sl2Element, tol: float = 1e-9) -> str:
+def orbit_type(a: Sl2Element) -> str:
     """One of timelike+/-, null+/-, spacelike, zero.
 
     Timelike means beta(a, a) > 0 (the u-axis is timelike here); the
@@ -260,12 +257,12 @@ def orbit_type(a: Sl2Element, tol: float = 1e-9) -> str:
     """
     beta = lorentz_form(a, a)
     size = float(np.dot(a.coords(), a.coords()))
-    if size <= tol:
+    if size <= 1e-9:
         return "zero"
     scale = max(1.0, size)
-    if beta > tol * scale:
+    if beta > 1e-9 * scale:
         return "timelike+" if a.y > 0 else "timelike-"
-    if beta < -tol * scale:
+    if beta < -1e-9 * scale:
         return "spacelike"
     return "null+" if a.y > 0 else "null-"
 
@@ -312,25 +309,24 @@ def spectral_support(x) -> float:
     return float(np.linalg.eigvalsh(1j * x)[-1])
 
 
-def rayleigh_max_momentum(x, rng: np.random.Generator,
-                          restarts: int = 8, max_iter: int = 20000) -> float:
-    """max over [v] of Phi([v])(-x) by shifted power iteration from
+def rayleigh_max_momentum(x, rng: np.random.Generator) -> float:
+    """max over [v] of Phi([v])(-x) by shifted power iteration from 8
     random starts; an eigensolver-free check of spectral_support.
 
     Each start iterates until the Rayleigh quotient stops moving (or the
-    iteration cap is hit, which only happens for nearly degenerate top
-    eigenvalues, where the quotient is flat anyway)."""
+    cap of 20000 iterations is hit, which only happens for nearly
+    degenerate top eigenvalues, where the quotient is flat anyway)."""
     x = _check_antihermitian(x)
     d = x.shape[0]
     H = 1j * x
     shift = float(np.linalg.norm(H)) + 1.0
     B = H + shift * np.eye(d)
     best = -math.inf
-    for _ in range(restarts):
+    for _ in range(8):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         v = v / np.linalg.norm(v)
         q_prev = math.inf
-        for _ in range(max_iter):
+        for _ in range(20000):
             v = B @ v
             v = v / np.linalg.norm(v)
             q = float(np.real(np.conj(v) @ (H @ v)))
@@ -379,25 +375,19 @@ def derived_inner_product(A) -> np.ndarray:
 # random cone elements
 
 
-def random_cone_element(rng: np.random.Generator, d: int,
-                        conjugate: bool = True,
-                        scale: float = 0.3) -> SymplecticElement:
+def random_cone_element(rng: np.random.Generator, d: int) -> SymplecticElement:
     """Random element of W_sp: a positively twisted multiple of I,
-    optionally pushed around by a random symplectic conjugation.
+    pushed around by a random symplectic conjugation.
 
-    The conjugating map is exp of a scale-sized sp element.  Larger
+    The conjugating map is exp of an sp element of scale 0.3.  Larger
     scales produce elements whose straightening conjugator g has
     condition number growing like e^(2 scale ||x||), and the roundtrip
-    g^{-1} A g loses about cond(g)^2 digits in double precision, so the
-    default keeps samples inside the regime where the postconditions of
+    g^{-1} A g loses about cond(g)^2 digits in double precision, so 0.3
+    keeps samples inside the regime where the postconditions of
     conjugate_to_unitary are resolvable to 1e-8.
     """
-    from .realmaps import random_symplectic
-
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     pos = z @ z.conj().T + (0.3 + rng.uniform()) * np.eye(d)
     D = RealLinearMap.from_linear(1j * pos)
-    if not conjugate:
-        return SymplecticElement(D)
-    g = random_symplectic(rng, d, scale=scale)
+    g = random_symplectic(rng, d, scale=0.3)
     return SymplecticElement(g.compose(D).compose(g.inverse()))

@@ -62,6 +62,7 @@ from .circle import (
     pairing_integral,
     pullback_density,
     pullback_field,
+    random_diffeo,
     witt_generator,
 )
 
@@ -205,8 +206,7 @@ def chi(x: VirasoroElement | FourierFunction,
     return float(np.mean(1.0 / vals))
 
 
-def orbit_invariants(x: VirasoroElement,
-                     grid_size: int | None = None) -> CartanCoords:
+def orbit_invariants(x: VirasoroElement) -> CartanCoords:
     """The adjoint-invariant pair (beta, alpha) for elements with f > 0.
 
     alpha = 1/chi(f) and
@@ -215,7 +215,7 @@ def orbit_invariants(x: VirasoroElement,
     f = x.field
     if not x.is_real(1e-9):
         raise ValueError("orbit invariants are defined for real elements")
-    M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
+    M = max(CHI_MIN_GRID, 8 * f.degree)
     fv = np.real(f.grid_values(M))
     if np.min(fv) <= 0.0:
         raise ValueError("orbit invariants require f > 0")
@@ -249,19 +249,14 @@ def beta_hessian_form(h: FourierFunction) -> float:
 
 
 def convexity_check(x: VirasoroElement, trials: int,
-                    rng: np.random.Generator,
-                    degree: int = 48,
-                    modes: int = 6,
-                    amplitude: float = 0.15) -> dict:
+                    rng: np.random.Generator, degree: int = 48) -> dict:
     """Empirical check that Cartan projections of Ad_phi(x) dominate x.
 
     x must lie in the Cartan plane with positive dtheta component.  For
-    each trial a random diffeomorphism is drawn and the projection of
-    the transformed element is compared with (z, alpha); both margins
-    should be nonnegative up to roundoff.
+    each trial a random diffeomorphism (6 modes, amplitude 0.15) is drawn
+    and the projection of the transformed element is compared with
+    (z, alpha); both smallest margins should be nonnegative up to roundoff.
     """
-    from .circle import random_diffeo
-
     alpha = float(np.real(x.field.coeff(0)))
     rest = max(abs(x.field.coeff(k)) for k in range(-x.field.degree, x.field.degree + 1) if k != 0) \
         if x.field.degree > 0 else 0.0
@@ -271,17 +266,12 @@ def convexity_check(x: VirasoroElement, trials: int,
     beta_margins = np.empty(trials)
     alpha_margins = np.empty(trials)
     for t in range(trials):
-        phi = random_diffeo(rng, degree=degree, modes=modes, amplitude=amplitude)
+        phi = random_diffeo(rng, degree=degree, modes=6, amplitude=0.15)
         proj = cartan_projection(adjoint_action(phi, x))
         beta_margins[t] = proj.beta - beta
         alpha_margins[t] = proj.alpha - alpha
-    return {
-        "trials": trials,
-        "min_beta_margin": float(beta_margins.min()),
-        "min_alpha_margin": float(alpha_margins.min()),
-        "max_beta_margin": float(beta_margins.max()),
-        "max_alpha_margin": float(alpha_margins.max()),
-    }
+    return {"min_beta_margin": float(beta_margins.min()),
+            "min_alpha_margin": float(alpha_margins.min())}
 
 
 def projection_curve(x: VirasoroElement, n: int,
@@ -424,12 +414,12 @@ def singleton_norm(n: int, c, h):
 
 
 def unitarity_scan(c_values: Sequence[float], h_values: Sequence[float],
-                   max_level: int, tol: float = 1e-9) -> dict:
+                   max_level: int) -> dict:
     """Smallest Gram eigenvalue per level for each (c, h) on the grid.
 
     Returns a report keyed by (c, h) with the eigenvalue trace and the
     first level at which the Gram matrix fails to be positive
-    semidefinite (None if all levels pass).
+    semidefinite, below -1e-9 max(1, max |G|) (None if all levels pass).
     """
     if max_level > MAX_VERMA_LEVEL:
         raise ValueError(f"max_level must be <= {MAX_VERMA_LEVEL}")
@@ -442,7 +432,7 @@ def unitarity_scan(c_values: Sequence[float], h_values: Sequence[float],
                 G = verma_gram(VermaBasis(level=level, c=float(c), h=float(h)))
                 eigs = np.linalg.eigvalsh(G)
                 mins.append(float(eigs[0]))
-                if first_bad is None and eigs[0] < -tol * max(1.0, float(np.abs(G).max())):
+                if first_bad is None and eigs[0] < -1e-9 * max(1.0, float(np.abs(G).max())):
                     first_bad = level
             report[(float(c), float(h))] = {
                 "min_eigenvalue_by_level": mins,

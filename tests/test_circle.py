@@ -221,6 +221,24 @@ def test_bracket_jacobi_identity():
         assert j.f.sup_norm() < 1e-10
 
 
+@pytest.mark.parametrize("degree", [4, 12, 20])
+def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
+    # deg f + deg g = 12: the result is truncated, exact, and zero-padded
+    rng = np.random.default_rng(26)
+    f = random_field(rng, 7, modes=7)
+    g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
+    X, Y = VectorField(f), VectorField(g)
+    br = lie_bracket(X, Y, degree).f
+    lie = lie_derivative(X, Density(g, -1.0), degree).u
+    assert br.degree == lie.degree == degree
+    assert np.array_equal(br.coeffs, lie.coeffs)
+    # f g' - f' g by explicit coefficient convolution (modes -12..12)
+    full = (np.convolve(f.coeffs, derivative(g).coeffs)
+            - np.convolve(derivative(f).coeffs, g.coeffs))
+    ref = [full[k + 12] if abs(k) <= 12 else 0.0 for k in range(-degree, degree + 1)]
+    assert np.max(np.abs(br.coeffs - np.array(ref))) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # pullbacks and Lie derivatives
 

@@ -391,13 +391,20 @@ def test_cli_orbit_rejects_flows_past_invertibility(capsys):
                                    ["--steps", "0"], ["--steps", "-2"],
                                    ["--curve", "convexity", "--trials", "0"],
                                    ["--beta", "nan"], ["--alpha", "inf"],
-                                   ["--degree", "100000"], ["--degree", "2"]],
+                                   ["--degree", "100000"], ["--degree", "2"],
+                                   ["--n", "0"]],
                          ids=" ".join)
 def test_cli_orbit_out_of_range_flag_is_a_usage_error(capsys, flags):
     assert main(["orbit", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("orbit parameters out of range")
+
+
+def test_cli_orbit_rejects_mode_zero_by_name(capsys):
+    # the direction d_0 - d_0 is the zero field; the message names the flag
+    assert main(["orbit", "--n", "0"]) == 2
+    assert "--n must be nonzero" in capsys.readouterr().err
 
 
 def test_cli_orbit_convexity_margins(capsys):
