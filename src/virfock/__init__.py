@@ -14,7 +14,6 @@ from .circle import (
     CircleDiffeo,
     Density,
     FourierFunction,
-    VectorField,
     derivative,
     flow,
     gelfand_fuchs,

@@ -1,13 +1,17 @@
 """Fourier-truncated smooth calculus on the circle S^1 = R/(2 pi Z).
 
 Functions are trigonometric polynomials f(theta) = sum_{|k| <= N} c_k
-e^{i k theta}; vector fields f(theta) d/dtheta, s-densities u(theta)
-(dtheta)^s and orientation-preserving diffeomorphisms phi(theta) = theta
-+ p(theta) are thin wrappers over the same coefficient arrays.  Linear
-operations (derivative, integration, the two 2-cocycles) are exact on
-coefficients; nonlinear operations (products, compositions, Schwarzian
-derivatives) are evaluated pointwise on uniform grids large enough to be
-alias-free and re-expanded by FFT.
+e^{i k theta}.  A vector field f(theta) d/dtheta is its coefficient
+function f, a plain `FourierFunction`; an s-density u(theta) (dtheta)^s
+is a `Density`, and a field acting by its transformation law is the
+(-1)-density `Density(f, -1.0)`.  An orientation-preserving
+diffeomorphism phi(theta) = theta + p(theta) is a `CircleDiffeo` over
+its displacement p.
+
+Linear operations (derivative, integration, the two 2-cocycles) are
+exact on coefficients; nonlinear operations (products, compositions,
+Schwarzian derivatives) are evaluated pointwise on uniform grids large
+enough to be alias-free and re-expanded by FFT.
 
 Complex coefficient fields are allowed throughout so that the Witt basis
 d_n = i e^{i n theta} d/dtheta can be manipulated directly; everything at
@@ -22,7 +26,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Default truncation degree and the matching validity grid M = 4N + 1.
+#: Smallest degree `flow` refits its diffeomorphism to.
 DEFAULT_DEGREE = 32
 
 #: Tolerance for the reality invariant c_{-k} = conj(c_k).
@@ -58,11 +62,11 @@ class FourierFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, degree: int = DEFAULT_DEGREE) -> "FourierFunction":
+    def zero(cls, degree: int) -> "FourierFunction":
         return cls(np.zeros(2 * degree + 1, dtype=complex))
 
     @classmethod
-    def constant(cls, value, degree: int = DEFAULT_DEGREE) -> "FourierFunction":
+    def constant(cls, value, degree: int) -> "FourierFunction":
         c = np.zeros(2 * degree + 1, dtype=complex)
         c[degree] = value
         return cls(c)
@@ -175,31 +179,6 @@ class FourierFunction:
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Vector field f(theta) d/dtheta on the circle."""
-
-    f: FourierFunction
-
-    @property
-    def degree(self) -> int:
-        return self.f.degree
-
-    @property
-    def real_flag(self) -> bool:
-        return self.f.real_flag
-
-    def __add__(self, other): return VectorField(self.f + other.f)
-
-    def __sub__(self, other): return VectorField(self.f - other.f)
-
-    def __mul__(self, scalar): return VectorField(self.f * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self): return VectorField(-self.f)
-
-
-@dataclass(frozen=True)
 class Density:
     """s-density u(theta) (dtheta)^s; s = -1 are vector fields, s = 2 the
     quadratic densities dual to them."""
@@ -233,11 +212,11 @@ class CircleDiffeo:
                 f"not a diffeomorphism: min phi' = {self.min_derivative:.3e}")
 
     @classmethod
-    def identity(cls, degree: int = DEFAULT_DEGREE) -> "CircleDiffeo":
+    def identity(cls, degree: int) -> "CircleDiffeo":
         return cls(FourierFunction.zero(degree))
 
     @classmethod
-    def rotation(cls, alpha: float, degree: int = DEFAULT_DEGREE) -> "CircleDiffeo":
+    def rotation(cls, alpha: float, degree: int) -> "CircleDiffeo":
         return cls(FourierFunction.constant(float(alpha), degree))
 
     @property
@@ -305,36 +284,34 @@ def multiply(f: FourierFunction, g: FourierFunction,
     return prod.truncated(max(f.degree, g.degree) if degree is None else degree)
 
 
-def lie_bracket(X: VectorField, Y: VectorField,
-                degree: int | None = None) -> VectorField:
-    """[f d, g d] = (f g' - f' g) d, the Lie derivative along X of Y read
-    as a (-1)-density; exact up to the final truncation."""
-    return VectorField(lie_derivative(X, Density(Y.f, -1.0), degree).u)
+def lie_bracket(f: FourierFunction, g: FourierFunction,
+                degree: int | None = None) -> FourierFunction:
+    """[f d, g d] = (f g' - f' g) d, the Lie derivative along f d of g
+    read as a (-1)-density; exact up to the final truncation."""
+    return lie_derivative(f, Density(g, -1.0), degree).u
 
 
-def gelfand_fuchs(X: VectorField, Y: VectorField) -> complex:
+def gelfand_fuchs(f: FourierFunction, g: FourierFunction) -> complex:
     """The 2-cocycle integral of f' g'' over the circle, exact on
     coefficients."""
-    return pairing_integral(derivative(X.f), derivative(Y.f, 2))
+    return pairing_integral(derivative(f), derivative(g, 2))
 
 
-def omega_cocycle(X: VectorField, Y: VectorField) -> complex:
+def omega_cocycle(f: FourierFunction, g: FourierFunction) -> complex:
     """The normalized 2-cocycle: integral of (f''' + f') g.
 
     Differs from :func:`gelfand_fuchs` by the coboundary of
     lam(f d) = integral of f; on the Witt basis it takes the values
     omega(d_n, d_{-n}) = 2 pi i (n^3 - n).
     """
-    f = X.f
-    return pairing_integral(derivative(f, 3) + derivative(f), Y.f)
+    return pairing_integral(derivative(f, 3) + derivative(f), g)
 
 
-def witt_generator(n: int, degree: int | None = None) -> VectorField:
+def witt_generator(n: int, degree: int) -> FourierFunction:
     """d_n = i e^{i n theta} d/dtheta (complex field; d_n* = d_{-n})."""
-    deg = degree if degree is not None else max(abs(n), 1)
-    if abs(n) > deg:
+    if abs(n) > degree:
         raise ValueError("degree too small for this generator")
-    return VectorField(FourierFunction.from_dict({n: 1j}, deg))
+    return FourierFunction.from_dict({n: 1j}, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +332,12 @@ def pullback_density(phi: CircleDiffeo, rho: Density) -> Density:
     return Density(FourierFunction.from_grid(vals, n), rho.s)
 
 
-def pullback_field(phi: CircleDiffeo, X: VectorField) -> VectorField:
-    """Vector-field pullback (f o phi) / phi', the s = -1 density law."""
-    return VectorField(pullback_density(phi, Density(X.f, -1.0)).u)
-
-
-def lie_derivative(X: VectorField, rho: Density,
+def lie_derivative(f: FourierFunction, rho: Density,
                    degree: int | None = None) -> Density:
-    """L_X (u (dtheta)^s) = (f u' + s f' u) (dtheta)^s, the derivative of
-    the pullback along the flow of X, at ``degree`` (default max(N_f, N_u))."""
-    f, u = X.f, rho.u
+    """L_f (u (dtheta)^s) = (f u' + s f' u) (dtheta)^s, the derivative of
+    the pullback along the flow of f d/dtheta, at ``degree`` (default
+    max(N_f, N_u))."""
+    u = rho.u
     full = max(f.degree + u.degree, 1)
     a = multiply(f, derivative(u), degree=full)
     b = multiply(derivative(f), u, degree=full)
@@ -381,7 +354,7 @@ def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:
     n = max(phi.degree, psi.degree)
     theta = grid_points(_refit_size(n))
     vals = psi.p.evaluate(theta) + phi.p.evaluate(psi.evaluate(theta))
-    return CircleDiffeo(FourierFunction.from_grid(vals, n, real=None))
+    return CircleDiffeo(FourierFunction.from_grid(vals, n))
 
 
 NEWTON_MAX_ITER = 50
@@ -407,7 +380,7 @@ def invert(phi: CircleDiffeo) -> CircleDiffeo:
     else:
         raise RuntimeError("Newton inversion did not converge in "
                            f"{NEWTON_MAX_ITER} iterations")
-    return CircleDiffeo(FourierFunction.from_grid(x - theta, n, real=None))
+    return CircleDiffeo(FourierFunction.from_grid(x - theta, n))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +456,7 @@ def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
 RK4_MAX_STEP = 1e-2
 
 
-def flow(X: VectorField, t: float = 1.0,
+def flow(f: FourierFunction, t: float = 1.0,
          degree: int | None = None) -> CircleDiffeo:
     """Time-t flow of the (real) vector field f d/dtheta as a
     diffeomorphism.
@@ -491,28 +464,26 @@ def flow(X: VectorField, t: float = 1.0,
     Integrates theta' = f(theta) from every point of the refit grid of
     8 max(N, 4) points with RK4 at step <= 1e-2 and refits to degree N.
     """
-    if not X.real_flag:
+    if not f.real_flag:
         raise ValueError("flows are defined for real vector fields only")
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, not {t}")
-    n = degree or max(X.degree, DEFAULT_DEGREE)
+    n = degree or max(f.degree, DEFAULT_DEGREE)
     theta = grid_points(_refit_size(n))
     steps = max(1, int(np.ceil(abs(t) / RK4_MAX_STEP)))
     h = t / steps
-    f = X.f.evaluate
     x = theta.copy()
     for _ in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
+        k1 = f.evaluate(x)
+        k2 = f.evaluate(x + 0.5 * h * k1)
+        k3 = f.evaluate(x + 0.5 * h * k2)
+        k4 = f.evaluate(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return CircleDiffeo(FourierFunction.from_grid(x - theta, n, real=None))
+    return CircleDiffeo(FourierFunction.from_grid(x - theta, n))
 
 
-def random_diffeo(rng: np.random.Generator, degree: int = DEFAULT_DEGREE,
-                  modes: int = 6, amplitude: float = 0.1,
-                  max_slope: float = 0.5) -> CircleDiffeo:
+def random_diffeo(rng: np.random.Generator, degree: int, modes: int = 6,
+                  amplitude: float = 0.1, max_slope: float = 0.5) -> CircleDiffeo:
     """Random small diffeomorphism with displacement supported on low
     modes (geometrically damped), rescaled so that sup |p'| <= max_slope."""
     p = np.zeros(2 * degree + 1, dtype=complex)

@@ -3,10 +3,10 @@ print Verma Gram matrices.
 
 Exit codes follow the usual convention: 0 when every check passes, 1
 when a suite ran but some check failed, 2 for usage errors (unknown
-suite, malformed flags).  All randomness is drawn from numpy's seeded
-default generator (PCG64), so a fixed config reproduces a fixed report;
-``--no-timestamp`` drops the only unstable field for byte-for-byte
-comparisons.
+suite, malformed flags, an ``--out`` path that cannot be written).  All
+randomness is drawn from numpy's seeded default generator (PCG64), so a
+fixed config reproduces a fixed report; ``--no-timestamp`` drops the
+only unstable field for byte-for-byte comparisons.
 """
 
 from __future__ import annotations
@@ -126,8 +126,12 @@ def _cmd_verify(args) -> int:
         for line in rep.summary_lines():
             print(line, file=sys.stderr)
 
-    text = emit(reports, args.format, path=args.out,
-                include_timestamp=not args.no_timestamp)
+    try:
+        text = emit(reports, args.format, path=args.out,
+                    include_timestamp=not args.no_timestamp)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(text)
     return 0 if all(rep.all_passed for rep in reports) else 1
 
@@ -144,10 +148,13 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
         raise ValueError(f"--degree must be in [{low}, {high}]")
     if args.n == 0:
         raise ValueError("--n must be nonzero (d_0 - d_0 is the zero field)")
-    if min(args.steps, args.trials) < 1:
-        raise ValueError("--steps and --trials must be at least 1")
-    if not all(map(math.isfinite, (args.beta, args.alpha, args.smax))):
-        raise ValueError("--beta, --alpha and --smax must be finite")
+    _, _, most = SUITES["virasoro-orbits"][2]["trials"]
+    if not (1 <= args.steps <= most and 1 <= args.trials <= most):
+        raise ValueError(f"--steps and --trials must be in [1, {most}]")
+    if not all(map(math.isfinite, (args.beta, args.alpha))):
+        raise ValueError("--beta and --alpha must be finite")
+    if not abs(args.smax) <= 10.0:
+        raise ValueError("--smax must be in [-10, 10]")
     x = VirasoroElement.cartan(args.beta, args.alpha, args.degree)
     if args.curve == "projection":
         s_values = [args.smax * (k + 1) / args.steps for k in range(args.steps)]
@@ -176,8 +183,12 @@ def _cmd_orbit(args) -> int:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     text = buf.getvalue()
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(text)
     return 0
 

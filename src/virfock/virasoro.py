@@ -51,7 +51,6 @@ from .circle import (
     CircleDiffeo,
     Density,
     FourierFunction,
-    VectorField,
     derivative,
     flow,
     integrate,
@@ -61,7 +60,6 @@ from .circle import (
     omega_cocycle,
     pairing_integral,
     pullback_density,
-    pullback_field,
     random_diffeo,
     witt_generator,
 )
@@ -126,9 +124,9 @@ class CartanCoords:
     alpha: float
 
 
-def generator(n: int, degree: int | None = None) -> VirasoroElement:
+def generator(n: int, degree: int) -> VirasoroElement:
     """Complexified generator d_n = (0, i e^{i n theta} d/dtheta)."""
-    return VirasoroElement(0.0, witt_generator(n, degree).f)
+    return VirasoroElement(0.0, witt_generator(n, degree))
 
 
 def normalized_central(degree: int) -> VirasoroElement:
@@ -143,8 +141,8 @@ def normalized_central(degree: int) -> VirasoroElement:
 def vir_bracket(x: VirasoroElement, y: VirasoroElement,
                 degree: int | None = None) -> VirasoroElement:
     """[(z, f), (w, g)] = (omega(f, g), [f, g])."""
-    X, Y = VectorField(x.field), VectorField(y.field)
-    return VirasoroElement(omega_cocycle(X, Y), lie_bracket(X, Y, degree=degree).f)
+    f, g = x.field, y.field
+    return VirasoroElement(omega_cocycle(f, g), lie_bracket(f, g, degree=degree))
 
 
 def pairing(lam: VirasoroFunctional, x: VirasoroElement) -> complex:
@@ -167,7 +165,7 @@ def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
     """
     stil = modified_schwarzian(invert(phi))
     shift = pairing_integral(x.field, stil)
-    new_field = pullback_field(phi, VectorField(x.field)).f
+    new_field = pullback_density(phi, Density(x.field, -1.0)).u
     z = x.z - shift
     if abs(complex(z).imag) <= 1e-10 * max(1.0, abs(complex(z).real)):
         z = float(complex(z).real)
@@ -199,28 +197,33 @@ def chi(x: VirasoroElement | FourierFunction,
     f = x.field if isinstance(x, VirasoroElement) else x
     if not f.is_real(1e-9):
         raise ValueError("chi is defined for real fields only")
-    M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
+    M = grid_size if grid_size is not None else _chi_grid(f)
     vals = np.real(f.grid_values(M))
     if np.min(vals) <= 0.0:
         raise ValueError("chi requires f > 0 on the circle")
     return float(np.mean(1.0 / vals))
 
 
+def _chi_grid(f: FourierFunction) -> int:
+    """max(CHI_MIN_GRID, 8N), the default quadrature grid of `chi`."""
+    return max(CHI_MIN_GRID, 8 * f.degree)
+
+
 def orbit_invariants(x: VirasoroElement) -> CartanCoords:
     """The adjoint-invariant pair (beta, alpha) for elements with f > 0.
 
     alpha = 1/chi(f) and
-    beta = z - int (f')^2/(2f) + (1/2) int f - pi/chi(f).
+    beta = z - int (f')^2/(2f) + (1/2) int f - pi/chi(f),
+    the energy term on the grid of `chi`.  Raises ValueError when z is
+    not real, or (from `chi`) when f is not real and positive.
     """
-    f = x.field
-    if not x.is_real(1e-9):
+    if abs(complex(x.z).imag) > 1e-9:
         raise ValueError("orbit invariants are defined for real elements")
-    M = max(CHI_MIN_GRID, 8 * f.degree)
+    f = x.field
+    chi_val = chi(f)
+    M = _chi_grid(f)
     fv = np.real(f.grid_values(M))
-    if np.min(fv) <= 0.0:
-        raise ValueError("orbit invariants require f > 0")
     dfv = np.real(derivative(f).grid_values(M))
-    chi_val = float(np.mean(1.0 / fv))
     energy = 2.0 * math.pi * float(np.mean(dfv ** 2 / (2.0 * fv)))
     beta = (float(np.real(x.z)) - energy
             + 0.5 * float(np.real(integrate(f))) - math.pi / chi_val)
@@ -249,7 +252,7 @@ def beta_hessian_form(h: FourierFunction) -> float:
 
 
 def convexity_check(x: VirasoroElement, trials: int,
-                    rng: np.random.Generator, degree: int = 48) -> dict:
+                    rng: np.random.Generator, degree: int) -> dict:
     """Empirical check that Cartan projections of Ad_phi(x) dominate x.
 
     x must lie in the Cartan plane with positive dtheta component.  For
@@ -276,7 +279,7 @@ def convexity_check(x: VirasoroElement, trials: int,
 
 def projection_curve(x: VirasoroElement, n: int,
                      s_values: Sequence[float],
-                     degree: int | None = None) -> list[CartanCoords]:
+                     degree: int) -> list[CartanCoords]:
     """Cartan projections of Ad along the flow of d_n - d_{-n}.
 
     The combination d_n - d_{-n} has field i e^{i n theta} - i e^{-i n theta}
@@ -285,8 +288,7 @@ def projection_curve(x: VirasoroElement, n: int,
     the Cartan plane the resulting projections move along the ray of
     direction 2n(pi(n^2 - 1) c + dtheta) emanating from x.
     """
-    deg = degree if degree is not None else max(48, x.field.degree)
-    w = VectorField(FourierFunction.from_dict({n: 1j, -n: -1j}, degree=deg))
+    w = FourierFunction.from_dict({n: 1j, -n: -1j}, degree=degree)
     out = []
     for s in s_values:
         phi = flow(w, float(s))

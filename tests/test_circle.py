@@ -10,7 +10,6 @@ from virfock.circle import (
     CircleDiffeo,
     Density,
     FourierFunction,
-    VectorField,
     compose,
     derivative,
     flow,
@@ -182,43 +181,43 @@ def test_evaluate_keeps_the_shape_of_theta(real):
 
 def test_bracket_d1_dminus1():
     br = lie_bracket(witt_generator(1, degree=6), witt_generator(-1, degree=6))
-    expected = 2.0 * witt_generator(0, degree=6).f
+    expected = 2.0 * witt_generator(0, degree=6)
     for k in range(-6, 7):
-        assert br.f.coeff(k) == pytest.approx(expected.coeff(k), abs=1e-14)
+        assert br.coeff(k) == pytest.approx(expected.coeff(k), abs=1e-14)
 
 
 def test_bracket_d2_d3():
     br = lie_bracket(witt_generator(2, degree=8), witt_generator(3, degree=8))
-    expected = -1.0 * witt_generator(5, degree=8).f
+    expected = -1.0 * witt_generator(5, degree=8)
     for k in range(-8, 9):
-        assert br.f.coeff(k) == pytest.approx(expected.coeff(k), abs=1e-13)
+        assert br.coeff(k) == pytest.approx(expected.coeff(k), abs=1e-13)
 
 
 def test_bracket_of_field_with_itself_vanishes():
     rng = np.random.default_rng(23)
-    X = VectorField(random_field(rng, 10))
-    assert lie_bracket(X, X, degree=20).f.sup_norm() < 1e-14
+    X = random_field(rng, 10)
+    assert lie_bracket(X, X, degree=20).sup_norm() < 1e-14
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(-8, 9) for m in range(-8, 9)])
 def test_bracket_structure_constants(n, m):
     deg = 18
     br = lie_bracket(witt_generator(n, degree=deg), witt_generator(m, degree=deg))
-    expected = float(n - m) * witt_generator(n + m, degree=deg).f
-    worst = max(abs(br.f.coeff(k) - expected.coeff(k)) for k in range(-deg, deg + 1))
+    expected = float(n - m) * witt_generator(n + m, degree=deg)
+    worst = max(abs(br.coeff(k) - expected.coeff(k)) for k in range(-deg, deg + 1))
     assert worst < 1e-12
 
 
 def test_bracket_jacobi_identity():
     rng = np.random.default_rng(24)
     for _ in range(5):
-        F = VectorField(random_field(rng, 8))
-        G = VectorField(random_field(rng, 8))
-        H = VectorField(random_field(rng, 8))
+        F = random_field(rng, 8)
+        G = random_field(rng, 8)
+        H = random_field(rng, 8)
         j = (lie_bracket(F, lie_bracket(G, H, degree=16), degree=24)
              + lie_bracket(G, lie_bracket(H, F, degree=16), degree=24)
              + lie_bracket(H, lie_bracket(F, G, degree=16), degree=24))
-        assert j.f.sup_norm() < 1e-10
+        assert j.sup_norm() < 1e-10
 
 
 @pytest.mark.parametrize("degree", [4, 12, 20])
@@ -227,8 +226,8 @@ def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
     rng = np.random.default_rng(26)
     f = random_field(rng, 7, modes=7)
     g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
-    X, Y = VectorField(f), VectorField(g)
-    br = lie_bracket(X, Y, degree).f
+    X, Y = f, g
+    br = lie_bracket(X, Y, degree)
     lie = lie_derivative(X, Density(g, -1.0), degree).u
     assert br.degree == lie.degree == degree
     assert np.array_equal(br.coeffs, lie.coeffs)
@@ -277,13 +276,13 @@ def test_pullback_matches_grid_oracle():
 def test_lie_derivative_along_rotation_field():
     rng = np.random.default_rng(28)
     u = random_field(rng, 10)
-    out = lie_derivative(VectorField(FourierFunction.constant(1.0, 10)),
+    out = lie_derivative(FourierFunction.constant(1.0, 10),
                          Density(u, 1.7))
     assert (out.u - derivative(u)).sup_norm() < 1e-13
 
 
 def test_lie_derivative_of_constant_weight_zero():
-    X = VectorField(FourierFunction.from_dict({1: 0.3, -1: 0.3}, degree=6))
+    X = FourierFunction.from_dict({1: 0.3, -1: 0.3}, degree=6)
     out = lie_derivative(X, Density(FourierFunction.constant(2.0, 6), 0))
     assert out.u.sup_norm() < 1e-14
 
@@ -293,7 +292,7 @@ def test_lie_derivative_is_flow_derivative_of_pullback():
     # inputs live in degree-24 containers so the product terms are not
     # clipped before the comparison
     rng = np.random.default_rng(29)
-    X = VectorField(random_field(rng, 24, scale=0.5))
+    X = random_field(rng, 24, scale=0.5)
     u = random_field(rng, 24)
     dens = Density(u, 2)
     h = 1e-4
@@ -335,7 +334,7 @@ def test_flow_additivity():
     rng = np.random.default_rng(32)
     raw = random_field(rng, 12)
     raw = raw * (0.2 / raw.sup_norm())
-    X = VectorField(raw)
+    X = raw
     one = compose(flow(X, 0.15), flow(X, 0.1))
     two = flow(X, 0.25)
     assert (one.p - two.p).sup_norm() < 1e-8
@@ -343,7 +342,7 @@ def test_flow_additivity():
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_flow_rejects_a_non_finite_time(t):
-    X = VectorField(FourierFunction.from_dict({1: 0.1, -1: 0.1}, degree=4))
+    X = FourierFunction.from_dict({1: 0.1, -1: 0.1}, degree=4)
     with pytest.raises(ValueError):
         flow(X, t)
 
@@ -385,7 +384,7 @@ def test_modified_schwarzian_linearization():
     # (d/dt)|_0 Stilde(flow(tX)) = f''' + f', by central differences
     rng = np.random.default_rng(34)
     f = random_field(rng, 6, scale=0.5)
-    X = VectorField(f)
+    X = f
     h = 1e-4
     plus = modified_schwarzian(flow(X, h, degree=24))
     minus = modified_schwarzian(flow(X, -h, degree=24))
@@ -408,7 +407,7 @@ def test_omega_on_generators(n, expected):
 
 def test_omega_antisymmetric_on_real_fields():
     rng = np.random.default_rng(35)
-    X = VectorField(random_field(rng, 10))
+    X = random_field(rng, 10)
     assert abs(omega_cocycle(X, X)) < 1e-12
 
 
@@ -417,20 +416,20 @@ def test_omega_equals_gelfand_fuchs_minus_half_bracket_integral():
     d2, dm2 = witt_generator(2, degree=8), witt_generator(-2, degree=8)
     pairs = [(d2, dm2)]
     for _ in range(10):
-        pairs.append((VectorField(random_field(rng, 8)),
-                      VectorField(random_field(rng, 8))))
+        pairs.append((random_field(rng, 8),
+                      random_field(rng, 8)))
     for X, Y in pairs:
         lhs = omega_cocycle(X, Y)
-        rhs = gelfand_fuchs(X, Y) - 0.5 * integrate(lie_bracket(X, Y).f)
+        rhs = gelfand_fuchs(X, Y) - 0.5 * integrate(lie_bracket(X, Y))
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_omega_two_cocycle_identity():
     rng = np.random.default_rng(37)
     for _ in range(10):
-        F = VectorField(random_field(rng, 8))
-        G = VectorField(random_field(rng, 8))
-        H = VectorField(random_field(rng, 8))
+        F = random_field(rng, 8)
+        G = random_field(rng, 8)
+        H = random_field(rng, 8)
         val = (omega_cocycle(lie_bracket(F, G, degree=16), H)
                + omega_cocycle(lie_bracket(G, H, degree=16), F)
                + omega_cocycle(lie_bracket(H, F, degree=16), G))

@@ -392,13 +392,33 @@ def test_cli_orbit_rejects_flows_past_invertibility(capsys):
                                    ["--curve", "convexity", "--trials", "0"],
                                    ["--beta", "nan"], ["--alpha", "inf"],
                                    ["--degree", "100000"], ["--degree", "2"],
-                                   ["--n", "0"]],
+                                   ["--n", "0"], ["--smax", "1e300"],
+                                   ["--steps", "1001"],
+                                   ["--curve", "convexity", "--trials", "1001"]],
                          ids=" ".join)
 def test_cli_orbit_out_of_range_flag_is_a_usage_error(capsys, flags):
     assert main(["orbit", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("orbit parameters out of range")
+
+
+@pytest.mark.parametrize("args", [["verify", "virasoro-verma"],
+                                  ["orbit", "--steps", "1"]],
+                         ids=lambda args: args[0])
+def test_cli_unwritable_out_path_is_a_usage_error(tmp_path, capsys, args):
+    path = tmp_path / "missing" / "report.txt"
+    assert main([*args, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"cannot write {path}: No such file or directory")
+    assert not path.parent.exists()
+
+
+def test_cli_orbit_rejects_a_huge_smax_by_name(capsys):
+    assert main(["orbit", "--smax", "1e300"]) == 2
+    assert "--smax must be in [-10, 10]" in capsys.readouterr().err
 
 
 def test_cli_orbit_rejects_mode_zero_by_name(capsys):
