@@ -88,6 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args) -> int:
     if args.config is not None:
         try:
@@ -119,6 +124,13 @@ def _cmd_verify(args) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
 
+    # open --out before any suite runs, so a bad path fails at once
+    if args.out is not None:
+        try:
+            open(args.out, "w", encoding="utf-8").close()
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
+
     reports = []
     for target in configs:
         rep = run_suite(target)
@@ -130,8 +142,7 @@ def _cmd_verify(args) -> int:
         text = emit(reports, args.format, path=args.out,
                     include_timestamp=not args.no_timestamp)
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _cannot_write(args.out, exc)
     sys.stdout.write(text)
     return 0 if all(rep.all_passed for rep in reports) else 1
 
@@ -187,8 +198,7 @@ def _cmd_orbit(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
     sys.stdout.write(text)
     return 0
 

@@ -27,6 +27,16 @@ own: the Bogoliubov vacuum series applies powers of the pair creator
 -1/2 sum T_ji a*_i a*_j to Omega, and degree-2 hat vectors are written
 straight onto the occupation index.
 
+Storage: a FockOperator holds one complex scipy CSR matrix, built
+straight from the (row, column, value) triplets of its ladder words;
+products, sums, adjoints, norms and mat-vecs all stay in CSR.  A ladder
+polynomial of degree k has O(d^k) nonzeros per column, so at d=3, N=20
+(dim 1771) a ladder operator takes about 0.1 MB and a second-quantized
+quadratic about 0.7 MB, where a dense matrix takes 50 MB.
+``FockOperator.mat`` is a dense copy, made on each access, for the dense
+oracles: the SVD in `truncated_vacuum_oracle`, `expm` in `weyl` and the
+tests.
+
 Quadratic elements x = x_1 + x_2 (linear plus antilinear part, stored as
 a RealLinearMap) are second-quantized normally ordered,
 
@@ -60,15 +70,6 @@ from .realmaps import RealLinearMap, in_o, in_sp, omega
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 PREDICATE_TOL = 1e-10
-
-# Smallest space dimension at which FockOperator.compose multiplies in CSR.
-# Measured on a 2-vCPU x86-64 host (numpy 2.4.6, scipy 1.17.1, one BLAS
-# thread) on ladder products (a(f) a*(f), about d nonzeros per column)
-# and normally ordered quadratics (8-15 per column): dense BLAS wins below
-# dim ~170 (0.14 ms vs 0.58 ms at dim 84), neither wins by more than a
-# third at dim 170-220, and CSR wins above (5.4 ms vs 18 ms at dim 455,
-# 24 ms vs 162 ms at dim 969, 72 ms vs 765 ms at dim 1771).
-SPARSE_COMPOSE_DIM = 200
 
 
 class ModeSpace:
@@ -222,48 +223,48 @@ def basis_vector(space: ModeSpace, occ) -> FockVector:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Operator on a ModeSpace, stored as a dense matrix in the occupation
-    basis.
+    """Operator on a ModeSpace, stored as a complex CSR matrix in the
+    occupation basis.
 
-    Storage stays dense; only `compose` (and through it the commutators)
-    multiplies in CSR once the space reaches SPARSE_COMPOSE_DIM.
+    Any dense or sparse array-like of shape (dim, dim) is accepted and
+    stored as ``csr``; ``mat`` is a fresh dense copy for dense oracles.
     """
 
     space: ModeSpace
-    mat: np.ndarray
+    csr: sparse.csr_array
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (self.space.dim, self.space.dim):
+        csr = self.csr
+        if not (isinstance(csr, sparse.csr_array) and csr.dtype == complex):
+            csr = sparse.csr_array(csr, dtype=complex)
+        if csr.shape != (self.space.dim, self.space.dim):
             raise ValueError("operator matrix has the wrong shape")
-        object.__setattr__(self, "mat", mat)
+        # norms read csr.data, so no entry may be stored twice
+        csr.sum_duplicates()
+        object.__setattr__(self, "csr", csr)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """Dense copy of the matrix."""
+        return self.csr.toarray()
 
     @classmethod
     def identity(cls, space: ModeSpace) -> "FockOperator":
-        return cls(space, np.eye(space.dim))
+        return cls(space, sparse.eye_array(space.dim, dtype=complex, format="csr"))
 
     def apply(self, v: FockVector) -> FockVector:
         _same_space(self.space, v.space)
-        return FockVector(self.space, self.mat @ v.amps)
+        return FockVector(self.space, self.csr @ v.amps)
 
     def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, self.mat.conj().T)
+        return FockOperator(self.space, self.csr.conj().T.tocsr())
 
     def compose(self, other: "FockOperator") -> "FockOperator":
-        """Operator product self * other (other acts first).
-
-        Ladder polynomials have O(d^k) nonzeros per column, so from
-        SPARSE_COMPOSE_DIM on the product is taken in CSR, where it costs
-        about nnz * (nonzeros per row) instead of dim^3; below it, dense
-        BLAS is faster than converting.  A dense operand on a large space
-        (a Weyl operator, say) is slower in CSR; the suites compose Weyl
-        operators only below the crossover.
-        """
+        """Operator product self * other (other acts first), taken in CSR:
+        ladder polynomials have O(d^k) nonzeros per column, so it costs
+        about nnz * (nonzeros per row) instead of dim^3."""
         _same_space(self.space, other.space)
-        if self.space.dim < SPARSE_COMPOSE_DIM:
-            return FockOperator(self.space, self.mat @ other.mat)
-        product = sparse.csr_array(self.mat) @ sparse.csr_array(other.mat)
-        return FockOperator(self.space, product.toarray())
+        return FockOperator(self.space, self.csr @ other.csr)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -274,60 +275,65 @@ class FockOperator:
     def anticommutator(self, other: "FockOperator") -> "FockOperator":
         a = self.compose(other)
         b = other.compose(self)
-        return FockOperator(self.space, a.mat + b.mat)
+        return FockOperator(self.space, a.csr + b.csr)
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self.mat))
+        return float(np.linalg.norm(self.csr.data))
 
     def restricted_norm(self, max_degree: int) -> float:
         """Frobenius norm of P A P with P the projection onto total number
         <= max_degree."""
         # the basis is sorted by total number, so P keeps a prefix
         k = int(np.searchsorted(self.space.totals, max_degree, side="right"))
-        return float(np.linalg.norm(self.mat[:k, :k]))
+        return float(np.linalg.norm(self.csr[:k, :k].data))
 
     def __add__(self, other):
         _same_space(self.space, other.space)
-        return FockOperator(self.space, self.mat + other.mat)
+        return FockOperator(self.space, self.csr + other.csr)
 
     def __sub__(self, other):
         _same_space(self.space, other.space)
-        return FockOperator(self.space, self.mat - other.mat)
+        return FockOperator(self.space, self.csr - other.csr)
 
     def __mul__(self, t: complex):
-        return FockOperator(self.space, t * self.mat)
+        return FockOperator(self.space, t * self.csr)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FockOperator(self.space, -self.mat)
+        return FockOperator(self.space, -self.csr)
 
 
 # ---------------------------------------------------------------------------
 # creation and annihilation
 
 
-def _ladder_word(space: ModeSpace, coeffs, word: str) -> np.ndarray:
-    """Dense matrix of sum c[i_1..i_k] L_1(i_1) ... L_k(i_k).
+def _ladder_word(space: ModeSpace, terms) -> sparse.csr_array:
+    """CSR matrix of a sum over (coeffs, word) terms of
+    sum c[i_1..i_k] L_1(i_1) ... L_k(i_k).
 
     Each letter of ``word`` is '+' (a*_i) or '-' (a_i); ``coeffs`` has one
     axis of length d per letter, in word order.  The rightmost letter acts
-    first, and states killed or pushed past the cutoff drop out.
+    first, and states killed or pushed past the cutoff drop out.  The
+    nonzero (row, column, value) triplets of all terms make one CSR
+    matrix, with repeated entries summed.
     """
     dim = space.dim
-    rows = np.arange(dim)
-    amps = np.ones(dim)
-    for letter in reversed(word):
-        target, amp = space.ladders[letter]
-        amps = amp[:, rows] * amps
-        rows = target[:, rows]
-    vals = np.asarray(coeffs, dtype=complex)[..., None] * amps
-    cols = np.broadcast_to(np.arange(dim), rows.shape)
-    keep = rows < dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    np.add.at(mat, (rows[keep], cols[keep]), vals[keep])
-    return mat
+    triplets = []
+    for coeffs, word in terms:
+        rows = np.arange(dim)
+        amps = np.ones(dim)
+        for letter in reversed(word):
+            target, amp = space.ladders[letter]
+            amps = amp[:, rows] * amps
+            rows = target[:, rows]
+        vals = np.asarray(coeffs, dtype=complex)[..., None] * amps
+        cols = np.broadcast_to(np.arange(dim), rows.shape)
+        keep = (rows < dim) & (vals != 0)
+        triplets.append((vals[keep], rows[keep], cols[keep]))
+    vals, rows, cols = (np.concatenate(part) for part in zip(*triplets))
+    return sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
 
 def _smearing(space: ModeSpace, f) -> np.ndarray:
@@ -339,17 +345,18 @@ def _smearing(space: ModeSpace, f) -> np.ndarray:
 
 def create(space: ModeSpace, f) -> FockOperator:
     """Smeared creator a*(f) = sum_i f_i a*_i (linear in f)."""
-    return FockOperator(space, _ladder_word(space, _smearing(space, f), "+"))
+    return FockOperator(space, _ladder_word(space, [(_smearing(space, f), "+")]))
 
 
 def annihilate(space: ModeSpace, f) -> FockOperator:
     """Smeared annihilator a(f) = sum_i conj(f_i) a_i (antilinear in f)."""
     f = np.conj(_smearing(space, f))
-    return FockOperator(space, _ladder_word(space, f, "-"))
+    return FockOperator(space, _ladder_word(space, [(f, "-")]))
 
 
 def number_operator(space: ModeSpace) -> FockOperator:
-    return FockOperator(space, np.diag(space.totals.astype(complex)))
+    return FockOperator(space, sparse.diags_array(space.totals.astype(complex),
+                                                  format="csr"))
 
 
 def dgamma(space: ModeSpace, M) -> FockOperator:
@@ -357,7 +364,7 @@ def dgamma(space: ModeSpace, M) -> FockOperator:
     M = np.asarray(M, dtype=complex)
     if M.shape != (space.d, space.d):
         raise ValueError("coefficient matrix has the wrong shape")
-    return FockOperator(space, _ladder_word(space, M, "+-"))
+    return FockOperator(space, _ladder_word(space, [(M, "+-")]))
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +465,28 @@ def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
     if space.statistics == FERMIONIC and not in_o(x, 1e-8):
         raise ValueError("x is not in o: need skew-hermitian linear and "
                          "antisymmetric antilinear part")
-    mat = _ladder_word(space, x.G1, "+-")
+    terms = [(x.G1, "+-")]
     if np.any(x.G2 != 0):
         pair = -0.5 if space.statistics == BOSONIC else 0.5
-        mat = mat + pair * _ladder_word(space, x.G2, "++") \
-            + 0.5 * _ladder_word(space, np.conj(x.G2), "--")
-    return FockOperator(space, mat)
+        terms += [(pair * x.G2, "++"), (0.5 * np.conj(x.G2), "--")]
+    return FockOperator(space, _ladder_word(space, terms))
 
 
 def central_term(space: ModeSpace, x: RealLinearMap, y: RealLinearMap) -> float:
     """eta(x, y) = <([dpi(x), dpi(y)] - dpi([x, y])) Omega, Omega> / i.
 
     Exact on truncations with cutoff >= 4 since only states of degree
-    <= 4 enter the vacuum matrix element.
+    <= 4 enter the vacuum matrix element.  Read as
+    <A B Omega - B A Omega - dpi([x, y]) Omega, Omega> / i with
+    A = dpi(x), B = dpi(y): five matrix-vector products instead of
+    two operator products.
     """
-    C = second_quantize(space, x).commutator(second_quantize(space, y)) \
-        - second_quantize(space, x.commutator(y))
-    val = complex(C.mat[0, 0]) / 1j
+    A = second_quantize(space, x)
+    B = second_quantize(space, y)
+    vac = vacuum(space)
+    defect = A.apply(B.apply(vac)) - B.apply(A.apply(vac)) \
+        - second_quantize(space, x.commutator(y)).apply(vac)
+    val = defect.inner(vac) / 1j
     return float(val.real)
 
 
@@ -521,7 +533,7 @@ def vacuum_implementer(space: ModeSpace,
     T = twist_matrix(g)
     if np.linalg.norm(T) >= 1.0:
         raise ValueError("||T(g)|| >= 1: outside the convergence domain")
-    Q = -0.5 * _ladder_word(space, _pair_matrix(space, T).T, "++")
+    Q = _ladder_word(space, [(-0.5 * _pair_matrix(space, T).T, "++")])
     term = vacuum(space).amps
     F = term
     for n in range(1, space.cutoff // 2 + 1):

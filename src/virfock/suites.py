@@ -571,17 +571,15 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     bs = fk.ModeSpace(3, fk.BOSONIC, cutoff=cfg.get("cutoff"))
     safe = bs.cutoff - 2
 
-    # A loop, not a helper: each trial's operators stay alive until the
-    # next replaces them, so the allocator reuses their pages; freeing
-    # them every trial doubled this suite's page faults.
-    comm_defects, aa_defects = [], []
-    for _ in range(10):
+    def ccr_defects():
         f, g = _complex_normal(rng, 3), _complex_normal(rng, 3)
-        af, ag = fk.annihilate(bs, f), fk.annihilate(bs, g)
+        af = fk.annihilate(bs, f)
         comm = af.commutator(fk.create(bs, g)) \
             - rm.inner(g, f) * fk.FockOperator.identity(bs)
-        comm_defects.append(comm.restricted_norm(safe))
-        aa_defects.append(af.commutator(ag).restricted_norm(safe))
+        return (comm.restricted_norm(safe),
+                af.commutator(fk.annihilate(bs, g)).restricted_norm(safe))
+
+    comm_defects, aa_defects = zip(*[ccr_defects() for _ in range(10)])
     yield check("01-ccr-commutator", "[a(f), a*(g)] = <g, f> on the safe subspace",
                 comm_defects, 1e-12 * t)
     yield check("02-ccr-annihilators-commute", "[a(f), a(g)] = 0 on the safe subspace",

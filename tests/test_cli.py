@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from virfock import circle
+from virfock import circle, cli
 from virfock.cli import main
 from virfock.reports import (
     VerificationReport,
@@ -414,6 +414,19 @@ def test_cli_unwritable_out_path_is_a_usage_error(tmp_path, capsys, args):
     assert captured.err.splitlines()[-1] == (
         f"cannot write {path}: No such file or directory")
     assert not path.parent.exists()
+
+
+def test_cli_verify_checks_the_out_path_before_running_any_suite(
+        tmp_path, capsys, monkeypatch):
+    def no_suite_may_run(cfg):
+        raise AssertionError(f"suite {cfg.suite} ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite_may_run)
+    path = tmp_path / "missing" / "report.json"
+    assert main(["verify", "all", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {path}: No such file or directory\n"
 
 
 def test_cli_orbit_rejects_a_huge_smax_by_name(capsys):

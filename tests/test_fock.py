@@ -6,11 +6,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from virfock.fock import (
     BOSONIC,
     FERMIONIC,
-    SPARSE_COMPOSE_DIM,
     FockOperator,
     FockVector,
     ModeSpace,
@@ -212,33 +212,50 @@ def _weyl_pair(rng, sp):
             weyl(sp, -0.1, 0.5 * random_vec(rng, 1)))
 
 
-# (space, operand builder, whether the space reaches the CSR product)
 PRODUCT_CASES = [
-    (ModeSpace(3, BOSONIC, cutoff=6), _ladder_polynomials, False),
-    (ModeSpace(2, BOSONIC, cutoff=24), _ladder_polynomials, True),
-    (ModeSpace(3, BOSONIC, cutoff=16), _ladder_polynomials, True),
-    (ModeSpace(4, FERMIONIC), _ladder_polynomials, False),
-    (ModeSpace(1, BOSONIC, cutoff=32), _weyl_pair, False),
-    (ModeSpace(1, BOSONIC, cutoff=200), _weyl_pair, True),
+    (ModeSpace(3, BOSONIC, cutoff=6), _ladder_polynomials),
+    (ModeSpace(2, BOSONIC, cutoff=24), _ladder_polynomials),
+    (ModeSpace(3, BOSONIC, cutoff=16), _ladder_polynomials),
+    (ModeSpace(4, FERMIONIC), _ladder_polynomials),
+    (ModeSpace(1, BOSONIC, cutoff=32), _weyl_pair),
+    (ModeSpace(1, BOSONIC, cutoff=200), _weyl_pair),
 ]
 
 
-@pytest.mark.parametrize("sp,operands,sparse_side", PRODUCT_CASES,
+@pytest.mark.parametrize("sp,operands", PRODUCT_CASES,
                          ids=["b3-6", "b2-24", "b3-16", "f4", "weyl-32",
                               "weyl-200"])
-def test_products_match_the_dense_matrix_product(sp, operands, sparse_side):
-    assert (sp.dim >= SPARSE_COMPOSE_DIM) == sparse_side
+def test_products_match_the_dense_matrix_product(sp, operands):
     A, B = operands(np.random.default_rng(71), sp)
     AB, BA = A.mat @ B.mat, B.mat @ A.mat
     scale = 1e-13 * A.norm() * B.norm()
     for got, want in [(A.compose(B), AB), (A @ B, AB),
                       (A.commutator(B), AB - BA),
                       (A.anticommutator(B), AB + BA)]:
+        assert type(got.csr) is sparse.csr_array
+        assert got.csr.dtype == np.complex128
         # perfbench/tracer.py reads .mat.nbytes and np.count_nonzero(.mat)
         assert type(got.mat) is np.ndarray
         assert got.mat.dtype == np.complex128
         assert got.mat.shape == (sp.dim, sp.dim)
         assert np.linalg.norm(got.mat - want) <= scale
+
+
+def _stored_bytes(op):
+    return op.csr.data.nbytes + op.csr.indices.nbytes + op.csr.indptr.nbytes
+
+
+def test_ladder_operators_stay_small_on_a_large_space():
+    # d=3, N=20: dim 1771, so one dense matrix would take 50 MB
+    rng = np.random.default_rng(73)
+    sp = ModeSpace(3, BOSONIC, cutoff=20)
+    assert sp.dim == 1771
+    f, g = random_vec(rng, 3), random_vec(rng, 3)
+    ops = [create(sp, f),
+           second_quantize(sp, random_sp_element(rng, 3)),
+           annihilate(sp, f).commutator(create(sp, g))]
+    for op in ops:
+        assert _stored_bytes(op) < 1_000_000
 
 
 @pytest.mark.parametrize("sp", [ModeSpace(3, BOSONIC, cutoff=16),
@@ -398,6 +415,20 @@ def test_central_term_matches_trace_formula():
             got = central_term(sp, x, y)
             want = central_term_trace(sp, x, y)
             assert abs(got - want) < 1e-8
+
+
+def test_central_term_matches_the_vacuum_entry_of_the_commutator():
+    # the route central_term replaced: two operator products, one entry read
+    rng = np.random.default_rng(63)
+    for stat, sampler in ((BOSONIC, random_sp_element),
+                          (FERMIONIC, random_o_element)):
+        sp = ModeSpace(3, stat, cutoff=6)
+        for _ in range(10):
+            x, y = sampler(rng, 3), sampler(rng, 3)
+            A, B = second_quantize(sp, x), second_quantize(sp, y)
+            C = A @ B - B @ A - second_quantize(sp, x.commutator(y))
+            want = (complex(C.mat[0, 0]) / 1j).real
+            assert abs(central_term(sp, x, y) - want) < 1e-14
 
 
 def test_central_term_antisymmetric():
