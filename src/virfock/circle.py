@@ -82,8 +82,7 @@ class FourierFunction:
         return cls(c)
 
     @classmethod
-    def from_grid(cls, values, degree: int,
-                  real: bool | None = None) -> "FourierFunction":
+    def from_grid(cls, values, degree: int) -> "FourierFunction":
         """Least-degree-(N) fit from samples on the uniform grid
         theta_j = 2 pi j / M, exact for trig polynomials of degree <= N
         when M >= 2N + 1."""
@@ -92,7 +91,7 @@ class FourierFunction:
         if M < 2 * degree + 1:
             raise ValueError("need at least 2N+1 samples for degree N")
         a = np.fft.fft(values) / M
-        return cls(a[np.arange(-degree, degree + 1) % M], real=real)
+        return cls(a[np.arange(-degree, degree + 1) % M])
 
     # -- basic queries ------------------------------------------------
 
@@ -431,16 +430,16 @@ def _schwarzian(phi: CircleDiffeo, sample, modified: bool) -> np.ndarray:
 
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
-                                grid_size: int = 256,
                                 modified: bool = False) -> float:
-    """Sup over the grid of S(phi o psi) - (S(phi) o psi)(psi')^2 - S(psi).
+    """Sup over the 256-point grid of
+    S(phi o psi) - (S(phi) o psi)(psi')^2 - S(psi).
 
     The left side goes through the truncated composition, so the value
     measures how well the chain rule survives the refit; the modified
     Schwarzian obeys the identical identity because the correction term
     (1/2)((phi')^2 - 1) is itself a cocycle for the (psi')^2 action.
     """
-    theta = grid_points(grid_size)
+    theta = grid_points(256)
     comp = compose(phi, psi)
     lhs = schwarzian_values(comp, theta, modified)
     rhs = schwarzian_values(phi, psi.evaluate(theta), modified) \

@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "integer overrides of the params that suite "
                                "declares")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol-scale", type=float, default=None)
     p_verify.add_argument("--out", default=None, help="also write the report here")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--no-timestamp", action="store_true",
@@ -107,7 +106,6 @@ def _cmd_verify(args) -> int:
         return 2
     suite = args.suite if args.suite is not None else cfg.suite
     seed = args.seed if args.seed is not None else cfg.seed
-    tol_scale = args.tol_scale if args.tol_scale is not None else cfg.tol_scale
 
     targets = suite_names() if suite == "all" else [suite]
     for name in targets:
@@ -118,8 +116,8 @@ def _cmd_verify(args) -> int:
             return 2
 
     try:
-        configs = [SuiteConfig(suite=name, seed=seed, tol_scale=tol_scale,
-                               params=cfg.params) for name in targets]
+        configs = [SuiteConfig(suite=name, seed=seed, params=cfg.params)
+                   for name in targets]
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2

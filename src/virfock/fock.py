@@ -395,7 +395,7 @@ def heisenberg_mul(a: tuple, b: tuple) -> tuple:
 
 def _antilinear_matrix(A) -> np.ndarray:
     if isinstance(A, RealLinearMap):
-        if not A.is_antilinear(1e-12):
+        if not A.is_antilinear():
             raise ValueError("expected a purely antilinear map")
         return A.G2
     return np.asarray(A, dtype=complex)

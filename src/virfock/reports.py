@@ -67,7 +67,6 @@ def environment_info() -> dict:
 class VerificationReport:
     suite: str
     seed: int
-    tol_scale: float
     checks: tuple[CheckResult, ...]
     environment: dict = field(default_factory=environment_info)
     timestamp: str = field(
@@ -89,7 +88,6 @@ class VerificationReport:
         out: dict = {
             "suite": self.suite,
             "seed": self.seed,
-            "tol_scale": self.tol_scale,
             "all_passed": self.all_passed,
         }
         if include_timestamp:

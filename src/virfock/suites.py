@@ -6,9 +6,8 @@ identical configs reproduce identical reports.  Each check hands its
 batch of residuals, one entry or row per trial, to `reports.check`,
 which reduces it.  Batches are lists, never lazy generators, so every
 trial draws from the generator whatever an earlier one gave.
-Tolerances are multiplied by the config's tol_scale to allow
-exploratory loosening without editing code; anchors are plain
-statements of the identity being checked.
+Tolerances are fixed literals, the same for every config; anchors are
+plain statements of the identity being checked.
 
 Each suite declares the integer parameters it reads, with a default and
 an allowed range (`SUITES`); a config that names any other key, or a
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,27 +38,18 @@ DEFAULT_SEED = 12345
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite name plus seed (a non-negative int), tolerance scale (a finite
-    positive number, stored as a float), and integer overrides of the
-    parameters the suite declares.  Params are checked only for a
+    """Suite name plus seed (a non-negative int) and integer overrides of
+    the parameters the suite declares.  Params are checked only for a
     registered suite; run_suite rejects any other name."""
 
     suite: str
     seed: int = DEFAULT_SEED
-    tol_scale: float = 1.0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        tol = self.tol_scale
-        # nan fails both comparisons; the upper bound rejects inf and ints
-        # too large for float()
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-                or not 0.0 < tol <= sys.float_info.max:
-            raise ValueError("tol_scale must be a finite positive number")
-        object.__setattr__(self, "tol_scale", float(tol))
         if self.suite not in SUITES:
             return
         declared = SUITES[self.suite][2]
@@ -82,8 +71,7 @@ class SuiteConfig:
         data = dict(data)
         suite = data.pop("suite")
         seed = data.pop("seed", DEFAULT_SEED)
-        tol_scale = data.pop("tol_scale", 1.0)
-        return cls(suite=suite, seed=seed, tol_scale=tol_scale, params=data)
+        return cls(suite=suite, seed=seed, params=data)
 
     @classmethod
     def from_file(cls, path: str) -> "SuiteConfig":
@@ -137,7 +125,6 @@ def _random_projection_and_conjugation(rng, d: int):
 
 
 def _suite_convex_cones(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
     sf = cx.support_function
 
     def support_trial():
@@ -152,14 +139,14 @@ def _suite_convex_cones(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     homogeneity, subadditivity = zip(*[support_trial()
                                        for _ in range(cfg.get("trials"))])
     yield check("01-support-homogeneity", "s_X(t v) = t s_X(v) for t >= 0",
-                homogeneity, 1e-12 * t)
+                homogeneity, 1e-12)
     yield check("02-support-subadditivity", "s_X(v + w) <= s_X(v) + s_X(w)",
-                subadditivity, 1e-12 * t)
+                subadditivity, 1e-12)
 
     cross = cx.SampledSet(tuple(tuple(s * e) for s in (1.0, -1.0)
                                 for e in np.eye(3)))
     yield check("03-cross-polytope-support", "support of {+-e_i} at (1,2,3) equals 3",
-                abs(sf(cross, (1.0, 2.0, 3.0)) - 3.0), 1e-12 * t)
+                abs(sf(cross, (1.0, 2.0, 3.0)) - 3.0), 1e-12)
 
     def double_dual_holds():
         n = int(rng.integers(2, 5))
@@ -188,7 +175,7 @@ def _suite_convex_cones(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
             pairings += [-float(np.dot(alpha, dvec)) for dvec in dirs]
     yield check("05-bounded-below-duality",
                 "bounded-below functionals pair >= 0 with recession directions",
-                pairings, 1e-9 * t)
+                pairings, 1e-9)
 
     slab = cx.Polyhedron(((1.0, 0.0), (-1.0, 0.0)), (-1.0, -1.0))
     lin = cx.lineality_space(slab)
@@ -212,7 +199,7 @@ def _suite_convex_cones(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("07-averaging-inside",
                 "orbit average of an invariant polyhedron member stays inside",
                 [average_outside(rng.uniform(-1.0, 1.0, size=2))
-                 for _ in range(10)], 1e-9 * t)
+                 for _ in range(10)], 1e-9)
 
     thetas = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     circle_pts = cx.SampledSet(tuple((math.cos(a), math.sin(a)) for a in thetas))
@@ -232,7 +219,6 @@ def _suite_convex_cones(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
     grid = ci.grid_points(256)
 
     def product_defect():
@@ -243,7 +229,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("01-product-alias-free",
                 "coefficient convolution equals the pointwise product",
-                [product_defect() for _ in range(20)], 1e-11 * t)
+                [product_defect() for _ in range(20)], 1e-11)
 
     def bracket_defect(n, m):
         br = ci.lie_bracket(ci.witt_generator(n, degree=14),
@@ -253,7 +239,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("02-bracket-structure-constants", "[d_n, d_m] = (n - m) d_{n+m}",
                 [bracket_defect(n, m) for n in range(-6, 7) for m in range(-6, 7)],
-                1e-12 * t)
+                1e-12)
 
     def jacobi_defect():
         F, G, H = [_random_field(rng, 8) for _ in range(3)]
@@ -263,7 +249,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return j.sup_norm()
 
     yield check("03-jacobi-identity", "Jacobi identity for the field bracket",
-                [jacobi_defect() for _ in range(10)], 1e-10 * t)
+                [jacobi_defect() for _ in range(10)], 1e-10)
 
     # Small amplitudes here: the inverse of a trig-polynomial diffeo is
     # not itself one, and its degree-32 truncation must sit below the
@@ -276,7 +262,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("04-compose-invert-roundtrip",
                 "phi composed with its inverse is the identity",
-                [roundtrip_defect() for _ in range(20)], 1e-9 * t)
+                [roundtrip_defect() for _ in range(20)], 1e-9)
 
     def flow_defect():
         raw = _random_field(rng, degree=12)
@@ -286,14 +272,13 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return (one.p - ci.flow(f, a + b).p).sup_norm()
 
     yield check("05-flow-additivity", "flow(s) o flow(t) = flow(s + t)",
-                [flow_defect() for _ in range(5)], 1e-8 * t)
+                [flow_defect() for _ in range(5)], 1e-8)
 
     yield check("06-schwarzian-chain-rule",
                 "S(phi o psi) = (S(phi) o psi) (psi')^2 + S(psi)",
                 [ci.schwarzian_cocycle_residual(_random_diffeo(rng),
-                                                _random_diffeo(rng),
-                                                grid_size=256)
-                 for _ in range(10)], 1e-8 * t)
+                                                _random_diffeo(rng))
+                 for _ in range(10)], 1e-8)
 
     def pullback_defect():
         phi, psi = _random_diffeo(rng), _random_diffeo(rng)
@@ -304,7 +289,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("07-pullback-composition",
                 "pulling back along psi then phi equals pulling back along phi o psi",
-                [pullback_defect() for _ in range(5)], 1e-8 * t)
+                [pullback_defect() for _ in range(5)], 1e-8)
 
     f = _random_field(rng, degree=10)
     yield check("08-derivative-integrate",
@@ -312,7 +297,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 [abs(ci.integrate(ci.derivative(f))),
                  abs(ci.integrate(ci.FourierFunction.from_dict({3: 1.0}, degree=5))),
                  abs(ci.integrate(ci.FourierFunction.constant(1.0, 4))
-                     - 2 * math.pi)], 1e-14 * t)
+                     - 2 * math.pi)], 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +305,19 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
     yield check("01-generator-values",
                 "omega(d_n, d_{-n}) = 2 pi i (n^3 - n)",
                 [abs(ci.omega_cocycle(ci.witt_generator(n, degree=10),
                                       ci.witt_generator(-n, degree=10))
                      - 2j * math.pi * (n ** 3 - n)) for n in range(1, 9)],
-                1e-9 * t)
+                1e-9)
 
     def antisymmetry_defect():
         F, G = _random_field(rng, 10), _random_field(rng, 10)
         return abs(ci.omega_cocycle(F, G) + ci.omega_cocycle(G, F))
 
     yield check("02-antisymmetry", "omega(f, g) = -omega(g, f)",
-                [antisymmetry_defect() for _ in range(20)], 1e-9 * t)
+                [antisymmetry_defect() for _ in range(20)], 1e-9)
 
     def cocycle_defect():
         F, G, H = [_random_field(rng, 8) for _ in range(3)]
@@ -342,7 +326,7 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                    + ci.omega_cocycle(ci.lie_bracket(H, F), G))
 
     yield check("03-cocycle-identity", "omega vanishes on the cyclic sum over brackets",
-                [cocycle_defect() for _ in range(10)], 1e-8 * t)
+                [cocycle_defect() for _ in range(10)], 1e-8)
 
     def gelfand_fuchs_defect():
         F, G = _random_field(rng, 10), _random_field(rng, 10)
@@ -351,27 +335,27 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return abs(ci.omega_cocycle(F, G) - rhs)
 
     yield check("04-gelfand-fuchs-decomposition", "omega = omega_GF - (1/2) int [f, g]",
-                [gelfand_fuchs_defect() for _ in range(20)], 1e-10 * t)
+                [gelfand_fuchs_defect() for _ in range(20)], 1e-10)
 
     def chain_rule_defects(count, modified=False):
         return [ci.schwarzian_cocycle_residual(_random_diffeo(rng),
                                                _random_diffeo(rng),
-                                               grid_size=256, modified=modified)
+                                               modified=modified)
                 for _ in range(count)]
 
     trials = cfg.get("trials")
     yield check("05-schwarzian-cocycle",
                 "S(phi o psi) = (S(phi) o psi)(psi')^2 + S(psi), "
                 f"{trials} random pairs", chain_rule_defects(trials),
-                1e-8 * t)
+                1e-8)
     yield check("06-modified-schwarzian-cocycle",
                 "Stilde satisfies the same chain rule as S",
-                chain_rule_defects(10, modified=True), 1e-8 * t)
+                chain_rule_defects(10, modified=True), 1e-8)
 
     rot = ci.CircleDiffeo.rotation(1.234, degree=16)
     yield check("07-rotation-schwarzian-zero", "S and Stilde vanish on rotations",
                 [ci.schwarzian(rot).sup_norm(), ci.modified_schwarzian(rot).sup_norm()],
-                1e-12 * t)
+                1e-12)
 
     chat = vi.normalized_central(degree=14)
 
@@ -388,7 +372,7 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("08-normalized-bracket",
                 "[d_n, d_m] = (n - m) d_{n+m} + delta (n^3 - n)/12 chat",
                 [bracket_defect(n, m) for n in range(-6, 7)
-                 for m in range(-6, 7)], 1e-9 * t)
+                 for m in range(-6, 7)], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +380,11 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
     degree = cfg.get("degree")
 
     f = ci.FourierFunction.from_dict({0: 2.0, 1: 0.5, -1: 0.5}, degree=8)
     yield check("01-chi-exact-value", "chi(2 + cos) = 1/sqrt(3)",
-                abs(vi.chi(f) - 1.0 / math.sqrt(3.0)), 1e-10 * t)
+                abs(vi.chi(f) - 1.0 / math.sqrt(3.0)), 1e-10)
 
     base = ci.FourierFunction.from_dict(
         {0: 1.0, 1: 0.15 + 0.1j, -1: 0.15 - 0.1j, 2: 0.05, -2: 0.05},
@@ -419,27 +402,27 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     chi_defects, inv_defects = zip(*[invariant_defects()
                                      for _ in range(cfg.get("trials"))])
     yield check("02-chi-adjoint-invariance", "chi is constant along adjoint orbits",
-                chi_defects, 1e-9 * t)
+                chi_defects, 1e-9)
     yield check("03-invariants-adjoint-invariance",
                 "(beta, alpha) are constant along adjoint orbits",
-                inv_defects, 1e-7 * t)
+                inv_defects, 1e-7)
 
     cart = vi.VirasoroElement.cartan(0.0, 1.0, degree)
     rep = vi.convexity_check(cart, trials=200, rng=rng, degree=degree)
     yield check("04-convexity-margins",
                 "Cartan projection of Ad_phi(x) dominates x in both coordinates",
-                [-rep["min_beta_margin"], -rep["min_alpha_margin"]], 1e-8 * t)
+                [-rep["min_beta_margin"], -rep["min_alpha_margin"]], 1e-8)
 
     yield check("05-beta-hessian-nonpositive",
                 "second variation of beta is <= 0",
                 [vi.beta_hessian_form(_random_field(rng, degree=12))
-                 for _ in range(200)], 1e-9 * t)
+                 for _ in range(200)], 1e-9)
 
     yield check("06-beta-hessian-cos-values",
                 "Hessian value pi (1 - n^2) on cos(n t)",
                 [abs(vi.beta_hessian_form(ci.FourierFunction.from_dict(
                     {n: 0.5, -n: 0.5}, degree=10)) - math.pi * (1 - n * n))
-                 for n in range(1, 9)], 1e-9 * t)
+                 for n in range(1, 9)], 1e-9)
 
     ratios = [abs(p.beta / (p.alpha - 1.0) - math.pi * (n * n - 1))
               for n in (2, 3)
@@ -450,7 +433,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("07-projection-ray-ratio",
                 "curve moves along 2n(pi(n^2 - 1) c + rotation); "
                 "central shift vanishes for n = 1",
-                ratios + shifts, 1e-3 * t)
+                ratios + shifts, 1e-3)
 
     def pairing_defect():
         phi = _random_diffeo(rng)
@@ -461,7 +444,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return abs(lhs - vi.pairing(lam, xe))
 
     yield check("08-pairing-invariance", "<Ad*_phi lam, Ad_phi x> = <lam, x>",
-                [pairing_defect() for _ in range(20)], 1e-7 * t)
+                [pairing_defect() for _ in range(20)], 1e-7)
 
     texps = (1e-1, 1e-2, 1e-3, 1e-5, 5e-7)
     values = [vi.chi(ci.FourierFunction.from_dict(
@@ -470,7 +453,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     exact = [1.0 / math.sqrt(2 * s - s * s) for s in texps]
     yield check("09-chi-blowup-closed-form",
                 "chi(t + (1 - t)(1 + cos)) = (2t - t^2)^{-1/2}",
-                [abs(v - e) / e for v, e in zip(values, exact)], 1e-8 * t)
+                [abs(v - e) / e for v, e in zip(values, exact)], 1e-8)
     grows = all(b > a for a, b in zip(values, values[1:]))
     yield boolean_check("10-chi-blowup-monotone",
                         "chi blows up monotonically toward the orbit "
@@ -483,7 +466,6 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
 
     def rand_frac():
         return Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 8)))
@@ -538,7 +520,7 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("04-gram-symmetry",
                 "Gram matrices are symmetric",
                 [asymmetry(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-                 for _ in range(5)], 1e-9 * t)
+                 for _ in range(5)], 1e-9)
 
     c, h = Fraction(7, 10), Fraction(-3, 4)
 
@@ -548,7 +530,7 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return float(np.max(np.abs(np.vectorize(float)(Ge) - Gf)))
 
     yield check("05-exact-vs-float", "float Gram agrees with the rational one",
-                [exact_vs_float(level) for level in range(1, 5)], 1e-9 * t)
+                [exact_vs_float(level) for level in range(1, 5)], 1e-9)
 
     rep = vi.unitarity_scan([1.0], [1.0], max_level=cfg.get("max_level"))
     ok_pos = rep[(1.0, 1.0)]["first_negative_level"] is None
@@ -567,7 +549,6 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
     bs = fk.ModeSpace(3, fk.BOSONIC, cutoff=cfg.get("cutoff"))
     safe = bs.cutoff - 2
 
@@ -581,9 +562,9 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     comm_defects, aa_defects = zip(*[ccr_defects() for _ in range(10)])
     yield check("01-ccr-commutator", "[a(f), a*(g)] = <g, f> on the safe subspace",
-                comm_defects, 1e-12 * t)
+                comm_defects, 1e-12)
     yield check("02-ccr-annihilators-commute", "[a(f), a(g)] = 0 on the safe subspace",
-                aa_defects, 1e-12 * t)
+                aa_defects, 1e-12)
 
     fs = fk.ModeSpace(3, fk.FERMIONIC)
 
@@ -596,15 +577,15 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     anti_defects, aa_defects = zip(*[car_defects() for _ in range(10)])
     yield check("03-car-anticommutator",
-                "{a(f), a*(g)} = <g, f> exactly", anti_defects, 1e-13 * t)
+                "{a(f), a*(g)} = <g, f> exactly", anti_defects, 1e-13)
     yield check("04-car-annihilators",
-                "{a(f), a(g)} = 0 exactly", aa_defects, 1e-13 * t)
+                "{a(f), a(g)} = 0 exactly", aa_defects, 1e-13)
 
     f = _complex_normal(rng, 3)
     r_ferm = (fk.annihilate(fs, f) - fk.create(fs, f).adjoint()).norm()
     diff = fk.annihilate(bs, f) - fk.create(bs, f).adjoint()
     yield check("05-adjointness", "a(f) is the adjoint of a*(f)",
-                [r_ferm, diff.restricted_norm(bs.cutoff - 1)], 1e-13 * t)
+                [r_ferm, diff.restricted_norm(bs.cutoff - 1)], 1e-13)
 
     N_op = fk.number_operator(bs)
     cf = fk.create(bs, f)
@@ -612,7 +593,7 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     I_gen = rm.RealLinearMap.from_linear(1j * np.eye(3))
     comm_I = fk.second_quantize(bs, I_gen).commutator(N_op).norm()
     yield check("06-number-grading", "[N, a*(f)] = a*(f); dpi(i 1) commutes with N",
-                [grading, comm_I], 1e-12 * t)
+                [grading, comm_I], 1e-12)
 
     ws = fk.ModeSpace(1, fk.BOSONIC, cutoff=cfg.get("N"))
 
@@ -622,7 +603,7 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return abs(val - math.exp(-norm2 / 4.0))
 
     yield check("07-weyl-coefficient", "<W(f) Omega, Omega> = exp(-|f|^2/4)",
-                [weyl_defect(norm2) for norm2 in (1.0, 2.0, 4.0)], 1e-6 * t)
+                [weyl_defect(norm2) for norm2 in (1.0, 2.0, 4.0)], 1e-6)
 
     f1 = np.array([0.4 + 0.2j])
     f2 = np.array([-0.3 + 0.5j])
@@ -641,7 +622,7 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     e1 = np.array([1.0, 0.0])
     prod = fk.heisenberg_mul((0.0, e1), (0.0, 1j * e1))
     yield check("09-heisenberg-central", "central part of (0, e1)(0, i e1) is -1/2",
-                abs(prod[0] + 0.5), 1e-14 * t)
+                abs(prod[0] + 0.5), 1e-14)
 
     def associativity_defect():
         a, b, c = [(float(rng.normal()), _complex_normal(rng, 2)) for _ in range(3)]
@@ -650,7 +631,7 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return [abs(lhs[0] - rhs[0]), *np.abs(lhs[1] - rhs[1])]
 
     yield check("10-heisenberg-associativity", "the Heisenberg product is associative",
-                [associativity_defect() for _ in range(10)], 1e-12 * t)
+                [associativity_defect() for _ in range(10)], 1e-12)
 
     r = 0.7
     squeeze = rm.RealLinearMap(np.array([[math.cosh(r)]]),
@@ -670,7 +651,6 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_fock_vacuum(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
     N = cfg.get("N")
 
     space = fk.ModeSpace(1, fk.BOSONIC, cutoff=N)
@@ -687,13 +667,13 @@ def _suite_fock_vacuum(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                                        for r in (0.25, 0.5, 1.0)])
     tol_c = 1e-6 if N >= 40 else 1e-2
     yield check("01-squeeze-c-oracle", "series c(g) matches the linear-solve vacuum",
-                oracle, tol_c * t)
+                oracle, tol_c)
     yield check("02-squeeze-c-analytic",
-                "c(g) = 1/sqrt(cosh r) for the one-mode squeeze", analytic, tol_c * t)
+                "c(g) = 1/sqrt(cosh r) for the one-mode squeeze", analytic, tol_c)
     yield check("03-odd-components",
-                "odd-degree components of the vacuum vector vanish", odd, 1e-14 * t)
+                "odd-degree components of the vacuum vector vanish", odd, 1e-14)
     yield check("04-series-vs-oracle-vector",
-                "series vacuum equals the nullspace vacuum", vec, 1e-8 * t)
+                "series vacuum equals the nullspace vacuum", vec, 1e-8)
 
     r_half = math.atanh(0.5)
     g = rm.RealLinearMap(np.array([[math.cosh(r_half)]]),
@@ -714,7 +694,7 @@ def _suite_fock_vacuum(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 "unitary g implements the bare vacuum with c = 1",
                 [abs(c_u - 1.0),
                  (F_u - fk.vacuum(fk.ModeSpace(1, fk.BOSONIC, 8))).norm()],
-                1e-12 * t)
+                1e-12)
 
     # The residual decays like ||T||^(cutoff/2) for the squeeze matrix T
     # of the drawn g, so the scale and cutoff are chosen together.
@@ -722,7 +702,7 @@ def _suite_fock_vacuum(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     sp2 = fk.ModeSpace(2, fk.BOSONIC, cutoff=32)
     _, F2 = fk.vacuum_implementer(sp2, g2)
     yield check("07-two-mode-residual", "two-mode vacuum equation residual is small",
-                fk.vacuum_residuals(sp2, g2, F2), 1e-6 * t)
+                fk.vacuum_residuals(sp2, g2, F2), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +710,6 @@ def _suite_fock_vacuum(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
 
     def rand_pair(space):
         if space.statistics == fk.BOSONIC:
@@ -750,7 +729,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                               ("02-central-fermionic", fk.FERMIONIC, "spin")):
         sign = "+" if stats == fk.BOSONIC else "-"
         yield check(cid, f"{label} central term equals {sign}(1/2i) tr([x2, y2])",
-                    [trace_formula_defect(stats) for _ in range(50)], 1e-8 * t)
+                    [trace_formula_defect(stats) for _ in range(50)], 1e-8)
 
     both = (fk.BOSONIC, fk.FERMIONIC)
     pair_spaces = [fk.ModeSpace(2, stats, cutoff=6) for stats in both]
@@ -762,7 +741,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("03-eta-antisymmetry",
                 "eta(x, y) = -eta(y, x)",
                 [antisymmetry_defect(space) for space in pair_spaces
-                 for _ in range(10)], 1e-9 * t)
+                 for _ in range(10)], 1e-9)
 
     def cocycle_defect(space):
         x, y, z = [rand_pair(space)[0] for _ in range(3)]
@@ -774,7 +753,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 "eta vanishes on the cyclic sum over brackets",
                 [cocycle_defect(space)
                  for space in [fk.ModeSpace(3, stats, cutoff=6) for stats in both]
-                 for _ in range(10)], 1e-8 * t)
+                 for _ in range(10)], 1e-8)
 
     def hat_defects():
         stats = fk.BOSONIC if rng.uniform() < 0.5 else fk.FERMIONIC
@@ -792,9 +771,9 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     norm_defects, pair_defects = zip(*[hat_defects() for _ in range(100)])
     yield check("05-hat-norm-identity",
-                "|A-hat|^2 = (1/2) |A|_HS^2", norm_defects, 1e-10 * t)
+                "|A-hat|^2 = (1/2) |A|_HS^2", norm_defects, 1e-10)
     yield check("06-hat-pairing",
-                "<A-hat, B-hat> = +-(1/2) tr(A B)", pair_defects, 1e-10 * t)
+                "<A-hat, B-hat> = +-(1/2) tr(A B)", pair_defects, 1e-10)
 
     def vacuum_hat_defect(space):
         x, _ = rand_pair(space)
@@ -806,7 +785,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 "dpi(x_2) applied to the vacuum is -x_2-hat",
                 [vacuum_hat_defect(space)
                  for space in [fk.ModeSpace(3, stats, cutoff=4) for stats in both]
-                 for _ in range(10)], 1e-12 * t)
+                 for _ in range(10)], 1e-12)
 
     space = fk.ModeSpace(3, fk.FERMIONIC)
 
@@ -818,7 +797,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return (lhs - rhs).norm()
 
     yield check("08-rank-one-fermionic", "dpi(Q_{v,w}) = a*(v) a(w) - a*(w) a(v)",
-                [rank_one_defect() for _ in range(10)], 1e-12 * t)
+                [rank_one_defect() for _ in range(10)], 1e-12)
 
     def quasifree_defect():
         d = int(rng.integers(2, 5))
@@ -832,7 +811,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return resid.norm()
 
     yield check("09-quasifree-car", "the twisted annihilators satisfy the CAR",
-                [quasifree_defect() for _ in range(10)], 1e-13 * t)
+                [quasifree_defect() for _ in range(10)], 1e-13)
 
     def unitary_central(space):
         x = rm.RealLinearMap.from_linear(rm.random_skew_hermitian(rng, 2))
@@ -842,7 +821,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("10-unitary-central-zero",
                 "eta vanishes when both arguments are complex-linear",
                 [unitary_central(space) for space in pair_spaces
-                 for _ in range(10)], 1e-12 * t)
+                 for _ in range(10)], 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +829,6 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
-    t = cfg.tol_scale
 
     def pcs_defects():
         d = int(rng.integers(1, 5))
@@ -862,7 +840,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 -sy.cone_margin(sy.SymplecticElement(J)))
 
     yield check("01-pcs-postconditions", "J^2 = -1, [J, A] = 0, omega(J v, v) > 0",
-                [pcs_defects() for _ in range(cfg.get("trials"))], 1e-9 * t)
+                [pcs_defects() for _ in range(cfg.get("trials"))], 1e-9)
 
     def unitary_conjugation_defects():
         d = int(rng.integers(1, 5))
@@ -875,7 +853,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("02-conjugate-to-unitary",
                 "g in Sp with g^{-1} A g complex-linear and i A' negative definite",
-                [unitary_conjugation_defects() for _ in range(50)], 1e-8 * t)
+                [unitary_conjugation_defects() for _ in range(50)], 1e-8)
 
     def ad_invariant():
         d = int(rng.integers(1, 4))
@@ -911,7 +889,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 for _ in range(2000)]
 
     yield check("05-jacobi-minimum-sampling", "f(v) >= f(-A^{-1} x) on random samples",
-                [jacobi_gaps() for _ in range(5)], 1e-9 * t)
+                [jacobi_gaps() for _ in range(5)], 1e-9)
 
     def translation_defect():
         q = random_quadratic_state()
@@ -922,7 +900,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("06-jacobi-translation-invariance",
                 "phase-space translation preserves the minimum value",
-                [translation_defect() for _ in range(20)], 1e-9 * t)
+                [translation_defect() for _ in range(20)], 1e-9)
 
     h = sy.Sl2Element(1.0, 0.0, 0.0)
     u = sy.Sl2Element(0.0, 1.0, 0.0)
@@ -931,7 +909,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 "beta has diagonal (-2, 2, -2) on (h, u, t)",
                 [abs(sy.lorentz_form(h, h) + 2.0),
                  abs(sy.lorentz_form(u, u) - 2.0),
-                 abs(sy.lorentz_form(tt, tt) + 2.0)], 1e-14 * t)
+                 abs(sy.lorentz_form(tt, tt) + 2.0)], 1e-14)
 
     def orbit_type_constant():
         a = sy.Sl2Element(*rng.normal(size=3))
@@ -958,7 +936,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("10-momentum-spectral-duality",
                 "sup Spec(ix) equals the Rayleigh maximum of the momentum map at -x",
-                [duality_defect() for _ in range(20)], 1e-8 * t)
+                [duality_defect() for _ in range(20)], 1e-8)
 
     def equivariance_defect():
         d = int(rng.integers(1, 5))
@@ -970,7 +948,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("11-momentum-equivariance",
                 "Phi(g v)(x) = Phi(v)(g^{-1} x g) for unitary g",
-                [equivariance_defect() for _ in range(20)], 1e-12 * t)
+                [equivariance_defect() for _ in range(20)], 1e-12)
 
     def support_defects():
         d = int(rng.integers(1, 5))
@@ -984,7 +962,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     yield check("12-spectral-sublinear-invariant",
                 "s(x + y) <= s(x) + s(y) and s(Ad(g) x) = s(x)",
-                [support_defects() for _ in range(20)], 1e-10 * t)
+                [support_defects() for _ in range(20)], 1e-10)
 
     # singular draws are skipped, so the batch holds one row per kept draw
     structure_defects = []
@@ -1002,7 +980,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
              float(np.linalg.norm(J.T @ G @ J - G))))
     yield check("13-compatible-structure",
                 "J^2 = -1, omega(J v, v) > 0, J orthogonal for the "
-                "derived inner product", structure_defects, 1e-9 * t)
+                "derived inner product", structure_defects, 1e-9)
 
 
 
@@ -1057,5 +1035,4 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         raise KeyError(f"unknown suite {cfg.suite!r}: valid suites are {names}")
     func = SUITES[cfg.suite][0]
     checks = tuple(func(cfg, np.random.default_rng(cfg.seed)))
-    return VerificationReport(suite=cfg.suite, seed=cfg.seed,
-                              tol_scale=cfg.tol_scale, checks=checks)
+    return VerificationReport(suite=cfg.suite, seed=cfg.seed, checks=checks)

@@ -108,8 +108,7 @@ def test_criterion_02_schwarzian_cocycle_identity():
     for _ in range(50):
         phi = _small_diffeo(rng, 32)
         psi = _small_diffeo(rng, 32)
-        worst = max(worst, schwarzian_cocycle_residual(phi, psi,
-                                                       grid_size=256))
+        worst = max(worst, schwarzian_cocycle_residual(phi, psi))
     elapsed = time.perf_counter() - t0
     _verdict(2, "Schwarzian chain rule on a 256-point grid, 50 pairs",
              worst < 1e-8 and elapsed < 10.0,

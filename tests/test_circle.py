@@ -375,8 +375,7 @@ def test_schwarzian_cocycle_identity(modified):
                             max_slope=0.4)
         psi = random_diffeo(rng, degree=32, modes=5, amplitude=0.06,
                             max_slope=0.4)
-        res = schwarzian_cocycle_residual(phi, psi, grid_size=256,
-                                          modified=modified)
+        res = schwarzian_cocycle_residual(phi, psi, modified=modified)
         assert res < 1e-8
 
 
