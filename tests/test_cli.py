@@ -329,19 +329,34 @@ def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text):
     assert "bad config" in capsys.readouterr().err
 
 
-def test_cli_verify_has_no_tolerance_scale_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "fock-vacuum", "--tol-scale", "2"])
-    assert exc.value.code == 2
-    assert "--tol-scale" in capsys.readouterr().err
+def _exit_code(argv):
+    """Exit code of ``main(argv)``, also when argparse exits on its own."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", "-1")])
-def test_cli_verify_out_of_range_flag_is_a_usage_error(capsys, flag, value):
-    assert main(["verify", "virasoro-verma", f"{flag}={value}"]) == 2
+def test_cli_verify_nonpositive_tol_scale_is_a_usage_error(capsys):
+    # verify has no tolerance scale: argparse rejects the flag
+    assert _exit_code(["verify", "fock-vacuum", "--tol-scale", "0"]) == 2
+    assert "unrecognized arguments: --tol-scale 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,prefix",
+                         [("--tol-scale", "nan", "usage:"),
+                          ("--tol-scale", "inf", "usage:"),
+                          ("--tol-scale", "-inf", "usage:"),
+                          ("--seed", "-1", "bad config")],
+                         ids=["--tol-scale-nan", "--tol-scale-inf",
+                              "--tol-scale--inf", "--seed--1"])
+def test_cli_verify_out_of_range_flag_is_a_usage_error(capsys, flag, value,
+                                                        prefix):
+    assert _exit_code(["verify", "virasoro-verma", f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("bad config")
+    assert captured.err.startswith(prefix)
+    assert flag.lstrip("-") in captured.err
 
 
 def test_cli_verify_exit_one_on_failures(tmp_path, capsys):
