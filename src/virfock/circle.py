@@ -39,25 +39,20 @@ class FourierFunction:
     Parameters
     ----------
     coeffs : array_like
-        Complex coefficients of length 2N + 1, ordered k = -N .. N.
-    real : bool or None
-        If True, enforce the reality invariant c_{-k} = conj(c_k) to
-        within ``REALITY_TOL`` (raising ValueError on failure); if None,
-        detect it.
+        Complex coefficients of length 2N + 1, ordered k = -N .. N.  The
+        function is flagged real when the reality invariant
+        c_{-k} = conj(c_k) holds to within ``REALITY_TOL``.
     """
 
     __slots__ = ("coeffs", "degree", "real_flag")
 
-    def __init__(self, coeffs, real: bool | None = None):
+    def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coeffs must have odd length 2N+1")
         self.coeffs = c
         self.degree = c.size // 2
-        sym = np.max(np.abs(np.conj(c[::-1]) - c)) if c.size else 0.0
-        if real is True and sym > REALITY_TOL:
-            raise ValueError(f"reality violated: max |conj(c_-k) - c_k| = {sym:.3e}")
-        self.real_flag = bool(sym <= REALITY_TOL) if real is None else bool(real)
+        self.real_flag = self.is_real()
 
     # -- constructors -------------------------------------------------
 
@@ -106,7 +101,7 @@ class FourierFunction:
             raise ValueError("padded() cannot shrink; use truncated()")
         c = np.zeros(2 * degree + 1, dtype=complex)
         c[degree - self.degree: degree + self.degree + 1] = self.coeffs
-        return FourierFunction(c, real=self.real_flag or None)
+        return FourierFunction(c)
 
     def truncated(self, degree: int) -> "FourierFunction":
         """Drop modes with |k| > degree."""
@@ -203,7 +198,7 @@ class CircleDiffeo:
     def __init__(self, p: FourierFunction):
         if not p.is_real():
             raise ValueError("diffeomorphism displacement must be real")
-        self.p = FourierFunction(p.coeffs, real=True)
+        self.p = p
         dp = derivative(self.p).grid_values(max(4 * p.degree + 1, 129))
         self.min_derivative = float(1.0 + np.min(dp))
         if self.min_derivative <= 0.0:
@@ -244,7 +239,7 @@ def grid_points(M: int) -> np.ndarray:
     return TWO_PI * np.arange(M) / M
 
 
-def _refit_size(n: int) -> int:
+def refit_size(n: int) -> int:
     """M = 8 max(N, 4), the one grid size for sampling and refitting to degree N."""
     return 8 * max(n, 4)
 
@@ -325,7 +320,7 @@ def pullback_density(phi: CircleDiffeo, rho: Density) -> Density:
     adjoint action on vector fields, s = 2 the coadjoint one on its dual.
     """
     n = max(rho.degree, phi.degree)
-    theta = grid_points(_refit_size(n))
+    theta = grid_points(refit_size(n))
     vals = rho.u.evaluate(phi.evaluate(theta)) \
         * phi.derivative_values(theta) ** rho.s
     return Density(FourierFunction.from_grid(vals, n), rho.s)
@@ -351,7 +346,7 @@ def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:
     displacement of the result is p_psi + p_phi o psi.
     """
     n = max(phi.degree, psi.degree)
-    theta = grid_points(_refit_size(n))
+    theta = grid_points(refit_size(n))
     vals = psi.p.evaluate(theta) + phi.p.evaluate(psi.evaluate(theta))
     return CircleDiffeo(FourierFunction.from_grid(vals, n))
 
@@ -368,7 +363,7 @@ def invert(phi: CircleDiffeo) -> CircleDiffeo:
     reached 1e-13 sup-norm within ``NEWTON_MAX_ITER`` sweeps.
     """
     n = phi.degree
-    theta = grid_points(_refit_size(n))
+    theta = grid_points(refit_size(n))
     dp = derivative(phi.p)
     x = theta.copy()
     for _ in range(NEWTON_MAX_ITER):
@@ -403,7 +398,7 @@ def modified_schwarzian(phi: CircleDiffeo) -> FourierFunction:
 
 
 def _refit_schwarzian(phi: CircleDiffeo, modified: bool) -> FourierFunction:
-    M = _refit_size(phi.degree)
+    M = refit_size(phi.degree)
     vals = _schwarzian(phi, lambda f: f.grid_values(M), modified)
     return FourierFunction.from_grid(vals, phi.degree)
 
@@ -468,7 +463,7 @@ def flow(f: FourierFunction, t: float = 1.0,
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, not {t}")
     n = degree or max(f.degree, DEFAULT_DEGREE)
-    theta = grid_points(_refit_size(n))
+    theta = grid_points(refit_size(n))
     steps = max(1, int(np.ceil(abs(t) / RK4_MAX_STEP)))
     h = t / steps
     x = theta.copy()

@@ -148,32 +148,20 @@ def positive_complex_structure(A) -> RealLinearMap:
     """J = (-A^2)^{-1/2} A for A in the cone: J^2 = -1, [J, A] = 0,
     omega(Jv, v) > 0.
 
-    Computed by the Newton iteration J <- (J - J^{-1})/2 with determinant
-    scaling, started at the real matrix of A.  The eigenvalues of A come
-    in pairs +-i lambda with lambda > 0, on which the scalar map
-    z -> (z - 1/z)/2 converges quadratically to +-i.  Every iterate is a
-    rational function of A, so it commutes with A, and every iterate
-    stays Hamiltonian; a Hamiltonian square root of -1 is automatically
-    symplectic, so the structure constraints survive the iteration
-    instead of being rebuilt from an eigendecomposition chain.
+    A = W S with S = `omega_matrix(A)` positive definite; with R = S^{1/2}
+    and the skew K = R W R, J = R^{-1} K |K|^{-1} R = W R |K|^{-1} R, the
+    polar factor of K carried back (|K| from the SVD of K, invertible for
+    every cone element).  That keeps J^2 = -1 to about cond(S) roundoffs,
+    so one Newton step J -> (J - J^{-1})/2 of the sign function follows.
     """
     As = _as_sp(A)
     if not in_cone_Wsp(As):
         raise ValueError("A is not in the open cone W_sp")
-    J = As.X.to_real_matrix()
-    n = J.shape[0]
-    for _ in range(60):
-        J = abs(np.linalg.det(J)) ** (-1.0 / n) * J
-        Jn = 0.5 * (J - np.linalg.inv(J))
-        delta = np.linalg.norm(Jn - J) / np.linalg.norm(Jn)
-        J = Jn
-        if delta < 1e-13:
-            break
-    J = 0.5 * (J - np.linalg.inv(J))
     W = real_matrix_of_i(As.d)
-    M = J.T @ W
-    J = W @ (0.5 * (M + M.T))
-    return RealLinearMap.from_real_matrix(J)
+    R = _sym_sqrt(omega_matrix(As.X), 0.5)
+    _, s, Vt = np.linalg.svd(R @ W @ R)
+    J = W @ R @ (Vt.T / s) @ Vt @ R
+    return RealLinearMap.from_real_matrix(0.5 * (J - np.linalg.inv(J)))
 
 
 def conjugate_to_unitary(A) -> tuple[RealLinearMap, RealLinearMap]:

@@ -18,7 +18,10 @@ Schwarzian Stilde = S(phi) + ((phi')^2 - 1)/2:
     coadjoint: Ad*_phi (a, u) = (a, (u o phi) (phi')^2 - a Stilde(phi))
 
 The dual pairing <(a, u), (z, f)> = a z + int u f dtheta is invariant
-under the pair of actions, which pins down both signs.
+under the pair of actions, which pins down both signs.  Stilde is a
+cocycle, Stilde(phi^{-1}) o phi = -Stilde(phi) / (phi')^2, so the
+central shift equals + int g . Stilde(phi) dtheta with g = (f o phi) / phi'
+the new field, and neither action inverts phi.
 
 Orbit data for fields with f > 0: the harmonic-mean functional
 chi(f) = (1/2pi) int dtheta / f and the pair
@@ -53,14 +56,16 @@ from .circle import (
     FourierFunction,
     derivative,
     flow,
+    grid_points,
     integrate,
-    invert,
     lie_bracket,
     modified_schwarzian,
     omega_cocycle,
     pairing_integral,
     pullback_density,
     random_diffeo,
+    refit_size,
+    schwarzian_values,
     witt_generator,
 )
 
@@ -158,15 +163,20 @@ def pairing(lam: VirasoroFunctional, x: VirasoroElement) -> complex:
 
 
 def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
-    """Ad_phi(z, f) = (z - int f Stilde(phi^{-1}) dtheta, (f o phi) / phi').
+    """Ad_phi(z, f) = (z + int g Stilde(phi) dtheta, g), g = (f o phi) / phi'.
 
-    The central shift uses the modified Schwarzian of the inverse; the
-    field transforms as a density of weight -1.
+    This is z - int f Stilde(phi^{-1}) dtheta with theta = phi(x)
+    substituted, by the cocycle identity
+    Stilde(phi^{-1}) o phi = -Stilde(phi) / (phi')^2, so phi is never
+    inverted.  g is sampled once on the refit grid; the field is its
+    refit and the shift the trapezoid mean of g Stilde(phi) pointwise.
     """
-    stil = modified_schwarzian(invert(phi))
-    shift = pairing_integral(x.field, stil)
-    new_field = pullback_density(phi, Density(x.field, -1.0)).u
-    z = x.z - shift
+    n = max(x.field.degree, phi.degree)
+    theta = grid_points(refit_size(n))
+    g = x.field.evaluate(phi.evaluate(theta)) / phi.derivative_values(theta)
+    shift = 2.0 * math.pi * np.mean(g * schwarzian_values(phi, theta, modified=True))
+    new_field = FourierFunction.from_grid(g, n)
+    z = x.z + shift
     if abs(complex(z).imag) <= 1e-10 * max(1.0, abs(complex(z).real)):
         z = float(complex(z).real)
     return VirasoroElement(z, new_field)

@@ -107,7 +107,7 @@ def random_function(rng, degree, real, scale=1.0):
                  + 1j * rng.normal(size=2 * degree + 1))
     if real:
         c = 0.5 * (c + np.conj(c[::-1]))
-    return FourierFunction(c, real=real)
+    return FourierFunction(c)
 
 
 def explicit_sum(f, theta):
@@ -151,7 +151,7 @@ def test_evaluate_nearly_real_function_is_real_part_of_full_sum():
     N = 12
     c = random_function(rng, N, real=True, scale=1e-2).coeffs
     c = c + 1e-13 * (rng.normal(size=c.size) + 1j * rng.normal(size=c.size))
-    f = FourierFunction(c, real=True)
+    f = FourierFunction(c)
     assert f.real_flag and not np.allclose(np.conj(c[::-1]), c, rtol=0, atol=1e-14)
     theta = rng.uniform(-10.0, 10.0, 100)
     oracle = explicit_sum(f, theta).real

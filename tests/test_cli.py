@@ -508,10 +508,13 @@ def test_module_entry_point_usage_error_code():
                                     {"suite": "virasoro-verma", "max_level": 7},
                                     {"suite": "fock-vacuum", "N": 1},
                                     {"suite": "virasoro-orbits", "degree": 1}])
-def test_module_entry_point_bad_parameter_is_a_usage_error(tmp_path, config):
+def test_module_entry_point_bad_parameter_is_a_usage_error(tmp_path, capsys,
+                                                          config):
+    # `python -m virfock` only calls `cli.main`, whose wiring the two tests
+    # above cover in a child interpreter; the bad values run in process
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    proc = _run_module("verify", "--config", str(path))
-    assert proc.returncode == 2
-    assert "bad config" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    assert "Traceback" not in err

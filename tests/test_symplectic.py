@@ -89,6 +89,33 @@ def test_positive_complex_structure_postconditions():
             assert omega(J.apply(v), v) > 0.0
 
 
+def test_positive_complex_structure_matches_the_eigenvector_sign():
+    # J = (-A^2)^{-1/2} A is i sgn(Im lambda) on each eigenvector of A
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        A = random_cone_element(rng, d)
+        lam, V = np.linalg.eig(A.X.to_real_matrix())
+        sign = (V * (1j * np.sign(lam.imag))) @ np.linalg.inv(V)
+        J = positive_complex_structure(A).to_real_matrix()
+        assert np.linalg.norm(J - sign) <= 1e-10 * np.linalg.norm(sign)
+
+
+def test_positive_complex_structure_of_ill_conditioned_cone_elements():
+    # omega_matrix(A) has condition number near 1e9 here: the SVD of
+    # R W R must not be rejected as singular, and J^2 = -1 must survive
+    rng = np.random.default_rng(78)
+    for _ in range(10):
+        D = RealLinearMap.from_linear(1j * np.diag([1.0, 1e-8, 0.5]))
+        g = random_symplectic(rng, 3, scale=0.3)
+        A = g @ D @ g.inverse()
+        assert in_cone_Wsp(A)
+        J = positive_complex_structure(A).to_real_matrix()
+        Ar = A.to_real_matrix()
+        assert np.linalg.norm(J @ J + np.eye(6)) <= 1e-12
+        assert np.linalg.norm(J @ Ar - Ar @ J) <= 1e-9 * np.linalg.norm(Ar)
+
+
 def test_cone_invariant_under_symplectic_conjugation():
     rng = np.random.default_rng(73)
     for _ in range(10):
