@@ -40,11 +40,12 @@ class FourierFunction:
     ----------
     coeffs : array_like
         Complex coefficients of length 2N + 1, ordered k = -N .. N.  The
-        function is flagged real when the reality invariant
-        c_{-k} = conj(c_k) holds to within ``REALITY_TOL``.
+        function is flagged real (``real_flag``) when the reality
+        invariant c_{-k} = conj(c_k) holds to within ``REALITY_TOL``; the
+        flag is computed on first read, as the coefficients never change.
     """
 
-    __slots__ = ("coeffs", "degree", "real_flag")
+    __slots__ = ("coeffs", "degree", "_real")
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=complex)
@@ -52,7 +53,13 @@ class FourierFunction:
             raise ValueError("coeffs must have odd length 2N+1")
         self.coeffs = c
         self.degree = c.size // 2
-        self.real_flag = self.is_real()
+        self._real = None
+
+    @property
+    def real_flag(self) -> bool:
+        if self._real is None:
+            self._real = self.is_real()
+        return self._real
 
     # -- constructors -------------------------------------------------
 
@@ -118,15 +125,18 @@ class FourierFunction:
         its k >= 0 half, a_0 = Re c_0 and a_k = c_k + conj(c_{-k}), and
         evaluated as Re sum_{k>=0} a_k z^k, which equals Re sum_k c_k z^k
         even where the reality invariant holds only to ``REALITY_TOL``; a
-        complex one as e^{-i N theta} sum_{j=0}^{2N} c_{j-N} z^j.  The cost
-        on M angles is one or two exponentials per angle and N (real) or
-        2N (complex) multiply-adds on M-vectors, O(M N) in all, with no
-        M x (2N+1) table of exponentials.
+        complex one as e^{-i N theta} sum_{j=0}^{2N} c_{j-N} z^j.  The real
+        sum stops at the highest live mode K (the last a_k != 0): the
+        exact zeros above it would only add exact zeros.  The cost on M
+        angles is one or two exponentials per angle and K (real) or 2N
+        (complex) multiply-adds on M-vectors, O(M K) or O(M N) in all, with
+        no M x (2N+1) table of exponentials.
         """
         theta = np.asarray(theta, dtype=float)
         N, c = self.degree, self.coeffs
         if self.real_flag:
             c = np.concatenate(([c[N].real], c[N + 1:] + np.conj(c[N - 1::-1])))
+            c = c[:np.flatnonzero(c)[-1] + 1] if c.any() else c[:1]
         z = np.exp(1j * theta)
         acc = np.full(theta.shape, c[-1], dtype=complex)
         for ck in c[-2::-1]:

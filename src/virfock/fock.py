@@ -28,7 +28,8 @@ own: the Bogoliubov vacuum series applies powers of the pair creator
 straight onto the occupation index.
 
 Storage: a FockOperator holds one complex scipy CSR matrix, built
-straight from the (row, column, value) triplets of its ladder words;
+column by column from the word tables its ModeSpace caches (one per
+ladder word, computed on first use), weighted by the coefficients;
 products, sums, adjoints, norms and mat-vecs all stay in CSR.  A ladder
 polynomial of degree k has O(d^k) nonzeros per column, so at d=3, N=20
 (dim 1771) a ladder operator takes about 0.1 MB and a second-quantized
@@ -59,7 +60,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 from scipy import sparse
@@ -83,10 +83,13 @@ class ModeSpace:
     amp[i, j] |basis[target[i, j]]>.  Index ``dim`` stands for "killed or
     pushed past the cutoff"; its own column maps to itself with amplitude
     zero, so ladder words can be chained without masking.
+
+    ``word_table`` chains them into the table of a whole ladder word; the
+    read-only result is cached in ``words``, so each word is chained once.
     """
 
     __slots__ = ("d", "statistics", "cutoff", "basis", "index", "dim", "totals",
-                 "ladders")
+                 "ladders", "words")
 
     def __init__(self, d: int, statistics: str, cutoff: int | None = None):
         if d < 1:
@@ -102,14 +105,13 @@ class ModeSpace:
         self.statistics = statistics
         self.cutoff = int(cutoff)
         top = 1 if statistics == FERMIONIC else self.cutoff
-        occs = [occ for occ in iter_product(range(top + 1), repeat=d)
-                if sum(occ) <= self.cutoff]
-        occs.sort(key=lambda occ: (sum(occ), occ))
-        self.basis = tuple(occs)
+        self.basis = tuple(occ for n in range(self.cutoff + 1)
+                           for occ in _occupations(d, n, top))
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.totals = np.array([sum(occ) for occ in self.basis])
         self.ladders = self._ladder_tables(top)
+        self.words = {}
 
     def _ladder_tables(self, top: int) -> dict:
         occ = np.array(self.basis).reshape(self.dim, self.d)
@@ -140,6 +142,22 @@ class ModeSpace:
             upper = table(n == 0, shift, sign)
         return {"-": lower, "+": upper}
 
+    def word_table(self, word: str) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (target, amp) table of a ladder word, built once: row j
+        lists where basis[j] goes, and with which amplitude, for each index
+        tuple in C order.  The rightmost letter acts first."""
+        if word not in self.words:
+            rows, amps = np.arange(self.dim), np.ones(self.dim)
+            for letter in reversed(word):
+                target, amp = self.ladders[letter]
+                rows, amps = target[:, rows], amp[:, rows] * amps
+            table = tuple(np.ascontiguousarray(a.reshape(-1, self.dim).T)
+                          for a in (rows, amps))
+            for a in table:
+                a.flags.writeable = False
+            self.words[word] = table
+        return self.words[word]
+
     def __repr__(self):
         return f"ModeSpace(d={self.d}, statistics={self.statistics!r}, cutoff={self.cutoff})"
 
@@ -150,6 +168,15 @@ class ModeSpace:
 
     def __hash__(self):
         return hash((self.d, self.statistics, self.cutoff))
+
+
+def _occupations(d: int, total: int, top: int) -> list[tuple]:
+    """Occupations of d modes, each at most ``top``, summing to ``total``,
+    in lexicographic order."""
+    if d == 1:
+        return [(total,)] if total <= top else []
+    return [(k,) + rest for k in range(min(total, top) + 1)
+            for rest in _occupations(d - 1, total - k, top)]
 
 
 def _same_space(a: ModeSpace, b: ModeSpace) -> ModeSpace:
@@ -316,24 +343,23 @@ def _ladder_word(space: ModeSpace, terms) -> sparse.csr_array:
     Each letter of ``word`` is '+' (a*_i) or '-' (a_i); ``coeffs`` has one
     axis of length d per letter, in word order.  The rightmost letter acts
     first, and states killed or pushed past the cutoff drop out.  The
-    nonzero (row, column, value) triplets of all terms make one CSR
-    matrix, with repeated entries summed.
+    cached word tables, weighted by the coefficients, give the matrix
+    column by column; it is returned in canonical CSR form, with repeated
+    entries summed in term order.
     """
     dim = space.dim
-    triplets = []
+    rows, vals = [], []
     for coeffs, word in terms:
-        rows = np.arange(dim)
-        amps = np.ones(dim)
-        for letter in reversed(word):
-            target, amp = space.ladders[letter]
-            amps = amp[:, rows] * amps
-            rows = target[:, rows]
-        vals = np.asarray(coeffs, dtype=complex)[..., None] * amps
-        cols = np.broadcast_to(np.arange(dim), rows.shape)
-        keep = (rows < dim) & (vals != 0)
-        triplets.append((vals[keep], rows[keep], cols[keep]))
-    vals, rows, cols = (np.concatenate(part) for part in zip(*triplets))
-    return sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+        target, amp = space.word_table(word)
+        rows.append(target)
+        vals.append(amp * np.asarray(coeffs, dtype=complex).reshape(-1))
+    rows, vals = np.hstack(rows), np.hstack(vals)
+    keep = (rows < dim) & (vals != 0)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    out = sparse.csc_array((vals[keep], rows[keep], indptr),
+                           shape=(dim, dim)).tocsr()
+    out.sum_duplicates()
+    return out
 
 
 def _smearing(space: ModeSpace, f) -> np.ndarray:

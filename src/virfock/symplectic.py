@@ -339,16 +339,21 @@ def compatible_complex_structure(A) -> np.ndarray:
 
     J is the orthogonal polar factor U V^T of the SVD A = U diag(s) V^T,
     which equals A (A^T A)^{-1/2} without forming A^T A, so its accuracy
-    follows the condition number of A rather than its square.
+    follows the condition number of A rather than its square.  It is
+    well defined for any invertible A, however ill-conditioned or small;
+    A counts as singular only when s_min <= n eps s_max, the rounding
+    level of the SVD.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("expected a finite matrix")
     if np.linalg.norm(A + A.T) > 1e-10 * max(1.0, float(np.linalg.norm(A))):
         raise ValueError("expected a skew-symmetric matrix")
     U, s, Vt = np.linalg.svd(A)
-    if s[-1] ** 2 <= 1e-14 * max(1.0, s[0] ** 2):
+    if s[-1] <= n * np.finfo(float).eps * s[0]:
         raise ValueError("expected an invertible matrix")
     return U @ Vt
 

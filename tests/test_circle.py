@@ -175,6 +175,44 @@ def test_evaluate_keeps_the_shape_of_theta(real):
     assert np.array_equal(vals, f.evaluate(theta.ravel()).reshape(3, 5))
 
 
+def sparse_real_function(rng, degree, modes=5):
+    """Real series with modes 0 .. ``modes`` live and the rest exactly zero,
+    the shape of a random diffeomorphism's displacement."""
+    c = np.zeros(2 * degree + 1, dtype=complex)
+    c[degree] = rng.normal()
+    for k in range(1, modes + 1):
+        c[degree + k] = rng.normal() + 1j * rng.normal()
+        c[degree - k] = np.conj(c[degree + k])
+    return FourierFunction(c)
+
+
+def test_evaluate_is_bitwise_blind_to_dead_high_modes():
+    # leading exact zeros only add exact zeros, so padding changes no bit
+    rng = np.random.default_rng(46)
+    f = sparse_real_function(rng, 48)
+    theta = np.concatenate([grid_points(384), rng.uniform(-20.0, 20.0, 50)])
+    vals = f.evaluate(theta)
+    assert np.array_equal(f.padded(96).evaluate(theta), vals)
+    assert np.array_equal(f.truncated(5).evaluate(theta), vals)
+    scale = np.sum(np.abs(f.coeffs))
+    assert np.max(np.abs(vals - explicit_sum(f, theta).real)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("f", [
+    FourierFunction.zero(6),
+    FourierFunction.constant(-1.25, 6),
+    FourierFunction.constant(0.5 + 2.0j, 3),
+    FourierFunction.from_dict({-3: 0.2j, 1: 1.5, 2: -0.7 + 0.1j}, 8),
+], ids=["zero", "real-constant", "complex-constant", "complex-sparse"])
+def test_evaluate_degenerate_series_match_the_explicit_sum(f):
+    theta = np.concatenate([grid_points(17), [-7.5, 31.0]])
+    oracle = explicit_sum(f, theta)
+    vals = f.evaluate(theta)
+    assert np.isrealobj(vals) == f.real_flag
+    tol = 1e-14 * np.sum(np.abs(f.coeffs))
+    assert np.max(np.abs(vals - (oracle.real if f.real_flag else oracle))) <= tol
+
+
 # ---------------------------------------------------------------------------
 # Lie brackets of vector fields
 
@@ -444,6 +482,41 @@ def test_real_flag_requires_conjugate_symmetry():
     assert f.real_flag
     g = FourierFunction.from_dict({1: 0.5}, degree=4)
     assert not g.real_flag
+
+
+def _constructor_paths():
+    rng = np.random.default_rng(39)
+    f, g = random_field(rng, 6), random_field(rng, 4, modes=3)
+    h = FourierFunction.from_dict({2: 1.0 + 1.0j, -1: 0.5}, 5)
+    c = random_function(rng, 7, real=True).coeffs
+    nearly = FourierFunction(c + 1e-13 * (rng.normal(size=c.size)
+                                         + 1j * rng.normal(size=c.size)))
+    return {
+        "zero": FourierFunction.zero(3),
+        "constant-real": FourierFunction.constant(2.0, 3),
+        "constant-complex": FourierFunction.constant(1.0j, 3),
+        "from-dict-real": f,
+        "from-dict-complex": h,
+        "from-grid-real": FourierFunction.from_grid(f.evaluate(grid_points(32)), 6),
+        "from-grid-complex": FourierFunction.from_grid(h.evaluate(grid_points(32)), 5),
+        "padded": f.padded(9),
+        "truncated": h.truncated(2),
+        "derivative": derivative(f, 3),
+        "derivative-complex": derivative(h),
+        "sum": f + g,
+        "difference": g - h,
+        "scalar-real": 3.0 * f,
+        "scalar-complex": f * 1.0j,
+        "nearly-real": nearly,
+    }
+
+
+@pytest.mark.parametrize("path", list(_constructor_paths()))
+def test_real_flag_agrees_with_is_real_on_every_constructor(path):
+    f = _constructor_paths()[path]
+    assert f.real_flag == f.is_real()
+    if path == "nearly-real":
+        assert f.real_flag and not f.is_real(tol=1e-14)
 
 
 def test_from_grid_reconstructs_band_limited_data():

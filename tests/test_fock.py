@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from virfock import fock
 from virfock.fock import (
     BOSONIC,
     FERMIONIC,
@@ -65,6 +66,26 @@ def test_fermionic_cutoff_is_mode_count():
     sp = ModeSpace(3, FERMIONIC, cutoff=17)
     assert sp.cutoff == 3
     assert sp.dim == 8
+
+
+def _filtered_product_basis(d, stat, cutoff):
+    """The occupation basis as the full product filtered by total number,
+    sorted by (total, occupation)."""
+    top = 1 if stat == FERMIONIC else cutoff
+    occs = [occ for occ in itertools.product(range(top + 1), repeat=d)
+            if sum(occ) <= cutoff]
+    return tuple(sorted(occs, key=lambda occ: (sum(occ), occ)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_basis_matches_the_filtered_product(d):
+    spaces = [ModeSpace(d, BOSONIC, n) for n in range(1, 9)] \
+        + [ModeSpace(d, FERMIONIC)]
+    for sp in spaces:
+        want = _filtered_product_basis(d, sp.statistics, sp.cutoff)
+        assert sp.basis == want
+        assert sp.index == {occ: i for i, occ in enumerate(want)}
+        assert sp.dim == len(want)
 
 
 def test_vacuum_is_annihilated():
@@ -193,6 +214,83 @@ def test_builders_match_tensor_product_oracle(d, stat, cutoff):
             assert np.array_equal(built, oracle)
         else:
             assert np.max(np.abs(built - oracle)) <= 1e-14
+
+
+def test_word_tables_are_cached_read_only():
+    sp = ModeSpace(2, BOSONIC, cutoff=4)
+    target, amp = sp.word_table("+-")
+    assert target.shape == amp.shape == (sp.dim, sp.d ** 2)
+    assert sp.word_table("+-")[0] is target
+    for table in (target, amp):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def _coo_ladder_word(space, terms):
+    """The same sum built from (row, column, value) triplets by scipy's
+    COO route, chaining the single-letter tables per call."""
+    dim = space.dim
+    triplets = []
+    for coeffs, word in terms:
+        rows, amps = np.arange(dim), np.ones(dim)
+        for letter in reversed(word):
+            target, amp = space.ladders[letter]
+            rows, amps = target[:, rows], amp[:, rows] * amps
+        vals = np.asarray(coeffs, dtype=complex)[..., None] * amps
+        cols = np.broadcast_to(np.arange(dim), rows.shape)
+        keep = (rows < dim) & (vals != 0)
+        triplets.append((vals[keep], rows[keep], cols[keep]))
+    vals, rows, cols = (np.concatenate(part) for part in zip(*triplets))
+    return sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+
+
+@pytest.mark.parametrize("d,stat,cutoff", ORACLE_SPACES)
+def test_ladder_word_builds_are_canonical_and_repeatable(d, stat, cutoff):
+    rng = np.random.default_rng(110 + 10 * d + (cutoff or 0))
+    sp = ModeSpace(d, stat, cutoff)
+    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    T = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    pair = -0.5 if stat == BOSONIC else 0.5
+    quadratic = [(x.G1, "+-"), (pair * x.G2, "++"),
+                 (0.5 * np.conj(x.G2), "--"), (random_vec(rng, d), "-")]
+    # a symmetric pair creator stores each entry twice before summing
+    creator = [(-0.5 * (T + T.T), "++")]
+    for terms in (quadratic, creator, creator + quadratic):
+        first = fock._ladder_word(sp, terms)
+        second = fock._ladder_word(sp, terms)
+        assert first.has_canonical_format
+        assert type(first) is sparse.csr_array and first.dtype == np.complex128
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(second, part), getattr(first, part))
+        # the COO route sorts each row with an unstable sort, so where three
+        # or more entries meet it may sum them in another order
+        reference = _coo_ladder_word(sp, terms)
+        assert np.array_equal(reference.indices, first.indices)
+        assert np.array_equal(reference.indptr, first.indptr)
+        scale = np.max(np.abs(first.data), initial=0.0)
+        assert np.max(np.abs(reference.data - first.data),
+                      initial=0.0) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("d,stat,cutoff", ORACLE_SPACES)
+def test_quadratics_match_products_of_creators_and_annihilators(d, stat, cutoff):
+    rng = np.random.default_rng(120 + 10 * d + (cutoff or 0))
+    sp = ModeSpace(d, stat, cutoff)
+    up = [create(sp, e).mat for e in np.eye(d)]
+    down = [annihilate(sp, e).mat for e in np.eye(d)]
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    pair = -0.5 if stat == BOSONIC else 0.5
+    gamma = np.zeros((sp.dim, sp.dim), dtype=complex)
+    dpi = np.zeros((sp.dim, sp.dim), dtype=complex)
+    for i, j in itertools.product(range(d), repeat=2):
+        gamma += M[i, j] * (up[i] @ down[j])
+        dpi += x.G1[i, j] * (up[i] @ down[j]) \
+            + pair * x.G2[i, j] * (up[i] @ up[j]) \
+            + 0.5 * np.conj(x.G2[i, j]) * (down[i] @ down[j])
+    assert np.max(np.abs(dgamma(sp, M).mat - gamma)) <= 1e-14 * np.abs(M).sum()
+    scale = np.abs(x.G1).sum() + np.abs(x.G2).sum()
+    assert np.max(np.abs(second_quantize(sp, x).mat - dpi)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

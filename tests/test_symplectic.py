@@ -316,6 +316,44 @@ def test_compatible_complex_structure_ill_conditioned_form():
     assert np.linalg.norm(J.T @ G @ J - G) <= 1e-11
 
 
+def test_compatible_complex_structure_is_scale_invariant():
+    # the polar factor of t A is that of A for every t > 0
+    rng = np.random.default_rng(98)
+    m = rng.normal(size=(6, 6))
+    A = m - m.T
+    assert np.abs(compatible_complex_structure(1e-8 * A)
+                  - compatible_complex_structure(A)).max() <= 1e-13
+
+
+BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("A", [np.kron(np.diag([1.0, 1e-8]), BLOCK),
+                               1e-8 * np.kron(np.eye(2), BLOCK)],
+                         ids=["condition-1e8", "norm-1e-8"])
+def test_compatible_complex_structure_of_well_defined_small_forms(A):
+    # both are invertible; a guard on s_min^2 / s_max^2 took them as singular
+    J = compatible_complex_structure(A)
+    assert np.abs(J @ J + np.eye(4)).max() <= 1e-12
+    G = J.T @ A
+    assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] > 0.0
+
+
+def _block_form(first, second):
+    A = np.zeros((4, 4))
+    A[0, 1], A[2, 3] = first, second
+    return A - A.T
+
+
+@pytest.mark.parametrize("A", [_block_form(1.0, 0.0), _block_form(0.0, 0.0),
+                               _block_form(1.0, np.nan),
+                               _block_form(1.0, np.inf)],
+                         ids=["zero-block", "zero", "nan", "inf"])
+def test_compatible_complex_structure_rejects_singular_and_non_finite_forms(A):
+    with pytest.raises(ValueError):
+        compatible_complex_structure(A)
+
+
 @pytest.mark.parametrize("seed", [75, 763814656])
 def test_suite_compatible_structure_passes_at_ill_conditioned_seeds(seed):
     report = run_suite(SuiteConfig(suite="symplectic-cones", seed=seed))
