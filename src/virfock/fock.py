@@ -604,17 +604,21 @@ def truncated_vacuum_oracle(space: ModeSpace,
                             g: RealLinearMap) -> tuple[float, FockVector]:
     """Independent vacuum: smallest singular vector of the stacked
     system a(e_i) F + a*(T e_i) F = 0, normalized with positive vacuum
-    overlap.  Returns (vacuum amplitude, F)."""
-    K = np.vstack([op.mat for op in _vacuum_conditions(space, g)])
+    overlap.  Returns (vacuum amplitude, F).
+
+    Only the equations of total degree below the cutoff are stacked: the
+    top-degree ones would need the missing degree N + 1 of F, and at odd
+    N they force a*(T e_i) F_{N-1} = 0, which the true vacuum violates.
+    """
+    below = space.totals < space.cutoff
+    K = np.vstack([op.mat[below] for op in _vacuum_conditions(space, g)])
     _, _, vh = np.linalg.svd(K)
     F = vh[-1].conj()
-    c0 = F[space.index[(0,) * space.d]]
-    if abs(c0) < 1e-14:
+    if abs(F[0]) < 1e-14:
         raise ArithmeticError("oracle vacuum has no vacuum component")
-    F = F * (np.conj(c0) / abs(c0))
+    F = F * (np.conj(F[0]) / abs(F[0]))
     F = F / np.linalg.norm(F)
-    c = float(F[space.index[(0,) * space.d]].real)
-    return c, FockVector(space, F)
+    return float(F[0].real), FockVector(space, F)
 
 
 # ---------------------------------------------------------------------------

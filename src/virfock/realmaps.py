@@ -78,8 +78,9 @@ class RealLinearMap:
         return self.G1.shape[0]
 
     def apply(self, v) -> np.ndarray:
+        """g(v) on the last axis, so a stack of shape (..., d) maps row by row."""
         v = np.asarray(v, dtype=complex)
-        return self.G1 @ v + self.G2 @ np.conj(v)
+        return v @ self.G1.T + np.conj(v) @ self.G2.T
 
     def compose(self, other: "RealLinearMap") -> "RealLinearMap":
         """self o other as real-linear maps."""
@@ -167,10 +168,11 @@ def real_to_complex(u) -> np.ndarray:
     return u[:d] + 1j * u[d:]
 
 
-def omega(v, w) -> float:
-    """Symplectic form Im<v, w> with the first-argument-linear product."""
+def omega(v, w):
+    """Symplectic form Im<v, w> with the first-argument-linear product,
+    reduced over the last axis: a float for vectors, an array for stacks."""
     v, w = np.asarray(v, complex), np.asarray(w, complex)
-    return float(np.imag(np.sum(v * np.conj(w))))
+    return np.imag(np.sum(v * np.conj(w), axis=-1))
 
 
 def inner(v, w) -> complex:

@@ -42,6 +42,7 @@ import numpy as np
 from .realmaps import (
     RealLinearMap,
     complex_to_real,
+    in_sp,
     inner,
     omega,
     random_symplectic,
@@ -50,7 +51,6 @@ from .realmaps import (
 )
 
 CONE_EIG_MIN = 1e-10
-MEMBERSHIP_TOL = 1e-10
 
 
 def omega_matrix(X: RealLinearMap) -> np.ndarray:
@@ -66,9 +66,7 @@ class SymplecticElement:
     X: RealLinearMap
 
     def __post_init__(self):
-        M = omega_matrix(self.X)
-        scale = max(1.0, float(np.linalg.norm(M)))
-        if np.linalg.norm(M - M.T) > MEMBERSHIP_TOL * scale:
+        if not in_sp(self.X):
             raise ValueError("omega(Xv, w) is not symmetric: X is not in sp")
 
     @property
@@ -118,8 +116,9 @@ def _as_sp(X) -> SymplecticElement:
 # Hamiltonians and the cone
 
 
-def hamiltonian(X, v) -> float:
-    """H_X(v) = (1/2) omega(Xv, v)."""
+def hamiltonian(X, v):
+    """H_X(v) = (1/2) omega(Xv, v); a stack v of shape (..., d) gives
+    one value per vector."""
     Xs = _as_sp(X)
     v = np.asarray(v, dtype=complex)
     return 0.5 * omega(Xs.X.apply(v), v)
@@ -149,18 +148,17 @@ def positive_complex_structure(A) -> RealLinearMap:
     omega(Jv, v) > 0.
 
     A = W S with S = `omega_matrix(A)` positive definite; with R = S^{1/2}
-    and the skew K = R W R, J = R^{-1} K |K|^{-1} R = W R |K|^{-1} R, the
-    polar factor of K carried back (|K| from the SVD of K, invertible for
-    every cone element).  That keeps J^2 = -1 to about cond(S) roundoffs,
-    so one Newton step J -> (J - J^{-1})/2 of the sign function follows.
+    and the skew K = R W R, J = R^{-1} K |K|^{-1} R, the polar complex
+    structure of K (`compatible_complex_structure`) carried back.  That
+    keeps J^2 = -1 to about cond(S) roundoffs, so one Newton step
+    J -> (J - J^{-1})/2 of the sign function follows.
     """
     As = _as_sp(A)
     if not in_cone_Wsp(As):
         raise ValueError("A is not in the open cone W_sp")
     W = real_matrix_of_i(As.d)
     R = _sym_sqrt(omega_matrix(As.X), 0.5)
-    _, s, Vt = np.linalg.svd(R @ W @ R)
-    J = W @ R @ (Vt.T / s) @ Vt @ R
+    J = np.linalg.solve(R, compatible_complex_structure(R @ W @ R) @ R)
     return RealLinearMap.from_real_matrix(0.5 * (J - np.linalg.inv(J)))
 
 
@@ -186,8 +184,9 @@ def conjugate_to_unitary(A) -> tuple[RealLinearMap, RealLinearMap]:
 # affine minimization
 
 
-def jacobi_value(q: QuadraticState, v) -> float:
-    """f(v) = c + omega(x, v) + H_A(v)."""
+def jacobi_value(q: QuadraticState, v):
+    """f(v) = c + omega(x, v) + H_A(v), one value per vector of a
+    stack v of shape (..., d)."""
     v = np.asarray(v, dtype=complex)
     return q.c + omega(q.x, v) + hamiltonian(q.A, v)
 
@@ -211,9 +210,7 @@ def heisenberg_translate(q: QuadraticState, w) -> QuadraticState:
     unchanged because the translation is a bijection.
     """
     w = np.asarray(w, dtype=complex)
-    c = q.c + omega(q.x, w) + hamiltonian(q.A, w)
-    x = q.x + q.A.X.apply(w)
-    return QuadraticState(float(c), x, q.A)
+    return QuadraticState(float(jacobi_value(q, w)), q.x + q.A.X.apply(w), q.A)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +270,13 @@ def _check_antihermitian(x) -> np.ndarray:
 
 
 def momentum_map(x, v) -> float:
-    """Phi([v])(x) = (1/i)<xv, v>/<v, v> for anti-hermitian x.
-
-    The closed form -i tr(x P_v) with the rank-one projection P_v is
-    evaluated as well and the two are required to agree.
-    """
+    """Phi([v])(x) = (1/i)<xv, v>/<v, v> for anti-hermitian x."""
     x = _check_antihermitian(x)
     v = np.asarray(v, dtype=complex)
     nv2 = float(np.real(inner(v, v)))
     if nv2 <= 0.0:
         raise ValueError("momentum map needs a nonzero vector")
-    val = complex(inner(x @ v, v)) / (1j * nv2)
-    P = np.outer(v, np.conj(v)) / nv2
-    alt = -1j * complex(np.trace(x @ P))
-    if abs(val - alt) > 1e-10 * max(1.0, abs(val)):
-        raise ArithmeticError("momentum map formulas disagree")
-    return float(val.real)
+    return float((complex(inner(x @ v, v)) / (1j * nv2)).real)
 
 
 def spectral_support(x) -> float:
@@ -356,12 +344,6 @@ def compatible_complex_structure(A) -> np.ndarray:
     if s[-1] <= n * np.finfo(float).eps * s[0]:
         raise ValueError("expected an invertible matrix")
     return U @ Vt
-
-
-def derived_inner_product(A) -> np.ndarray:
-    """Gram matrix of g(v, w) = omega(Jv, w) = v^T (A^T A)^{1/2} w."""
-    A = np.asarray(A, dtype=float)
-    return compatible_complex_structure(A).T @ A
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 
 from virfock.realmaps import (
     RealLinearMap,
+    omega,
     random_skew_hermitian,
+    random_sp_element,
     random_symplectic,
     random_unitary,
     symplectic_defect,
@@ -19,7 +21,6 @@ from virfock.symplectic import (
     compatible_complex_structure,
     cone_margin,
     conjugate_to_unitary,
-    derived_inner_product,
     hamiltonian,
     heisenberg_translate,
     in_cone_Wsp,
@@ -65,6 +66,20 @@ def test_negative_definite_hermitian_generator_in_cone():
         assert not in_cone_Wsp(indefinite)
 
 
+def test_symplectic_element_rejects_maps_outside_sp():
+    rng = np.random.default_rng(69)
+    x = random_sp_element(rng, 3)
+    z = random_vec(rng, 9).reshape(3, 3)
+    SymplecticElement(x)
+    with pytest.raises(ValueError, match="not in sp"):
+        SymplecticElement(RealLinearMap(x.G1, x.G2 + 1e-6 * (z - z.T)))
+    with pytest.raises(ValueError, match="not in sp"):
+        SymplecticElement(RealLinearMap(x.G1 + 1e-6 * (z + z.conj().T), x.G2))
+    for d in range(1, 5):
+        A = random_cone_element(rng, d)
+        assert SymplecticElement(A.X).X is A.X
+
+
 def test_hamiltonian_positive_on_cone_samples():
     rng = np.random.default_rng(71)
     A = random_cone_element(rng, 3)
@@ -85,7 +100,6 @@ def test_positive_complex_structure_postconditions():
         assert np.abs(comm.to_real_matrix()).max() < 1e-9
         for _ in range(10):
             v = random_vec(rng, d)
-            from virfock.realmaps import omega
             assert omega(J.apply(v), v) > 0.0
 
 
@@ -174,6 +188,42 @@ def test_jacobi_minimum_invariant_under_translation():
 
 
 # ---------------------------------------------------------------------------
+# stacks of vectors
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_evaluation_matches_per_vector_values(d):
+    rng = np.random.default_rng(90 + d)
+    q = quadratic_state(rng, d)
+    V = np.array([3.0 * random_vec(rng, d) for _ in range(60)])
+    W = np.array([random_vec(rng, d) for _ in range(60)])
+    for stacked, single in ((omega(V, W), [omega(v, w) for v, w in zip(V, W)]),
+                            (hamiltonian(q.A, V), [hamiltonian(q.A, v) for v in V]),
+                            (jacobi_value(q, V), [jacobi_value(q, v) for v in V])):
+        single = np.array(single)
+        assert stacked.shape == (60,)
+        assert np.all(np.abs(stacked - single)
+                      <= 1e-14 * np.maximum(1.0, np.abs(single)))
+    # any leading shape: (..., d) in, (...) out
+    grid = jacobi_value(q, V.reshape(3, 20, d))
+    assert grid.shape == (3, 20)
+    assert np.array_equal(grid.ravel(), jacobi_value(q, V))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_draws_are_the_per_sample_draws(d):
+    # the stacked samplers of criterion 13 and symplectic-cones/05 draw
+    # the same points as n pairs of rng.normal(size=d) calls
+    a, b = np.random.default_rng(d), np.random.default_rng(d)
+    z = a.normal(size=(500, 2, d))
+    stacked = z[:, 0] + 1j * z[:, 1]
+    single = np.array([b.normal(size=d) + 1j * b.normal(size=d)
+                       for _ in range(500)])
+    assert np.array_equal(stacked, single)
+    assert np.array_equal(a.normal(size=3), b.normal(size=3))
+
+
+# ---------------------------------------------------------------------------
 # sl2 and the Lorentz form
 
 
@@ -243,6 +293,19 @@ def test_momentum_map_is_rayleigh_quotient():
         assert abs(got + want) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_momentum_map_is_the_projection_trace(d):
+    # Phi([v])(x) = -i tr(x P_v) with P_v the orthogonal projection on C v
+    rng = np.random.default_rng(84 + d)
+    for _ in range(20):
+        x = random_skew_hermitian(rng, d)
+        v = random_vec(rng, d)
+        P = np.outer(v, v.conj()) / np.vdot(v, v).real
+        want = -1j * np.trace(x @ P)
+        assert abs(want.imag) <= 1e-12 * max(1.0, abs(want))
+        assert abs(momentum_map(x, v) - want.real) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_spectral_support_equals_rayleigh_maximum():
     rng = np.random.default_rng(79)
     for _ in range(10):
@@ -295,9 +358,9 @@ def test_compatible_complex_structure_postconditions(two_d):
             continue
         J = compatible_complex_structure(A)
         assert np.abs(J @ J + np.eye(two_d)).max() < 1e-9
-        G = derived_inner_product(A)
+        G = J.T @ A
         assert np.abs(G - G.T).max() < 1e-9
-        assert np.linalg.eigvalsh(0.5 * (J.T @ A + (J.T @ A).T))[0] > -1e-9
+        assert np.linalg.eigvalsh(0.5 * (G + G.T))[0] > -1e-9
         assert np.abs(J.T @ G @ J - G).max() < 1e-9
 
 
