@@ -408,30 +408,24 @@ def modified_schwarzian(phi: CircleDiffeo) -> FourierFunction:
 
 
 def _refit_schwarzian(phi: CircleDiffeo, modified: bool) -> FourierFunction:
-    M = refit_size(phi.degree)
-    vals = _schwarzian(phi, lambda f: f.grid_values(M), modified)
-    return FourierFunction.from_grid(vals, phi.degree)
+    theta = grid_points(refit_size(phi.degree))
+    return FourierFunction.from_grid(schwarzian_values(phi, theta, modified),
+                                     phi.degree)
 
 
 def schwarzian_values(phi: CircleDiffeo, theta,
                       modified: bool = False) -> np.ndarray:
-    """S(phi) (or S~(phi)) at arbitrary angles, straight from the exact
-    coefficient derivatives of the displacement; no grid refit."""
+    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: pointwise
+    from phi', phi'' and phi''', each evaluated from the exact coefficient
+    derivatives of the displacement; no grid refit."""
     theta = np.asarray(theta, dtype=float)
-    return np.real(_schwarzian(phi, lambda f: f.evaluate(theta), modified))
-
-
-def _schwarzian(phi: CircleDiffeo, sample, modified: bool) -> np.ndarray:
-    """S(phi), or S~(phi) when ``modified``, pointwise from phi', phi'' and
-    phi''', each sampled by ``sample`` from the exact coefficient
-    derivatives of the displacement."""
-    d1 = 1.0 + sample(derivative(phi.p, 1))
-    d2 = sample(derivative(phi.p, 2))
-    d3 = sample(derivative(phi.p, 3))
+    d1 = 1.0 + derivative(phi.p, 1).evaluate(theta)
+    d2 = derivative(phi.p, 2).evaluate(theta)
+    d3 = derivative(phi.p, 3).evaluate(theta)
     vals = d3 / d1 - 1.5 * (d2 / d1) ** 2
     if modified:
         vals = vals + 0.5 * (d1 ** 2 - 1.0)
-    return vals
+    return np.real(vals)
 
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,

@@ -20,14 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import random_diffeo
 from .reports import emit
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite, suite_names
 from .virasoro import (
     VermaBasis,
     VirasoroElement,
-    adjoint_action,
-    cartan_projection,
+    convexity_check,
     projection_curve,
     verma_gram,
 )
@@ -171,12 +169,10 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
         pts = projection_curve(x, args.n, s_values, degree=args.degree)
         rows = [[s, p.beta, p.alpha] for s, p in zip(s_values, pts)]
         return ["s", "beta", "alpha"], rows
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for trial in range(args.trials):
-        phi = random_diffeo(rng, degree=args.degree)
-        proj = cartan_projection(adjoint_action(phi, x))
-        rows.append([trial, proj.beta - args.beta, proj.alpha - args.alpha])
+    rep = convexity_check(x, args.trials, np.random.default_rng(args.seed),
+                          args.degree)
+    rows = [[trial, float(b), float(a)] for trial, (b, a) in
+            enumerate(zip(rep["beta_margins"], rep["alpha_margins"]))]
     return ["trial", "beta_margin", "alpha_margin"], rows
 
 

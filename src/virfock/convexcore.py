@@ -147,7 +147,7 @@ def cone_generators(C: PolyCone, tol: float = TOL) -> np.ndarray:
     lin = _nullspace(A, tol)                   # lineality directions
     rays = []
     if lin.shape[0] < n:
-        P = _orth_complement(lin, n)           # columns span lin-perp
+        P = _nullspace(lin, tol).T             # columns span lin-perp
         Aq = A @ P                             # inequalities in the quotient
         k = P.shape[1]
         rays_q = _pointed_cone_rays(Aq, k, tol)
@@ -168,14 +168,6 @@ def _nullspace(A: np.ndarray, tol: float) -> np.ndarray:
     _, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
     return vt[rank:]
-
-
-def _orth_complement(rows: np.ndarray, n: int) -> np.ndarray:
-    """n x k matrix whose columns complete ``rows`` to an o.n. basis."""
-    if rows.shape[0] == 0:
-        return np.eye(n)
-    _, _, vt = np.linalg.svd(rows)
-    return vt[rows.shape[0]:].T
 
 
 def _pointed_cone_rays(A: np.ndarray, k: int, tol: float) -> list[np.ndarray]:

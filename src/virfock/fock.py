@@ -300,9 +300,7 @@ class FockOperator:
         return self.compose(other) - other.compose(self)
 
     def anticommutator(self, other: "FockOperator") -> "FockOperator":
-        a = self.compose(other)
-        b = other.compose(self)
-        return FockOperator(self.space, a.csr + b.csr)
+        return self.compose(other) + other.compose(self)
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -503,15 +501,14 @@ def central_term(space: ModeSpace, x: RealLinearMap, y: RealLinearMap) -> float:
 
     Exact on truncations with cutoff >= 4 since only states of degree
     <= 4 enter the vacuum matrix element.  Read as
-    <A B Omega - B A Omega - dpi([x, y]) Omega, Omega> / i with
-    A = dpi(x), B = dpi(y): five matrix-vector products instead of
-    two operator products.
+    <A B Omega - B A Omega, Omega> / i with A = dpi(x), B = dpi(y): four
+    matrix-vector products.  dpi([x, y]) is not built: no word of a
+    normally ordered quadratic maps Omega to Omega, so that term is 0.0.
     """
     A = second_quantize(space, x)
     B = second_quantize(space, y)
     vac = vacuum(space)
-    defect = A.apply(B.apply(vac)) - B.apply(A.apply(vac)) \
-        - second_quantize(space, x.commutator(y)).apply(vac)
+    defect = A.apply(B.apply(vac)) - B.apply(A.apply(vac))
     val = defect.inner(vac) / 1j
     return float(val.real)
 

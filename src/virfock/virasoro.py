@@ -90,9 +90,6 @@ class VirasoroElement:
         """beta c + alpha dtheta."""
         return cls(beta, FourierFunction.constant(alpha, degree))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return abs(complex(self.z).imag) <= tol and self.field.is_real(tol)
-
     def __add__(self, other: "VirasoroElement") -> "VirasoroElement":
         return VirasoroElement(self.z + other.z, self.field + other.field)
 
@@ -205,18 +202,20 @@ def chi(x: VirasoroElement | FourierFunction,
     Raises ValueError when f is not real and positive on the grid.
     """
     f = x.field if isinstance(x, VirasoroElement) else x
+    return float(np.mean(1.0 / _positive_samples(f, grid_size)))
+
+
+def _positive_samples(f: FourierFunction, grid_size: int | None) -> np.ndarray:
+    """f on the uniform grid of ``grid_size`` points (default
+    max(CHI_MIN_GRID, 8N)); raises ValueError unless f is real and
+    positive there."""
     if not f.is_real(1e-9):
         raise ValueError("chi is defined for real fields only")
-    M = grid_size if grid_size is not None else _chi_grid(f)
+    M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
     vals = np.real(f.grid_values(M))
     if np.min(vals) <= 0.0:
         raise ValueError("chi requires f > 0 on the circle")
-    return float(np.mean(1.0 / vals))
-
-
-def _chi_grid(f: FourierFunction) -> int:
-    """max(CHI_MIN_GRID, 8N), the default quadrature grid of `chi`."""
-    return max(CHI_MIN_GRID, 8 * f.degree)
+    return vals
 
 
 def orbit_invariants(x: VirasoroElement) -> CartanCoords:
@@ -224,16 +223,15 @@ def orbit_invariants(x: VirasoroElement) -> CartanCoords:
 
     alpha = 1/chi(f) and
     beta = z - int (f')^2/(2f) + (1/2) int f - pi/chi(f),
-    the energy term on the grid of `chi`.  Raises ValueError when z is
-    not real, or (from `chi`) when f is not real and positive.
+    both read from one sampling of f on the grid of `chi`.  Raises
+    ValueError when z is not real, or when f is not real and positive.
     """
     if abs(complex(x.z).imag) > 1e-9:
         raise ValueError("orbit invariants are defined for real elements")
     f = x.field
-    chi_val = chi(f)
-    M = _chi_grid(f)
-    fv = np.real(f.grid_values(M))
-    dfv = np.real(derivative(f).grid_values(M))
+    fv = _positive_samples(f, None)
+    chi_val = float(np.mean(1.0 / fv))
+    dfv = np.real(derivative(f).grid_values(fv.size))
     energy = 2.0 * math.pi * float(np.mean(dfv ** 2 / (2.0 * fv)))
     beta = (float(np.real(x.z)) - energy
             + 0.5 * float(np.real(integrate(f))) - math.pi / chi_val)
@@ -268,7 +266,8 @@ def convexity_check(x: VirasoroElement, trials: int,
     x must lie in the Cartan plane with positive dtheta component.  For
     each trial a random diffeomorphism (6 modes, amplitude 0.15) is drawn
     and the projection of the transformed element is compared with
-    (z, alpha); both smallest margins should be nonnegative up to roundoff.
+    (z, alpha).  Returns the margins per trial (``beta_margins``,
+    ``alpha_margins``) and their minima, nonnegative up to roundoff.
     """
     alpha = float(np.real(x.field.coeff(0)))
     rest = max(abs(x.field.coeff(k)) for k in range(-x.field.degree, x.field.degree + 1) if k != 0) \
@@ -284,7 +283,8 @@ def convexity_check(x: VirasoroElement, trials: int,
         beta_margins[t] = proj.beta - beta
         alpha_margins[t] = proj.alpha - alpha
     return {"min_beta_margin": float(beta_margins.min()),
-            "min_alpha_margin": float(alpha_margins.min())}
+            "min_alpha_margin": float(alpha_margins.min()),
+            "beta_margins": beta_margins, "alpha_margins": alpha_margins}
 
 
 def projection_curve(x: VirasoroElement, n: int,

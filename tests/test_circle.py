@@ -403,6 +403,19 @@ def test_schwarzian_vanishes_on_rotations_and_identity():
     assert modified_schwarzian(ident).sup_norm() < 1e-13
 
 
+@pytest.mark.parametrize("a", [0.3, 0.6])
+def test_refit_schwarzian_matches_closed_form_off_the_grid(a):
+    # phi = theta + a sin theta: phi' = 1 + a cos, phi'' = -a sin,
+    # phi''' = -a cos, so S and S~ are known pointwise
+    phi = CircleDiffeo(FourierFunction.from_dict({1: a / 2j, -1: -a / 2j}, 32))
+    theta = TWO_PI * (np.arange(97) + 0.37) / 97
+    d1, d2, d3 = 1 + a * np.cos(theta), -a * np.sin(theta), -a * np.cos(theta)
+    s = d3 / d1 - 1.5 * (d2 / d1) ** 2
+    assert np.max(np.abs(schwarzian(phi).evaluate(theta) - s)) < 1e-12
+    s_mod = s + 0.5 * (d1 ** 2 - 1.0)
+    assert np.max(np.abs(modified_schwarzian(phi).evaluate(theta) - s_mod)) < 1e-12
+
+
 @pytest.mark.parametrize("modified", [False, True])
 def test_schwarzian_cocycle_identity(modified):
     from virfock.circle import schwarzian_cocycle_residual

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from virfock import circle, cli
@@ -19,6 +20,7 @@ from virfock.reports import (
     reports_to_csv,
 )
 from virfock.suites import SuiteConfig, run_suite, suite_names
+from virfock.virasoro import VirasoroElement, convexity_check
 
 ALL_SUITES = (
     "circle-calculus",
@@ -422,7 +424,9 @@ def test_cli_orbit_rejects_flows_past_invertibility(capsys):
                                    ["--degree", "100000"], ["--degree", "2"],
                                    ["--n", "0"], ["--smax", "1e300"],
                                    ["--steps", "1001"],
-                                   ["--curve", "convexity", "--trials", "1001"]],
+                                   ["--curve", "convexity", "--trials", "1001"],
+                                   ["--curve", "convexity", "--alpha", "0"],
+                                   ["--curve", "convexity", "--alpha", "-1"]],
                          ids=" ".join)
 def test_cli_orbit_out_of_range_flag_is_a_usage_error(capsys, flags):
     assert main(["orbit", *flags]) == 2
@@ -481,6 +485,18 @@ def test_cli_orbit_convexity_margins(capsys):
         assert float(beta_margin) >= -1e-8
 
 
+def test_cli_orbit_convexity_prints_the_margins_of_convexity_check(capsys):
+    # the curve draws what virasoro-orbits/04 checks, trial by trial
+    assert main(["orbit", "--curve", "convexity", "--trials", "5",
+                 "--degree", "32"]) == 0
+    rep = convexity_check(VirasoroElement.cartan(0.0, 1.0, 32), 5,
+                          np.random.default_rng(12345), 32)
+    want = ["trial,beta_margin,alpha_margin"] + [
+        f"{t},{float(b)!r},{float(a)!r}" for t, (b, a) in
+        enumerate(zip(rep["beta_margins"], rep["alpha_margins"]))]
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_cli_gram_prints_exact_fractions(capsys):
     rc = main(["gram", "--level", "2", "--c", "1/2", "--h", "1/16"])
     out = capsys.readouterr().out
@@ -501,13 +517,29 @@ def test_cli_gram_rejects_out_of_range_level(capsys):
 # module entry point wiring
 
 
-def _run_module(*args):
-    """`python -m virfock ...` in a child that imports this checkout."""
+def _run_python(*args):
+    """`python ...` in a child that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "virfock", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def _run_module(*args):
+    """`python -m virfock ...` in a child that imports this checkout."""
+    return _run_python("-m", "virfock", *args)
+
+
+def test_importing_the_package_loads_every_module():
+    # the benchmark times `import virfock` as setup; a lazy package would
+    # move the module imports into the first timed pass
+    proc = _run_python("-c", "import sys, virfock; print(' '.join(sorted("
+                       "m for m in sys.modules if m.startswith('virfock.'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        f"virfock.{m}" for m in ("circle", "convexcore", "fock", "realmaps",
+                                 "reports", "suites", "symplectic", "virasoro")]
 
 
 def test_module_entry_point_runs_a_suite():

@@ -529,6 +529,20 @@ def test_central_term_matches_the_vacuum_entry_of_the_commutator():
             assert abs(central_term(sp, x, y) - want) < 1e-14
 
 
+@pytest.mark.parametrize("stat,cutoff", [(BOSONIC, 2), (BOSONIC, 4),
+                                         (BOSONIC, 6), (FERMIONIC, None)])
+def test_vacuum_expectation_of_a_quadratic_is_exactly_zero(stat, cutoff):
+    # why central_term never builds dpi([x, y]): its vacuum entry is 0.0
+    rng = np.random.default_rng(64)
+    sampler = random_sp_element if stat == BOSONIC else random_o_element
+    for d in (1, 2, 3):
+        sp = ModeSpace(d, stat, cutoff=cutoff)
+        vac = vacuum(sp)
+        for _ in range(5):
+            z = sampler(rng, d)
+            assert second_quantize(sp, z).apply(vac).inner(vac) == 0.0
+
+
 def test_central_term_antisymmetric():
     rng = np.random.default_rng(59)
     sp = ModeSpace(2, BOSONIC, cutoff=6)
