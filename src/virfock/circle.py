@@ -1,10 +1,11 @@
 """Fourier-truncated smooth calculus on the circle S^1 = R/(2 pi Z).
 
 Functions are trigonometric polynomials f(theta) = sum_{|k| <= N} c_k
-e^{i k theta}.  A vector field f(theta) d/dtheta is its coefficient
-function f, a plain `FourierFunction`; an s-density u(theta) (dtheta)^s
-is a `Density`, and a field acting by its transformation law is the
-(-1)-density `Density(f, -1.0)`.  An orientation-preserving
+e^{i k theta}.  A vector field f(theta) d/dtheta and an s-density
+u(theta) (dtheta)^s are both their coefficient functions, plain
+`FourierFunction`s; the weight s is an argument of the two operations
+that read it, `pullback_density` and `lie_derivative`, and a field acting
+by its transformation law has s = -1.  An orientation-preserving
 diffeomorphism phi(theta) = theta + p(theta) is a `CircleDiffeo` over
 its displacement p.
 
@@ -19,8 +20,6 @@ the group level (diffeomorphisms, flows) insists on real data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,19 +181,6 @@ class FourierFunction:
                 f"real={self.real_flag}, |c|={np.linalg.norm(self.coeffs):.3g})")
 
 
-@dataclass(frozen=True)
-class Density:
-    """s-density u(theta) (dtheta)^s; s = -1 are vector fields, s = 2 the
-    quadratic densities dual to them."""
-
-    u: FourierFunction
-    s: float
-
-    @property
-    def degree(self) -> int:
-        return self.u.degree
-
-
 class CircleDiffeo:
     """Orientation-preserving diffeomorphism phi(theta) = theta + p(theta).
 
@@ -203,17 +189,16 @@ class CircleDiffeo:
     M = max(4N+1, 129) points at construction time.
     """
 
-    __slots__ = ("p", "min_derivative")
+    __slots__ = ("p",)
 
     def __init__(self, p: FourierFunction):
-        if not p.is_real():
+        if not p.real_flag:
             raise ValueError("diffeomorphism displacement must be real")
         self.p = p
-        dp = derivative(self.p).grid_values(max(4 * p.degree + 1, 129))
-        self.min_derivative = float(1.0 + np.min(dp))
-        if self.min_derivative <= 0.0:
-            raise ValueError(
-                f"not a diffeomorphism: min phi' = {self.min_derivative:.3e}")
+        dp = derivative(p).grid_values(max(4 * p.degree + 1, 129))
+        min_derivative = float(1.0 + np.min(dp))
+        if min_derivative <= 0.0:
+            raise ValueError(f"not a diffeomorphism: min phi' = {min_derivative:.3e}")
 
     @classmethod
     def identity(cls, degree: int) -> "CircleDiffeo":
@@ -236,8 +221,7 @@ class CircleDiffeo:
         return 1.0 + derivative(self.p).evaluate(theta)
 
     def __repr__(self):
-        return (f"CircleDiffeo(degree={self.degree}, "
-                f"min_phi'={self.min_derivative:.3g})")
+        return f"CircleDiffeo(degree={self.degree})"
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +276,7 @@ def lie_bracket(f: FourierFunction, g: FourierFunction,
                 degree: int | None = None) -> FourierFunction:
     """[f d, g d] = (f g' - f' g) d, the Lie derivative along f d of g
     read as a (-1)-density; exact up to the final truncation."""
-    return lie_derivative(f, Density(g, -1.0), degree).u
+    return lie_derivative(f, g, -1.0, degree)
 
 
 def gelfand_fuchs(f: FourierFunction, g: FourierFunction) -> complex:
@@ -322,31 +306,31 @@ def witt_generator(n: int, degree: int) -> FourierFunction:
 # densities and the diffeomorphism action
 
 
-def pullback_density(phi: CircleDiffeo, rho: Density) -> Density:
-    """Pullback (u o phi) (phi')^s (dtheta)^s of an s-density.
+def pullback_density(phi: CircleDiffeo, u: FourierFunction,
+                     s: float) -> FourierFunction:
+    """Coefficient function (u o phi) (phi')^s of the pullback of the
+    s-density u (dtheta)^s.
 
     Evaluated pointwise on the refit grid of 8 max(N, 4) points (N the
     larger of the two degrees) and re-expanded; s = -1 reproduces the
     adjoint action on vector fields, s = 2 the coadjoint one on its dual.
     """
-    n = max(rho.degree, phi.degree)
+    n = max(u.degree, phi.degree)
     theta = grid_points(refit_size(n))
-    vals = rho.u.evaluate(phi.evaluate(theta)) \
-        * phi.derivative_values(theta) ** rho.s
-    return Density(FourierFunction.from_grid(vals, n), rho.s)
+    vals = u.evaluate(phi.evaluate(theta)) * phi.derivative_values(theta) ** s
+    return FourierFunction.from_grid(vals, n)
 
 
-def lie_derivative(f: FourierFunction, rho: Density,
-                   degree: int | None = None) -> Density:
-    """L_f (u (dtheta)^s) = (f u' + s f' u) (dtheta)^s, the derivative of
-    the pullback along the flow of f d/dtheta, at ``degree`` (default
-    max(N_f, N_u))."""
-    u = rho.u
+def lie_derivative(f: FourierFunction, u: FourierFunction, s: float,
+                   degree: int | None = None) -> FourierFunction:
+    """Coefficient function f u' + s f' u of L_f (u (dtheta)^s), the
+    derivative of the s-density's pullback along the flow of f d/dtheta,
+    at ``degree`` (default max(N_f, N_u))."""
     full = max(f.degree + u.degree, 1)
     a = multiply(f, derivative(u), degree=full)
     b = multiply(derivative(f), u, degree=full)
     target = max(f.degree, u.degree) if degree is None else degree
-    return Density((a + rho.s * b).truncated(target), rho.s)
+    return (a + s * b).truncated(target)
 
 
 def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:

@@ -129,7 +129,7 @@ def dual_cone(C: PolyCone) -> PolyCone:
     return PolyCone(normals=np.array(gens, dtype=float, copy=True))
 
 
-def cone_generators(C: PolyCone, tol: float = TOL) -> np.ndarray:
+def cone_generators(C: PolyCone) -> np.ndarray:
     """Generators of a cone given in half-space form.
 
     Runs a double-description style enumeration: the lineality space is
@@ -144,13 +144,13 @@ def cone_generators(C: PolyCone, tol: float = TOL) -> np.ndarray:
     if n > MAX_DD_DIM:
         raise ValueError(f"double description limited to dimension {MAX_DD_DIM}")
 
-    lin = _nullspace(A, tol)                   # lineality directions
+    lin = _nullspace(A)                        # lineality directions
     rays = []
     if lin.shape[0] < n:
-        P = _nullspace(lin, tol).T             # columns span lin-perp
+        P = _nullspace(lin).T                  # columns span lin-perp
         Aq = A @ P                             # inequalities in the quotient
         k = P.shape[1]
-        rays_q = _pointed_cone_rays(Aq, k, tol)
+        rays_q = _pointed_cone_rays(Aq, k)
         rays = [P @ r for r in rays_q]
     gens = list(rays)
     for ell in lin:
@@ -158,19 +158,19 @@ def cone_generators(C: PolyCone, tol: float = TOL) -> np.ndarray:
         gens.append(-ell)
     if not gens:
         return np.zeros((0, n))
-    return _dedupe_rays(np.array(gens), tol)
+    return _dedupe_rays(np.array(gens))
 
 
-def _nullspace(A: np.ndarray, tol: float) -> np.ndarray:
+def _nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {x : Ax = 0}."""
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > TOL * max(1.0, s[0] if s.size else 1.0)))
     return vt[rank:]
 
 
-def _pointed_cone_rays(A: np.ndarray, k: int, tol: float) -> list[np.ndarray]:
+def _pointed_cone_rays(A: np.ndarray, k: int) -> list[np.ndarray]:
     """Extreme rays of the pointed cone {y in R^k : Ay >= 0}.
 
     Candidates are null directions of rank-(k-1) subsets of rows; both
@@ -182,7 +182,7 @@ def _pointed_cone_rays(A: np.ndarray, k: int, tol: float) -> list[np.ndarray]:
     out: list[np.ndarray] = []
 
     def feasible(r):
-        return np.all(A @ r >= -tol * max(1.0, float(np.abs(A).max(initial=1.0))))
+        return np.all(A @ r >= -TOL * max(1.0, float(np.abs(A).max(initial=1.0))))
 
     if k == 1:
         for r in (np.array([1.0]), np.array([-1.0])):
@@ -191,7 +191,7 @@ def _pointed_cone_rays(A: np.ndarray, k: int, tol: float) -> list[np.ndarray]:
         return out
     for idx in combinations(range(m), k - 1):
         sub = A[list(idx)]
-        null = _nullspace(sub, tol)
+        null = _nullspace(sub)
         if null.shape[0] != 1:     # need exactly rank k-1
             continue
         r = null[0]
@@ -201,9 +201,9 @@ def _pointed_cone_rays(A: np.ndarray, k: int, tol: float) -> list[np.ndarray]:
     return out
 
 
-def _dedupe_rays(rays: np.ndarray, tol: float) -> np.ndarray:
+def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rays, axis=1)
-    keep = norms > tol
+    keep = norms > TOL
     rays = rays[keep] / norms[keep, None]
     uniq: list[np.ndarray] = []
     for r in rays:
@@ -212,7 +212,7 @@ def _dedupe_rays(rays: np.ndarray, tol: float) -> np.ndarray:
     return np.array(uniq)
 
 
-def in_cone(C: PolyCone, x, tol: float = TOL) -> bool:
+def in_cone(C: PolyCone, x) -> bool:
     """Membership test, via whichever representation is available.
 
     Half-space form checks the inequalities; generated form solves the
@@ -220,19 +220,18 @@ def in_cone(C: PolyCone, x, tol: float = TOL) -> bool:
     """
     x = np.asarray(x, dtype=float)
     if C.normals is not None:
-        return bool(np.all(C.normals @ x >= -tol * max(1.0, np.linalg.norm(x))))
+        return bool(np.all(C.normals @ x >= -TOL * max(1.0, np.linalg.norm(x))))
     G = C.generators
     if G.shape[0] == 0:
-        return bool(np.linalg.norm(x) <= tol)
+        return bool(np.linalg.norm(x) <= TOL)
     _, resid = nnls(G.T, x)
-    return resid <= tol * max(1.0, np.linalg.norm(x))
+    return resid <= TOL * max(1.0, np.linalg.norm(x))
 
 
-def cones_equal(C1: PolyCone, C2: PolyCone, tol: float = TOL) -> bool:
+def cones_equal(C1: PolyCone, C2: PolyCone) -> bool:
     """Set equality via mutual generator membership."""
-    g1, g2 = cone_generators(C1, tol), cone_generators(C2, tol)
-    return (all(in_cone(C2, g, tol) for g in g1)
-            and all(in_cone(C1, g, tol) for g in g2))
+    g1, g2 = cone_generators(C1), cone_generators(C2)
+    return all(in_cone(C2, g) for g in g1) and all(in_cone(C1, g) for g in g2)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +249,13 @@ def lineality_space(C: Polyhedron) -> np.ndarray:
     """Basis (rows) of H(C) = lim(C) cap -lim(C) = null space of the normals."""
     if C.is_empty():
         raise ValueError("lineality space of an empty polyhedron is undefined")
-    return _nullspace(C.normals, TOL)
+    return _nullspace(C.normals)
 
 
 def cone_is_pointed(C: PolyCone) -> bool:
     """A generated cone is pointed iff 0 is not a convex combination of its
     normalized generators (no nonzero x with x and -x in the cone)."""
-    G = cone_generators(C, TOL)
+    G = cone_generators(C)
     norms = np.linalg.norm(G, axis=1)
     G = G[norms > TOL] / norms[norms > TOL, None]
     if G.shape[0] == 0:

@@ -147,9 +147,6 @@ class RealLinearMap:
     def antilinear_norm(self) -> float:
         return float(np.linalg.norm(self.G2))
 
-    def is_antilinear(self) -> bool:
-        return self.linear_norm() <= 1e-12 * max(1.0, self.antilinear_norm())
-
 
 def real_matrix_of_i(d: int) -> np.ndarray:
     """Block matrix of multiplication by i; also represents omega."""

@@ -16,6 +16,7 @@ value outside its range, is rejected before the suite runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator
@@ -282,10 +283,10 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     def pullback_defect():
         phi, psi = _random_diffeo(rng), _random_diffeo(rng)
-        rho = ci.Density(_random_field(rng, degree=8), 2)
-        one = ci.pullback_density(psi, ci.pullback_density(phi, rho))
-        two = ci.pullback_density(ci.compose(phi, psi), rho)
-        return (one.u - two.u).sup_norm()
+        u = _random_field(rng, degree=8)
+        one = ci.pullback_density(psi, ci.pullback_density(phi, u, 2), 2)
+        two = ci.pullback_density(ci.compose(phi, psi), u, 2)
+        return (one - two).sup_norm()
 
     yield check("07-pullback-composition",
                 "pulling back along psi then phi equals pulling back along phi o psi",
@@ -438,8 +439,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     def pairing_defect():
         phi = _random_diffeo(rng)
         xe = vi.VirasoroElement(float(rng.normal()), _random_field(rng, degree=10))
-        lam = vi.VirasoroFunctional(float(rng.normal()),
-                                    ci.Density(_random_field(rng, degree=10), 2))
+        lam = vi.VirasoroFunctional(float(rng.normal()), _random_field(rng, degree=10))
         lhs = vi.pairing(vi.coadjoint_action(phi, lam), vi.adjoint_action(phi, xe))
         return abs(lhs - vi.pairing(lam, xe))
 
@@ -709,6 +709,8 @@ def _suite_fock_vacuum(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
 
 def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
+    # one instance per distinct space, so word tables persist across trials
+    mode_space = functools.cache(fk.ModeSpace)
 
     def rand_pair(space):
         if space.statistics == fk.BOSONIC:
@@ -719,7 +721,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     def trace_formula_defect(stats):
         d = int(rng.integers(1, 4)) if stats == fk.BOSONIC else int(rng.integers(2, 4))
-        space = fk.ModeSpace(d, stats, cutoff=6)
+        space = mode_space(d, stats, cutoff=6)
         x, y = rand_pair(space)
         return abs(fk.central_term(space, x, y)
                    - fk.central_term_trace(space, x, y))
@@ -731,7 +733,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                     [trace_formula_defect(stats) for _ in range(50)], 1e-8)
 
     both = (fk.BOSONIC, fk.FERMIONIC)
-    pair_spaces = [fk.ModeSpace(2, stats, cutoff=6) for stats in both]
+    pair_spaces = [mode_space(2, stats, cutoff=6) for stats in both]
 
     def antisymmetry_defect(space):
         x, y = rand_pair(space)
@@ -751,13 +753,13 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("04-eta-cocycle",
                 "eta vanishes on the cyclic sum over brackets",
                 [cocycle_defect(space)
-                 for space in [fk.ModeSpace(3, stats, cutoff=6) for stats in both]
+                 for space in [mode_space(3, stats, cutoff=6) for stats in both]
                  for _ in range(10)], 1e-8)
 
     def hat_defects():
         stats = fk.BOSONIC if rng.uniform() < 0.5 else fk.FERMIONIC
         d = int(rng.integers(2, 5))
-        space = fk.ModeSpace(d, stats, cutoff=4)
+        space = mode_space(d, stats, cutoff=4)
         z1, z2 = _complex_normal(rng, (d, d)), _complex_normal(rng, (d, d))
         if stats == fk.BOSONIC:
             MA, MB = 0.5 * (z1 + z1.T), 0.5 * (z2 + z2.T)
@@ -783,10 +785,10 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("07-dpi-vacuum-hat",
                 "dpi(x_2) applied to the vacuum is -x_2-hat",
                 [vacuum_hat_defect(space)
-                 for space in [fk.ModeSpace(3, stats, cutoff=4) for stats in both]
+                 for space in [mode_space(3, stats, cutoff=4) for stats in both]
                  for _ in range(10)], 1e-12)
 
-    space = fk.ModeSpace(3, fk.FERMIONIC)
+    space = mode_space(3, fk.FERMIONIC)
 
     def rank_one_defect():
         v, w = _complex_normal(rng, 3), _complex_normal(rng, 3)
@@ -800,7 +802,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     def quasifree_defect():
         d = int(rng.integers(2, 5))
-        space = fk.ModeSpace(d, fk.FERMIONIC)
+        space = mode_space(d, fk.FERMIONIC)
         P, gamma = _random_projection_and_conjugation(rng, d)
         f, g = _complex_normal(rng, d), _complex_normal(rng, d)
         aP = fk.quasifree_twist(space, P, gamma, f)

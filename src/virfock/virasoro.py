@@ -17,6 +17,8 @@ Schwarzian Stilde = S(phi) + ((phi')^2 - 1)/2:
     adjoint:   Ad_phi (z, f)  = (z - int f . Stilde(phi^{-1}) dtheta, (f o phi) / phi')
     coadjoint: Ad*_phi (a, u) = (a, (u o phi) (phi')^2 - a Stilde(phi))
 
+A dual pair (a, u dtheta^2) holds u as a plain coefficient function: its
+weight 2 is fixed by the coadjoint law, which pulls u back with (phi')^2.
 The dual pairing <(a, u), (z, f)> = a z + int u f dtheta is invariant
 under the pair of actions, which pins down both signs.  Stilde is a
 cocycle, Stilde(phi^{-1}) o phi = -Stilde(phi) / (phi')^2, so the
@@ -52,7 +54,6 @@ import numpy as np
 
 from .circle import (
     CircleDiffeo,
-    Density,
     FourierFunction,
     derivative,
     flow,
@@ -104,18 +105,11 @@ class VirasoroElement:
 
 @dataclass(frozen=True)
 class VirasoroFunctional:
-    """Dual pair (a, u dtheta^2): central charge plus quadratic density."""
+    """Dual pair (a, u dtheta^2): central charge plus the coefficient
+    function u of a quadratic density (weight 2, fixed by the action)."""
 
     a: float
-    density: Density
-
-    def __post_init__(self):
-        if self.density.s != 2:
-            raise ValueError("coadjoint vectors carry densities of weight 2")
-
-    @property
-    def u(self) -> FourierFunction:
-        return self.density.u
+    u: FourierFunction
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,8 @@ def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
 def coadjoint_action(phi: CircleDiffeo,
                      lam: VirasoroFunctional) -> VirasoroFunctional:
     """Ad*_phi(a, u) = (a, (u o phi)(phi')^2 - a Stilde(phi))."""
-    pulled = pullback_density(phi, lam.density).u
-    stil = modified_schwarzian(phi)
-    return VirasoroFunctional(lam.a, Density(pulled - stil * lam.a, 2))
+    return VirasoroFunctional(
+        lam.a, pullback_density(phi, lam.u, 2) - modified_schwarzian(phi) * lam.a)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +412,9 @@ def verma_gram(basis: VermaBasis) -> np.ndarray:
 
 
 def singleton_norm(n: int, c, h):
-    """<d_{-n} v, d_{-n} v> = 2 n h + c (n^3 - n)/12."""
-    if isinstance(c, (int, Fraction)) and isinstance(h, (int, Fraction)):
-        return 2 * n * Fraction(h) + Fraction(c) * Fraction(n ** 3 - n, 12)
-    return 2 * n * h + c * (n ** 3 - n) / 12.0
+    """<d_{-n} v, d_{-n} v> = 2 n h + c (n^3 - n)/12, exact when c and h
+    are rational."""
+    return 2 * n * h + c * Fraction(n ** 3 - n, 12)
 
 
 def unitarity_scan(c_values: Sequence[float], h_values: Sequence[float],

@@ -8,7 +8,6 @@ import pytest
 
 from virfock.circle import (
     CircleDiffeo,
-    Density,
     FourierFunction,
     compose,
     derivative,
@@ -266,7 +265,7 @@ def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
     g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
     X, Y = f, g
     br = lie_bracket(X, Y, degree)
-    lie = lie_derivative(X, Density(g, -1.0), degree).u
+    lie = lie_derivative(X, g, -1.0, degree)
     assert br.degree == lie.degree == degree
     assert np.array_equal(br.coeffs, lie.coeffs)
     # f g' - f' g by explicit coefficient convolution (modes -12..12)
@@ -284,17 +283,16 @@ def test_pullback_by_rotation_shifts_argument():
     rng = np.random.default_rng(25)
     u = random_field(rng, 12)
     alpha = 0.731
-    rho = pullback_density(CircleDiffeo.rotation(alpha, degree=12), Density(u, 1.5))
+    rho = pullback_density(CircleDiffeo.rotation(alpha, degree=12), u, 1.5)
     theta = grid_points(101)
-    assert np.max(np.abs(rho.u.evaluate(theta) - u.evaluate(theta + alpha))) < 1e-10
-    assert rho.s == 1.5
+    assert np.max(np.abs(rho.evaluate(theta) - u.evaluate(theta + alpha))) < 1e-10
 
 
 def test_pullback_by_identity():
     rng = np.random.default_rng(26)
     u = random_field(rng, 10)
-    rho = pullback_density(CircleDiffeo.identity(10), Density(u, 2))
-    assert (rho.u - u).sup_norm() < 1e-13
+    rho = pullback_density(CircleDiffeo.identity(10), u, 2)
+    assert (rho - u).sup_norm() < 1e-13
 
 
 def test_pullback_matches_grid_oracle():
@@ -304,25 +302,26 @@ def test_pullback_matches_grid_oracle():
     for _ in range(5):
         phi = random_diffeo(rng, degree=N, amplitude=0.08)
         u = random_field(rng, 12)
-        rho = pullback_density(phi, Density(u, 2))
         phi_vals = theta + phi.p.evaluate(theta).real
         dphi = 1.0 + derivative(phi.p).evaluate(theta).real
-        oracle = u.evaluate(phi_vals) * dphi ** 2
-        assert np.max(np.abs(rho.u.evaluate(theta) - oracle)) < 1e-9
+        # the weight is the exponent of phi': quadratic, field, fractional
+        for s in (2, -1, 1.5):
+            rho = pullback_density(phi, u, s)
+            oracle = u.evaluate(phi_vals) * dphi ** s
+            assert np.max(np.abs(rho.evaluate(theta) - oracle)) < 1e-9
 
 
 def test_lie_derivative_along_rotation_field():
     rng = np.random.default_rng(28)
     u = random_field(rng, 10)
-    out = lie_derivative(FourierFunction.constant(1.0, 10),
-                         Density(u, 1.7))
-    assert (out.u - derivative(u)).sup_norm() < 1e-13
+    out = lie_derivative(FourierFunction.constant(1.0, 10), u, 1.7)
+    assert (out - derivative(u)).sup_norm() < 1e-13
 
 
 def test_lie_derivative_of_constant_weight_zero():
     X = FourierFunction.from_dict({1: 0.3, -1: 0.3}, degree=6)
-    out = lie_derivative(X, Density(FourierFunction.constant(2.0, 6), 0))
-    assert out.u.sup_norm() < 1e-14
+    out = lie_derivative(X, FourierFunction.constant(2.0, 6), 0)
+    assert out.sup_norm() < 1e-14
 
 
 def test_lie_derivative_is_flow_derivative_of_pullback():
@@ -332,12 +331,11 @@ def test_lie_derivative_is_flow_derivative_of_pullback():
     rng = np.random.default_rng(29)
     X = random_field(rng, 24, scale=0.5)
     u = random_field(rng, 24)
-    dens = Density(u, 2)
     h = 1e-4
-    plus = pullback_density(flow(X, h, degree=24), dens)
-    minus = pullback_density(flow(X, -h, degree=24), dens)
-    fd = (plus.u - minus.u) * (1.0 / (2.0 * h))
-    exact = lie_derivative(X, dens).u
+    plus = pullback_density(flow(X, h, degree=24), u, 2)
+    minus = pullback_density(flow(X, -h, degree=24), u, 2)
+    fd = (plus - minus) * (1.0 / (2.0 * h))
+    exact = lie_derivative(X, u, 2)
     rel = (fd - exact).sup_norm() / max(exact.sup_norm(), 1e-12)
     assert rel < 1e-6
 

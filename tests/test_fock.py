@@ -46,6 +46,7 @@ from virfock.realmaps import (
     random_symplectic,
     random_unitary,
 )
+from virfock.suites import SuiteConfig, run_suite
 
 
 def random_vec(rng, d):
@@ -86,6 +87,21 @@ def test_basis_matches_the_filtered_product(d):
         assert sp.basis == want
         assert sp.index == {occ: i for i, occ in enumerate(want)}
         assert sp.dim == len(want)
+
+
+def test_fock_central_builds_each_space_once(monkeypatch):
+    # one pass draws 217 spaces over 14 distinct constructor arguments
+    built = []
+    init = ModeSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append((args, kwargs))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeSpace, "__init__", counting_init)
+    rep = run_suite(SuiteConfig("fock-central"))
+    assert all(c.passed for c in rep.checks)
+    assert len(built) <= 14
 
 
 def test_vacuum_is_annihilated():

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from virfock.circle import (
     CircleDiffeo,
-    Density,
     FourierFunction,
     invert,
     modified_schwarzian,
@@ -164,7 +163,7 @@ def test_chi_blowup_closed_form_and_monotonicity():
 
 
 def test_pairing_of_cartan_data():
-    lam = VirasoroFunctional(2.0, Density(FourierFunction.constant(0.5, 8), 2))
+    lam = VirasoroFunctional(2.0, FourierFunction.constant(0.5, 8))
     x = VirasoroElement.cartan(3.0, 1.0, 8)
     # a z + int u f = 2*3 + 0.5 * 2 pi
     assert abs(pairing(lam, x) - (6.0 + math.pi)) < 1e-12
@@ -175,8 +174,7 @@ def test_pairing_invariant_under_simultaneous_actions():
     for _ in range(10):
         phi = small_diffeo(rng, degree=32)
         x = VirasoroElement(float(rng.normal()), random_real_field(rng, 10))
-        lam = VirasoroFunctional(float(rng.normal()),
-                                 Density(random_real_field(rng, 10), 2))
+        lam = VirasoroFunctional(float(rng.normal()), random_real_field(rng, 10))
         lhs = pairing(coadjoint_action(phi, lam), adjoint_action(phi, x))
         assert abs(lhs - pairing(lam, x)) < 1e-7
 
@@ -198,7 +196,7 @@ def test_adjoint_field_matches_the_density_pullback():
     for _ in range(10):
         phi = small_diffeo(rng)
         x = VirasoroElement(float(rng.normal()), random_real_field(rng, 48))
-        pulled = pullback_density(phi, Density(x.field, -1.0)).u
+        pulled = pullback_density(phi, x.field, -1.0)
         diff = adjoint_action(phi, x).field.coeffs - pulled.coeffs
         assert np.max(np.abs(diff)) <= 1e-14
 
@@ -210,11 +208,6 @@ def test_orbit_suite_passes_where_inversion_error_failed_it(seed):
     # against its 1e-7 tolerance
     rep = run_suite(SuiteConfig(suite="virasoro-orbits", seed=seed))
     assert [c.check_id for c in rep.checks if not c.passed] == []
-
-
-def test_functional_requires_weight_two():
-    with pytest.raises(ValueError):
-        VirasoroFunctional(1.0, Density(FourierFunction.constant(1.0, 4), 1))
 
 
 # ---------------------------------------------------------------------------
