@@ -16,6 +16,28 @@ so bounded-below directions of X are exactly those with finite s_X.  A
 ``PolyCone`` carries generators (conic hull) or inequality normals
 ({x : <a_i, x> >= 0}) or both; conversions between the two forms use a
 double-description enumeration that is restricted to dimension <= 8.
+
+Feasibility
+-----------
+Emptiness, pointedness and membership all rest on one nonnegative
+least-squares kernel, ``_nnls`` (the Lawson-Hanson active-set method,
+*Solving Least Squares Problems*, 1974, ch. 23):
+
+- ``Polyhedron.is_empty`` solves the least-distance program for
+  {x : Ax >= b}: NNLS for [A^T; b^T] u ~ e_{n+1}.  A zero residual makes u
+  a Farkas certificate (u >= 0, A^T u = 0, b^T u = 1), so the set is empty;
+  otherwise the residual r gives the least-norm point x = -r[:n] / r[n].
+- ``cone_is_pointed`` asks whether {x : Gx >= 1} is nonempty for the
+  normalized generators G.  By Gordan's theorem that holds exactly when 0
+  is not a convex combination of the rows of G.
+- ``in_cone`` on a generated cone asks whether the NNLS residual of
+  G^T lam ~ x is zero.
+
+Every emptiness and pointedness verdict is returned only after its
+witness (the certificate or the point) has been checked at ``TOL``; an
+instance whose witnesses both fail lies within rounding of the boundary
+and raises ``ArithmeticError``, as does an NNLS solve that has not
+converged.
 """
 
 from __future__ import annotations
@@ -23,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 #: Floating tolerance for all cone algebra in this module.
 TOL = 1e-9
@@ -36,7 +57,43 @@ def _as_matrix(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise ValueError("expected a list of equal-length vectors")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("entries must be finite, got NaN or infinity")
     return pts
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min ||A u - b|| over u >= 0 by the Lawson-Hanson active-set method.
+
+    Returns u and the residual A u - b.  Columns enter the passive set one
+    at a time, at most 3 n times (scipy's cap); an unconverged solve raises
+    ``ArithmeticError`` rather than return a guess.
+    """
+    m, n = A.shape
+    a_max, b_norm = np.abs(A).max(initial=0.0), np.linalg.norm(b)
+    u = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 1):          # 3 n entries, plus the final test
+        w = np.where(passive, 0.0, A.T @ (b - A @ u))
+        # rounding in w grows with the terms of b - A u
+        tol = 10 * max(m, n) * np.finfo(float).eps * a_max * (b_norm + a_max * u.sum())
+        if not np.any(w > tol):
+            return u, A @ u - b
+        passive[np.argmax(w)] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            blocking = np.flatnonzero(passive & (s < 0))
+            if blocking.size == 0:
+                break
+            # step from u toward s until the first passive entry hits zero
+            ratios = u[blocking] / (u[blocking] - s[blocking])
+            u += ratios.min() * (s - u)
+            passive[blocking[np.argmin(ratios)]] = False
+            passive &= u > 0
+            u[~passive] = 0.0
+        u = s
+    raise ArithmeticError(f"NNLS did not converge in {3 * n} steps")
 
 
 @dataclass(frozen=True)
@@ -88,22 +145,37 @@ class Polyhedron:
 
     def __post_init__(self):
         object.__setattr__(self, "normals", _as_matrix(self.normals))
-        b = np.zeros(self.normals.shape[0]) if self.offsets is None \
-            else np.asarray(self.offsets, dtype=float)
-        if b.shape != (self.normals.shape[0],):
+        m = self.normals.shape[0]
+        b = np.zeros((1, m)) if self.offsets is None else _as_matrix(self.offsets)
+        if b.shape != (1, m):
             raise ValueError("offsets must match the number of normals")
-        object.__setattr__(self, "offsets", b)
+        object.__setattr__(self, "offsets", b[0])
 
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
 
     def is_empty(self) -> bool:
-        """LP feasibility of {x : Ax >= b}."""
-        A, b = self.normals, self.offsets
-        res = linprog(np.zeros(self.dim), A_ub=-A, b_ub=-b,
-                      bounds=[(None, None)] * self.dim, method="highs")
-        return not res.success
+        """Whether {x : Ax >= b} is empty, by least-distance programming.
+
+        NNLS for [A^T; b^T] u ~ e_{n+1} returns u and the residual r.  The
+        verdict "empty" needs u to be a Farkas certificate, ||r|| <= TOL
+        (the target has unit norm); "nonempty" needs the least-norm point
+        x = -r[:n] / r[n] to satisfy min(Ax - b) >= -TOL * max(1, scale),
+        scale the largest |A||x| + |b|.  If neither witness checks, the
+        instance lies within rounding of the boundary: ``ArithmeticError``.
+        """
+        A, b, n = self.normals, self.offsets, self.dim
+        _, r = _nnls(np.vstack([A.T, b]), np.eye(n + 1)[n])
+        if np.linalg.norm(r) <= TOL:
+            return True
+        if r[n] < 0:
+            x = -r[:n] / r[n]
+            scale = float(np.max(np.abs(A) @ np.abs(x) + np.abs(b), initial=0.0))
+            if np.min(A @ x - b, initial=0.0) >= -TOL * max(1.0, scale):
+                return False
+        raise ArithmeticError("polyhedron lies within rounding of the "
+                              "empty/nonempty boundary")
 
 
 def support_function(X: SampledSet, v) -> float:
@@ -213,19 +285,24 @@ def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
 
 
 def in_cone(C: PolyCone, x) -> bool:
-    """Membership test, via whichever representation is available.
+    """Membership test at ``TOL * max(1, ||x||)``, via whichever
+    representation is available.
 
-    Half-space form checks the inequalities; generated form solves the
-    nonnegative least-squares problem min ||G^T lam - x||, lam >= 0.
+    Half-space form checks the inequalities; generated form accepts when
+    the nonnegative least-squares residual min ||G^T lam - x||, lam >= 0,
+    is that small.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_matrix(x)
+    if x.shape != (1, C.dim):
+        raise ValueError(f"point must be a vector of length {C.dim}")
+    x = x[0]
     if C.normals is not None:
         return bool(np.all(C.normals @ x >= -TOL * max(1.0, np.linalg.norm(x))))
     G = C.generators
     if G.shape[0] == 0:
         return bool(np.linalg.norm(x) <= TOL)
-    _, resid = nnls(G.T, x)
-    return resid <= TOL * max(1.0, np.linalg.norm(x))
+    _, r = _nnls(G.T, x)
+    return bool(np.linalg.norm(r) <= TOL * max(1.0, np.linalg.norm(x)))
 
 
 def cones_equal(C1: PolyCone, C2: PolyCone) -> bool:
@@ -254,18 +331,18 @@ def lineality_space(C: Polyhedron) -> np.ndarray:
 
 def cone_is_pointed(C: PolyCone) -> bool:
     """A generated cone is pointed iff 0 is not a convex combination of its
-    normalized generators (no nonzero x with x and -x in the cone)."""
+    normalized generators (no nonzero x with x and -x in the cone).
+
+    By Gordan's theorem that holds exactly when Gx > 0 for some x, that is
+    when {x : Gx >= 1} is nonempty, so the verdict is the witness-checked
+    ``Polyhedron.is_empty`` of that set.
+    """
     G = cone_generators(C)
     norms = np.linalg.norm(G, axis=1)
     G = G[norms > TOL] / norms[norms > TOL, None]
     if G.shape[0] == 0:
         return True
-    m, n = G.shape
-    A_eq = np.vstack([G.T, np.ones((1, m))])
-    b_eq = np.concatenate([np.zeros(n), [1.0]])
-    res = linprog(np.zeros(m), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * m, method="highs")
-    return not res.success
+    return not Polyhedron(G, np.ones(G.shape[0])).is_empty()
 
 
 #: Escaping-sample cutoffs for the has_interior_B surrogate, see below.

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog, nnls
 
 from virfock.convexcore import (
+    TOL,
     PolyCone,
     Polyhedron,
     SampledSet,
@@ -17,6 +19,7 @@ from virfock.convexcore import (
     lineality_space,
     recession_cone,
     support_function,
+    _nnls,
 )
 
 
@@ -254,3 +257,114 @@ def test_polycone_needs_a_representation():
 def test_cone_is_pointed_examples():
     assert cone_is_pointed(PolyCone(generators=np.eye(3)))
     assert not cone_is_pointed(PolyCone(generators=[[1.0, 0.0], [-1.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# feasibility: emptiness, pointedness and membership on the NNLS kernel
+
+
+def test_is_empty_on_a_clearly_feasible_and_a_clearly_empty_interval():
+    assert Polyhedron([[1.0], [-1.0]], [1.0, -1.0]).is_empty() is False  # x = 1
+    assert Polyhedron([[1.0], [-1.0]], [1.0, 1.0]).is_empty() is True    # x >= 1, x <= -1
+
+
+def test_is_empty_decides_at_the_module_tolerance():
+    # {x >= 1, x <= 1 - 1e-7} is empty by 100 TOL.  A solver that accepts a
+    # 1e-7 violation calls it nonempty; the Farkas certificate has size 1e7,
+    # whose rounding (5e-9) exceeds TOL, so neither witness checks.
+    with pytest.raises(ArithmeticError):
+        Polyhedron([[1.0], [-1.0]], [1.0, -1.0 + 1e-7]).is_empty()
+
+
+def test_is_empty_raises_rather_than_trust_a_near_certificate():
+    # NNLS returns a 1e11-sized near-certificate whose residual is far
+    # above TOL, and the least-norm "point" it implies violates x <= 1 - 1e-11
+    with pytest.raises(ArithmeticError):
+        Polyhedron([[1.0], [-1.0]], [1.0, -1.0 + 1e-11]).is_empty()
+
+
+def test_nnls_raises_rather_than_return_an_unconverged_solve(monkeypatch):
+    # a least-squares step that always drives the entering column negative
+    # makes the active set cycle until the 3 n cap
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda A, b, rcond=None: (-np.ones(A.shape[1]),))
+    with pytest.raises(ArithmeticError, match="converge"):
+        _nnls(np.eye(2), np.ones(2))
+
+
+def test_polyhedron_without_constraints_is_nonempty():
+    assert Polyhedron(np.zeros((0, 2))).is_empty() is False
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolyCone(generators=[[np.nan, 0.0], [1.0, 1.0]]),
+    lambda: PolyCone(normals=[[np.inf, 0.0]]),
+    lambda: Polyhedron([[1.0, 0.0]], [np.nan]),
+    lambda: Polyhedron([[1.0, -np.inf]], [0.0]),
+    lambda: SampledSet([[0.0, np.nan]]),
+    lambda: in_cone(PolyCone(generators=np.eye(2)), [np.nan, 1.0]),
+    lambda: in_cone(PolyCone(normals=np.eye(2)), [np.inf, 1.0]),
+])
+def test_non_finite_input_is_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("cone", [PolyCone(generators=np.eye(3)),
+                                  PolyCone(normals=np.eye(3))])
+@pytest.mark.parametrize("x", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]] * 2])
+def test_in_cone_rejects_a_point_of_the_wrong_length(cone, x):
+    with pytest.raises(ValueError, match="length 3"):
+        in_cone(cone, x)
+
+
+def _draw_rows(rng):
+    """Random rows (a_i, b_i): dimension 1-8, 1-12 rows, and in three draws
+    of four an extra row that is the opposite of another, a duplicate of
+    another, or zero."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+    A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+    i = int(rng.integers(m))
+    extra = [None, (-A[i], -b[i]), (A[i], b[i]), (np.zeros(n), 0.0)][int(rng.integers(4))]
+    if extra is not None:
+        A, b = np.vstack([A, extra[0]]), np.append(b, extra[1])
+    return A, b
+
+
+def test_feasibility_agrees_with_highs_and_scipy_nnls():
+    # independent solvers: HiGHS's simplex for emptiness, and scipy's NNLS
+    # on the convex-hull form of pointedness (not the Gordan form used here)
+    # and for membership
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        A, b = _draw_rows(rng)
+        m, n = A.shape
+        unit = np.eye(n + 1)[n]
+
+        # emptiness: HiGHS's verdict, and the witness checked directly
+        empty = Polyhedron(A, b).is_empty()
+        lp = linprog(np.zeros(n), A_ub=-A, b_ub=-b, bounds=(None, None), method="highs")
+        assert lp.status in (0, 2) and empty == (lp.status == 2)
+        u, r = _nnls(np.vstack([A.T, b]), unit)
+        if empty:
+            assert np.all(u >= 0)
+            assert np.linalg.norm(A.T @ u) <= TOL and abs(b @ u - 1.0) <= TOL
+        else:
+            x = -r[:n] / r[n]
+            scale = np.max(np.abs(A) @ np.abs(x) + np.abs(b))
+            assert np.min(A @ x - b) >= -TOL * max(1.0, scale)
+
+        # pointedness, decided directly: is 0 a convex combination of the
+        # normalized rows (scipy's NNLS for [G^T; 1^T] lam ~ e_{n+1})?
+        G = A[np.linalg.norm(A, axis=1) > 0]
+        G = G / np.linalg.norm(G, axis=1)[:, None]
+        _, rnorm = nnls(np.vstack([G.T, np.ones(len(G))]), unit)
+        assert cone_is_pointed(PolyCone(generators=A)) == (rnorm > TOL)
+
+        # membership: half the points are nonnegative combinations of the rows
+        x = A.T @ rng.uniform(size=m) if rng.random() < 0.5 else rng.normal(size=n)
+        lam, r = _nnls(A.T, x)
+        _, rnorm = nnls(A.T, x)
+        assert np.all(lam >= 0) and np.allclose(r, A.T @ lam - x, atol=1e-12)
+        assert abs(np.linalg.norm(r) - rnorm) <= 1e-9
+        assert in_cone(PolyCone(generators=A), x) == (rnorm <= TOL * max(1.0, np.linalg.norm(x)))
