@@ -180,10 +180,10 @@ class Polyhedron:
 
 def support_function(X: SampledSet, v) -> float:
     """s_X(v) = max_p <p, -v> over the sample; finite for finite samples."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (X.dim,):
-        raise ValueError(f"direction has dimension {v.shape}, expected ({X.dim},)")
-    return float(np.max(X.points @ (-v)))
+    v = _as_matrix(v)
+    if v.shape != (1, X.dim):
+        raise ValueError(f"direction must be a vector of length {X.dim}")
+    return float(np.max(X.points @ (-v[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ Every operator built here is a polynomial in the single-mode ladders:
 each ModeSpace tabulates, once, where a_i and a*_i send each basis state
 and with which amplitude, and one builder sums coefficient-weighted
 ladder words over those tables.  States need no product algebra of their
-own: the Bogoliubov vacuum series applies powers of the pair creator
--1/2 sum T_ji a*_i a*_j to Omega, and degree-2 hat vectors are written
-straight onto the occupation index.
+own: the Bogoliubov vacuum series, metaplectic and spin alike, applies
+powers of the pair creator -1/2 sum T_ji a*_i a*_j to Omega, and degree-2
+hat vectors are written straight onto the occupation index.
 
 Storage: a FockOperator holds one complex scipy CSR matrix, built
 column by column from the word tables its ModeSpace caches (one per
@@ -41,18 +41,18 @@ tests and the storage counters of `perfbench/tracer.py`.
 Quadratic elements x = x_1 + x_2 (linear plus antilinear part, stored as
 a RealLinearMap) are second-quantized normally ordered,
 
-    bosonic:   dpi(x) = sum X1_ij a*_i a_j - 1/2 sum X2_ij a*_i a*_j
-                        + 1/2 sum conj(X2_ij) a_i a_j,
-    fermionic: same with + on both pair terms,
+    dpi(x) = sum X1_ij a*_i a_j - sign/2 sum X2_ij a*_i a*_j
+                                + 1/2 sum conj(X2_ij) a_i a_j,
 
-which makes dpi(x) skew-adjoint, kills the vacuum expectation of the
-linear part, and puts the whole central defect of [dpi(x), dpi(y)] -
-dpi([x, y]) into the scalar i eta(x, y) coming from the antilinear
-parts.  The companion `hat_element` realizes an (anti)symmetric
-antilinear A as the degree-2 vector with <A-hat, f v g> = <A f, g>,
-written in closed form; the `fock-central` suite checks it against the
-norm identity ||A-hat||^2 = 1/2 ||A||_HS^2 and the two constructions
-against their glue dpi(x_2) Omega = -x_2-hat.
+with sign = ``ModeSpace.sign`` (+1 bosonic, -1 fermionic), the exchange
+sign every statistics-dependent coefficient and symmetry test reads.
+This makes dpi(x) skew-adjoint, kills the vacuum expectation of the
+linear part and puts the whole central defect of [dpi(x), dpi(y)] -
+dpi([x, y]) into the scalar i eta(x, y) from the antilinear parts.
+`hat_element` realizes an (anti)symmetric antilinear A as the degree-2
+vector with <A-hat, f v g> = <A f, g>, in closed form; the `fock-central`
+suite checks it against ||A-hat||^2 = 1/2 ||A||_HS^2 and the two
+constructions against their glue dpi(x_2) Omega = -x_2-hat.
 """
 
 from __future__ import annotations
@@ -140,6 +140,11 @@ class ModeSpace:
             lower = table(n == 1, -shift, sign)
             upper = table(n == 0, shift, sign)
         return {"-": lower, "+": upper}
+
+    @property
+    def sign(self) -> int:
+        """Exchange sign: +1 for bosons (symmetric pairs), -1 for fermions."""
+        return 1 if self.statistics == BOSONIC else -1
 
     def word_table(self, word: str) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (target, amp) table of a ladder word, built once: row j
@@ -418,20 +423,18 @@ def heisenberg_mul(a: tuple, b: tuple) -> tuple:
 
 def _pair_matrix(space: ModeSpace, A) -> np.ndarray:
     """Matrix M of an antilinear A that can be paired into a degree-2 state:
-    symmetric within 1e-10 relative on a bosonic space with cutoff >= 2,
-    antisymmetric on a fermionic one."""
+    M = sign M^T within 1e-10 relative, and a cutoff >= 2 on a bosonic
+    space only: a fermionic one holds every degree up to d, and at d = 1,
+    cutoff 1, the only antisymmetric M is 0, whose hat vector is 0."""
     M = np.asarray(A, dtype=complex)
     if M.shape != (space.d, space.d):
         raise ValueError("antilinear matrix has the wrong shape")
     scale = max(1.0, float(np.linalg.norm(M)))
-    if space.statistics == BOSONIC:
-        if np.linalg.norm(M - M.T) > 1e-10 * scale:
-            raise ValueError("bosonic hat vectors need a symmetric matrix")
-        if space.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
-    else:
-        if np.linalg.norm(M + M.T) > 1e-10 * scale:
-            raise ValueError("fermionic hat vectors need an antisymmetric matrix")
+    if np.linalg.norm(M - space.sign * M.T) > 1e-10 * scale:
+        raise ValueError(f"{space.statistics} hat vectors need a "
+                         f"{'' if space.sign > 0 else 'anti'}symmetric matrix")
+    if space.sign > 0 and space.cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
     return M
 
 
@@ -456,28 +459,25 @@ def hat_element(space: ModeSpace, A) -> FockVector:
 
 
 def hat_pairing(space: ModeSpace, A, B) -> complex:
-    """Reference value for <A-hat, B-hat>: +(1/2) tr(A B) bosonic,
-    -(1/2) tr(A B) fermionic, where A B has matrix M_A conj(M_B)."""
+    """Reference value for <A-hat, B-hat>: sign (1/2) tr(A B), where A B
+    has matrix M_A conj(M_B)."""
     MA = np.asarray(A, dtype=complex)
     MB = np.asarray(B, dtype=complex)
-    sign = 0.5 if space.statistics == BOSONIC else -0.5
-    return sign * complex(np.trace(MA @ np.conj(MB)))
+    return 0.5 * space.sign * complex(np.trace(MA @ np.conj(MB)))
 
 
 def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
     """Normally ordered dpi(x) for x in sp (bosonic) or o (fermionic)."""
     if x.d != space.d:
         raise ValueError("dimension mismatch")
-    if space.statistics == BOSONIC and not in_sp(x, 1e-8):
-        raise ValueError("x is not in sp: need skew-hermitian linear and "
-                         "symmetric antilinear part")
-    if space.statistics == FERMIONIC and not in_o(x, 1e-8):
-        raise ValueError("x is not in o: need skew-hermitian linear and "
-                         "antisymmetric antilinear part")
+    algebra, member, pairs = (("sp", in_sp, "symmetric") if space.sign > 0
+                              else ("o", in_o, "antisymmetric"))
+    if not member(x, 1e-8):
+        raise ValueError(f"x is not in {algebra}: need skew-hermitian linear "
+                         f"and {pairs} antilinear part")
     terms = [(x.G1, "+-")]
     if np.any(x.G2 != 0):
-        pair = -0.5 if space.statistics == BOSONIC else 0.5
-        terms += [(pair * x.G2, "++"), (0.5 * np.conj(x.G2), "--")]
+        terms += [(-0.5 * space.sign * x.G2, "++"), (0.5 * np.conj(x.G2), "--")]
     return FockOperator(space, _ladder_word(space, terms))
 
 
@@ -500,10 +500,10 @@ def central_term(space: ModeSpace, x: RealLinearMap, y: RealLinearMap) -> float:
 
 def central_term_trace(space: ModeSpace, x: RealLinearMap,
                        y: RealLinearMap) -> float:
-    """Closed form (1/2i) tr([x_2, y_2]) with the fermionic sign flip."""
+    """Closed form sign (1/2i) tr([x_2, y_2])."""
     L = x.G2 @ np.conj(y.G2) - y.G2 @ np.conj(x.G2)
     val = complex(np.trace(L)) / 2j
-    return float(val.real) if space.statistics == BOSONIC else -float(val.real)
+    return space.sign * float(val.real)
 
 
 def rank_one_generator(v, w) -> RealLinearMap:
@@ -526,20 +526,19 @@ def vacuum_implementer(space: ModeSpace,
                        g: RealLinearMap) -> tuple[float, FockVector]:
     """Normalized truncation of c(g) e^{-T-hat(g)} with c = norm^{-1}.
 
-    Requires an invertible linear part, ||T(g)||_HS < 1, T(g) symmetric
-    and a cutoff >= 2.  With Q = -1/2 sum T_ji a*_i a*_j one has
-    Q Omega = -T-hat, so the series is sum_{n <= N/2} Q^n Omega / n!,
-    built from the ladder tables.  The returned scalar is the vacuum
-    overlap <F, Omega> = c(g) > 0.
+    Requires an invertible linear part and T(g) = sign T(g)^T.  With
+    Q = -1/2 sum T_ji a*_i a*_j one has Q Omega = -T-hat, so the series
+    is sum_{n <= N/2} Q^n Omega / n!, built from the ladder tables.  Only
+    the bosonic series needs ||T(g)||_HS < 1 to converge; the fermionic
+    one stops at n = d/2 (N = d) and is exact, with ||T||_HS often > 1.
+    The returned scalar is the vacuum overlap <F, Omega> = c(g) > 0.
     """
-    if space.statistics != BOSONIC:
-        raise ValueError("vacuum implementers are bosonic here")
     if g.d != space.d:
         raise ValueError("dimension mismatch")
     if abs(np.linalg.det(g.G1)) < 1e-12:
         raise ValueError("linear part g_1 is singular")
     T = twist_matrix(g)
-    if np.linalg.norm(T) >= 1.0:
+    if space.sign > 0 and np.linalg.norm(T) >= 1.0:
         raise ValueError("||T(g)|| >= 1: outside the convergence domain")
     Q = _ladder_word(space, [(-0.5 * _pair_matrix(space, T).T, "++")])
     term = vacuum(space).amps
@@ -576,8 +575,9 @@ def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
     Measured after embedding F two levels higher, so the amplitude the
     creator pushes past the original cutoff counts as residual instead
     of being silently clipped; this is what decays geometrically in N.
+    A fermionic space is complete and ignores the cutoff: exact there.
     """
-    roomy = ModeSpace(space.d, BOSONIC, space.cutoff + 2)
+    roomy = ModeSpace(space.d, space.statistics, space.cutoff + 2)
     Fe = embed(F, roomy)
     return np.array([op.apply(Fe).norm() for op in _vacuum_conditions(roomy, g)])
 
@@ -591,6 +591,7 @@ def truncated_vacuum_oracle(space: ModeSpace,
     Only the equations of total degree below the cutoff are stacked: the
     top-degree ones would need the missing degree N + 1 of F, and at odd
     N they force a*(T e_i) F_{N-1} = 0, which the true vacuum violates.
+    The cut is bosonic: for fermions (N = d) the rows below d still fix F.
     """
     below = space.totals < space.cutoff
     K = np.vstack([op.mat[below] for op in _vacuum_conditions(space, g)])

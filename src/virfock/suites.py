@@ -713,11 +713,8 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     mode_space = functools.cache(fk.ModeSpace)
 
     def rand_pair(space):
-        if space.statistics == fk.BOSONIC:
-            return (rm.random_sp_element(rng, space.d),
-                    rm.random_sp_element(rng, space.d))
-        return (rm.random_o_element(rng, space.d),
-                rm.random_o_element(rng, space.d))
+        sample = rm.random_sp_element if space.sign > 0 else rm.random_o_element
+        return sample(rng, space.d), sample(rng, space.d)
 
     def trace_formula_defect(stats):
         d = int(rng.integers(1, 4)) if stats == fk.BOSONIC else int(rng.integers(2, 4))
@@ -761,10 +758,7 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         d = int(rng.integers(2, 5))
         space = mode_space(d, stats, cutoff=4)
         z1, z2 = _complex_normal(rng, (d, d)), _complex_normal(rng, (d, d))
-        if stats == fk.BOSONIC:
-            MA, MB = 0.5 * (z1 + z1.T), 0.5 * (z2 + z2.T)
-        else:
-            MA, MB = 0.5 * (z1 - z1.T), 0.5 * (z2 - z2.T)
+        MA, MB = 0.5 * (z1 + space.sign * z1.T), 0.5 * (z2 + space.sign * z2.T)
         ha = fk.hat_element(space, MA)
         hb = fk.hat_element(space, MB)
         return (abs(ha.norm() ** 2 - 0.5 * np.linalg.norm(MA) ** 2),

@@ -304,6 +304,8 @@ def test_polyhedron_without_constraints_is_nonempty():
     lambda: SampledSet([[0.0, np.nan]]),
     lambda: in_cone(PolyCone(generators=np.eye(2)), [np.nan, 1.0]),
     lambda: in_cone(PolyCone(normals=np.eye(2)), [np.inf, 1.0]),
+    lambda: support_function(SampledSet(np.eye(2)), [np.nan, 0.0]),
+    lambda: support_function(SampledSet(np.eye(2)), [np.inf, 0.0]),
 ])
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError, match="finite"):
@@ -316,6 +318,12 @@ def test_non_finite_input_is_rejected(build):
 def test_in_cone_rejects_a_point_of_the_wrong_length(cone, x):
     with pytest.raises(ValueError, match="length 3"):
         in_cone(cone, x)
+
+
+@pytest.mark.parametrize("v", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]] * 2])
+def test_support_function_rejects_a_direction_of_the_wrong_length(v):
+    with pytest.raises(ValueError, match="length 3"):
+        support_function(SampledSet(np.eye(3)), v)
 
 
 def _draw_rows(rng):

@@ -515,6 +515,33 @@ def test_vacuum_implementer_rejects_nonsymmetric_twist():
         vacuum_implementer(ModeSpace(2, BOSONIC, 8), bad)
 
 
+def test_spin_vacuum_matches_closed_form_and_oracle():
+    # the same series on a fermionic space stops at n = d/2 and is exact;
+    # its overlap is det(1 + T*T)^{-1/4} (Shale-Stinespring), and no
+    # ||T|| < 1 guard applies
+    rng = np.random.default_rng(20091124)
+    twist_norms = []
+    for d in (2, 3, 4, 5, 6, 8, 10):
+        sp = ModeSpace(d, FERMIONIC)
+        g = (0.3 * random_o_element(rng, d)).exp()
+        T = fock.twist_matrix(g)
+        twist_norms.append(float(np.linalg.norm(T)))
+        c, F = vacuum_implementer(sp, g)
+        assert float(np.max(vacuum_residuals(sp, g, F))) <= 1e-14
+        overlap = np.linalg.det(np.eye(d) + T.conj().T @ T).real ** -0.25
+        assert abs(c - overlap) <= 1e-14
+        if d <= 6:
+            c_oracle, F_oracle = truncated_vacuum_oracle(sp, g)
+            assert abs(c - c_oracle) <= 1e-12
+            assert (F - F_oracle).norm() <= 1e-12
+    assert max(twist_norms) > 1.0
+    sp = ModeSpace(4, FERMIONIC)
+    u = RealLinearMap.from_linear(random_unitary(rng, 4))
+    c, F = vacuum_implementer(sp, u)
+    assert abs(c - 1.0) < 1e-12
+    assert (F - vacuum(sp)).norm() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # central terms of the metaplectic / spin cocycle
 
@@ -642,6 +669,34 @@ def test_second_quantized_antilinear_part_hits_vacuum_as_hat(stat, d):
     x2 = RealLinearMap(np.zeros((d, d)), x.G2)
     out = second_quantize(sp, x2).apply(vacuum(sp))
     assert (out + hat_element(sp, x.G2)).norm() < 1e-12
+
+
+def test_fermionic_hat_element_rejects_a_non_antisymmetric_matrix():
+    sp = ModeSpace(2, FERMIONIC)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        hat_element(sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_one_mode_fermionic_hat_element_is_zero():
+    # cutoff 1 holds no degree-2 state; the cutoff >= 2 check is bosonic only
+    sp = ModeSpace(1, FERMIONIC)
+    assert sp.cutoff == 1
+    out = hat_element(sp, np.zeros((1, 1)))
+    assert np.array_equal(out.amps, np.zeros(sp.dim))
+
+
+@pytest.mark.parametrize("stat,sampler,algebra", [
+    (BOSONIC, random_o_element, "sp"), (FERMIONIC, random_sp_element, "o")])
+def test_second_quantize_rejects_an_element_of_the_other_algebra(stat, sampler, algebra):
+    rng = np.random.default_rng(68)
+    sp = ModeSpace(2, stat, cutoff=4)
+    with pytest.raises(ValueError, match=f"not in {algebra}:"):
+        second_quantize(sp, sampler(rng, 2))
+
+
+def test_exchange_sign():
+    assert ModeSpace(2, BOSONIC, 4).sign == 1
+    assert ModeSpace(2, FERMIONIC).sign == -1
 
 
 # ---------------------------------------------------------------------------
