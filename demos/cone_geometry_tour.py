@@ -19,7 +19,7 @@ from virfock.convexcore import (
     recession_cone,
     support_function,
 )
-from virfock.realmaps import symplectic_defect
+from virfock.realmaps import bogoliubov_defect
 from virfock.symplectic import (
     conjugate_to_unitary,
     positive_complex_structure,
@@ -64,6 +64,6 @@ print(f"  |[J, A]|           = {np.linalg.norm(J.commutator(A.X).to_real_matrix(
 
 g, Ap = conjugate_to_unitary(A)
 H = 0.5 * (1j * Ap.G1 + (1j * Ap.G1).conj().T)
-print(f"  symplectic defect of g        = {symplectic_defect(g):.2e}")
+print(f"  symplectic defect of g        = {bogoliubov_defect(g, 1):.2e}")
 print(f"  antilinear part of g^-1 A g   = {Ap.antilinear_norm():.2e}")
 print(f"  largest eigenvalue of i A'    = {float(np.linalg.eigvalsh(H)[-1]):.6f} (negative)")

@@ -438,19 +438,19 @@ def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
 RK4_MAX_STEP = 1e-2
 
 
-def flow(f: FourierFunction, t: float = 1.0,
-         degree: int | None = None) -> CircleDiffeo:
+def flow(f: FourierFunction, t: float = 1.0) -> CircleDiffeo:
     """Time-t flow of the (real) vector field f d/dtheta as a
     diffeomorphism.
 
     Integrates theta' = f(theta) from every point of the refit grid of
-    8 max(N, 4) points with RK4 at step <= 1e-2 and refits to degree N.
+    8 max(N, 4) points with RK4 at step <= 1e-2 and refits to degree
+    N = max(f.degree, DEFAULT_DEGREE).
     """
     if not f.real_flag:
         raise ValueError("flows are defined for real vector fields only")
     if not np.isfinite(t):
         raise ValueError(f"flow time must be finite, not {t}")
-    n = degree or max(f.degree, DEFAULT_DEGREE)
+    n = max(f.degree, DEFAULT_DEGREE)
     theta = grid_points(refit_size(n))
     steps = max(1, int(np.ceil(abs(t) / RK4_MAX_STEP)))
     h = t / steps

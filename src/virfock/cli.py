@@ -178,7 +178,10 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
 
 def _cmd_orbit(args) -> int:
     try:
-        header, rows = _orbit_rows(args)
+        with np.errstate(all="ignore"):  # a huge --alpha overflows
+            header, rows = _orbit_rows(args)
+        if not np.isfinite(np.array(rows, dtype=float)).all():
+            raise ValueError("the curve is not finite; lower |--alpha|")
     except ValueError as exc:
         print(f"orbit parameters out of range: {exc}", file=sys.stderr)
         return 2

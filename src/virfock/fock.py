@@ -65,7 +65,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
-from .realmaps import PREDICATE_TOL, RealLinearMap, in_o, in_sp, omega
+from .realmaps import PREDICATE_TOL, RealLinearMap, in_algebra, omega
 
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
@@ -98,6 +98,8 @@ class ModeSpace:
         if statistics == BOSONIC:
             if cutoff is None or cutoff < 1:
                 raise ValueError("bosonic spaces need a cutoff N >= 1")
+        elif cutoff is not None and cutoff < d:
+            raise ValueError(f"fermionic spaces need a cutoff >= d = {d}")
         else:
             cutoff = d
         self.d = d
@@ -470,11 +472,10 @@ def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
     """Normally ordered dpi(x) for x in sp (bosonic) or o (fermionic)."""
     if x.d != space.d:
         raise ValueError("dimension mismatch")
-    algebra, member, pairs = (("sp", in_sp, "symmetric") if space.sign > 0
-                              else ("o", in_o, "antisymmetric"))
-    if not member(x, 1e-8):
+    if not in_algebra(x, space.sign, 1e-8):
+        algebra, pairs = ("sp", "") if space.sign > 0 else ("o", "anti")
         raise ValueError(f"x is not in {algebra}: need skew-hermitian linear "
-                         f"and {pairs} antilinear part")
+                         f"and {pairs}symmetric antilinear part")
     terms = [(x.G1, "+-")]
     if np.any(x.G2 != 0):
         terms += [(-0.5 * space.sign * x.G2, "++"), (0.5 * np.conj(x.G2), "--")]
@@ -575,9 +576,10 @@ def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
     Measured after embedding F two levels higher, so the amplitude the
     creator pushes past the original cutoff counts as residual instead
     of being silently clipped; this is what decays geometrically in N.
-    A fermionic space is complete and ignores the cutoff: exact there.
+    A fermionic space is complete, so it is its own roomy space: exact there.
     """
-    roomy = ModeSpace(space.d, space.statistics, space.cutoff + 2)
+    roomy = space if space.sign < 0 else ModeSpace(space.d, space.statistics,
+                                                   space.cutoff + 2)
     Fe = embed(F, roomy)
     return np.array([op.apply(Fe).norm() for op in _vacuum_conditions(roomy, g)])
 

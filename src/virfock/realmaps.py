@@ -12,14 +12,15 @@ The real 2d x 2d picture identifies v = x + i y with (x, y); under it
 multiplication by i becomes the block matrix [[0, -1], [1, 0]], which
 also represents omega: omega(v, w) = u_v^T [[0, -1], [1, 0]] u_w.
 
-Membership predicates for the symplectic and orthogonal groups and their
-Lie algebras live here: a real-linear g is symplectic iff
+Membership predicates for the Bogoliubov groups and their Lie algebras
+live here, as one set of relations in the exchange sign (+1 symplectic,
+-1 orthogonal): a real-linear g is a Bogoliubov map of sign s iff
 
-    g1* g1 - g2* g2 = 1   and   g1* g2 hermitian-antilinear (G1^+ G2 symmetric)
+    g1* g1 - s g2* g2 = 1   and   G1^+ G2 = s (G1^+ G2)^T
 
-together with the transposed pair, and orthogonal iff the same relations
-hold with + in place of - and antisymmetry in place of symmetry.  The
-corresponding Lie algebras are sp = u(d) + {antilinear hermitian} and
+together with the transposed pair, and x is in the Lie algebra iff x1 is
+skew-hermitian and X2 = s X2^T.  So s = +1 gives the symplectic group and
+sp = u(d) + {antilinear hermitian}, s = -1 the orthogonal group and
 o = u(d) + {antilinear skew}.
 """
 
@@ -185,63 +186,35 @@ def _rel_err(M, target) -> float:
     return float(np.linalg.norm(M - target) / max(1.0, np.linalg.norm(target)))
 
 
-def _bogoliubov_defect(g: RealLinearMap, pm) -> float:
-    """Largest of the four residuals; pm = np.subtract (sp) or np.add (o)."""
+def bogoliubov_defect(g: RealLinearMap, sign: int) -> float:
+    """Largest residual of the Bogoliubov relations g1*g1 - sign g2*g2 = 1,
+    g1 g1* - sign g2 g2* = 1, with G1^+ G2 and G1 G2^T equal to sign times
+    their transposes; sign = +1 is symplectic, -1 orthogonal."""
     G1, G2 = g.G1, g.G2
     I = np.eye(g.d)
+    A, B = G1.conj().T @ G2, G1 @ G2.T
     return max(
-        _rel_err(pm(G1.conj().T @ G1, G2.T @ np.conj(G2)), I),
-        _rel_err(pm(G1 @ G1.conj().T, G2 @ G2.conj().T), I),
-        float(np.linalg.norm(pm(G1.conj().T @ G2, (G1.conj().T @ G2).T))),
-        float(np.linalg.norm(pm(G1 @ G2.T, (G1 @ G2.T).T))),
+        _rel_err(G1.conj().T @ G1 - sign * (G2.T @ np.conj(G2)), I),
+        _rel_err(G1 @ G1.conj().T - sign * (G2 @ G2.conj().T), I),
+        float(np.linalg.norm(A - sign * A.T)),
+        float(np.linalg.norm(B - sign * B.T)),
     )
 
 
-def symplectic_defect(g: RealLinearMap) -> float:
-    """Largest residual of the bosonic Bogoliubov relations
-    g1*g1 - g2*g2 = 1, g1 g1* - g2 g2* = 1, with G1^+ G2 and G1 G2^T
-    symmetric."""
-    return _bogoliubov_defect(g, np.subtract)
+def is_bogoliubov(g: RealLinearMap, sign: int) -> bool:
+    return bogoliubov_defect(g, sign) <= PREDICATE_TOL
 
 
-def orthogonal_defect(g: RealLinearMap) -> float:
-    """Largest residual of the fermionic relations g1*g1 + g2*g2 = 1,
-    g1 g1* + g2 g2* = 1, with G1^+ G2 and G1 G2^T antisymmetric."""
-    return _bogoliubov_defect(g, np.add)
-
-
-def is_symplectic(g: RealLinearMap) -> bool:
-    return symplectic_defect(g) <= PREDICATE_TOL
-
-
-def is_orthogonal(g: RealLinearMap) -> bool:
-    return orthogonal_defect(g) <= PREDICATE_TOL
-
-
-def _algebra_defect(x: RealLinearMap, pm) -> float:
-    """Lie-algebra residual; pm = np.subtract (sp) or np.add (o)."""
+def algebra_defect(x: RealLinearMap, sign: int) -> float:
+    """Residual of membership in sp (sign = +1) or o (sign = -1):
+    skew-hermitian G1 and G2 = sign G2^T."""
     return max(float(np.linalg.norm(x.G1 + x.G1.conj().T)),
-               float(np.linalg.norm(pm(x.G2, x.G2.T))))
+               float(np.linalg.norm(x.G2 - sign * x.G2.T)))
 
 
-def sp_defect(x: RealLinearMap) -> float:
-    """Residual of membership in sp: skew-hermitian G1, symmetric G2."""
-    return _algebra_defect(x, np.subtract)
-
-
-def o_defect(x: RealLinearMap) -> float:
-    """Residual of membership in o: skew-hermitian G1, antisymmetric G2."""
-    return _algebra_defect(x, np.add)
-
-
-def in_sp(x: RealLinearMap, tol: float = PREDICATE_TOL) -> bool:
+def in_algebra(x: RealLinearMap, sign: int, tol: float = PREDICATE_TOL) -> bool:
     scale = max(1.0, x.linear_norm(), x.antilinear_norm())
-    return sp_defect(x) <= tol * scale
-
-
-def in_o(x: RealLinearMap, tol: float = PREDICATE_TOL) -> bool:
-    scale = max(1.0, x.linear_norm(), x.antilinear_norm())
-    return o_defect(x) <= tol * scale
+    return algebra_defect(x, sign) <= tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +233,15 @@ def random_skew_hermitian(rng: np.random.Generator, d: int,
     return scale * 0.5 * (z - z.conj().T)
 
 
-def random_sp_element(rng: np.random.Generator, d: int,
-                      scale: float = 1.0) -> RealLinearMap:
-    """Random element of sp: skew-hermitian G1, symmetric G2."""
+def random_algebra_element(rng: np.random.Generator, d: int, sign: int,
+                           scale: float = 1.0) -> RealLinearMap:
+    """Random element of sp (sign = +1) or o (sign = -1): skew-hermitian
+    G1 and G2 = sign G2^T."""
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return RealLinearMap(random_skew_hermitian(rng, d, scale),
-                         scale * 0.5 * (z + z.T))
-
-
-def random_o_element(rng: np.random.Generator, d: int) -> RealLinearMap:
-    """Random element of o: skew-hermitian G1, antisymmetric G2."""
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return RealLinearMap(random_skew_hermitian(rng, d), 0.5 * (z - z.T))
+                         scale * 0.5 * (z + sign * z.T))
 
 
 def random_symplectic(rng: np.random.Generator, d: int,
                       scale: float = 0.5) -> RealLinearMap:
-    return random_sp_element(rng, d, scale).exp()
+    return random_algebra_element(rng, d, 1, scale).exp()

@@ -638,9 +638,9 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                                np.array([[math.sinh(r)]]))
     refl = rm.RealLinearMap(np.zeros((1, 1)), np.ones((1, 1)))
     unit = rm.RealLinearMap.from_linear(rm.random_unitary(rng, 2))
-    ok = (rm.is_symplectic(squeeze) and not rm.is_orthogonal(squeeze)
-          and rm.is_orthogonal(refl) and not rm.is_symplectic(refl)
-          and rm.is_symplectic(unit) and rm.is_orthogonal(unit))
+    ok = (rm.is_bogoliubov(squeeze, 1) and not rm.is_bogoliubov(squeeze, -1)
+          and rm.is_bogoliubov(refl, -1) and not rm.is_bogoliubov(refl, 1)
+          and rm.is_bogoliubov(unit, 1) and rm.is_bogoliubov(unit, -1))
     yield boolean_check("11-bogoliubov-predicates",
                         "squeezes are symplectic, conjugations are "
                         "orthogonal, unitaries are both", ok)
@@ -713,8 +713,8 @@ def _suite_fock_central(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     mode_space = functools.cache(fk.ModeSpace)
 
     def rand_pair(space):
-        sample = rm.random_sp_element if space.sign > 0 else rm.random_o_element
-        return sample(rng, space.d), sample(rng, space.d)
+        return (rm.random_algebra_element(rng, space.d, space.sign),
+                rm.random_algebra_element(rng, space.d, space.sign))
 
     def trace_formula_defect(stats):
         d = int(rng.integers(1, 4)) if stats == fk.BOSONIC else int(rng.integers(2, 4))
@@ -842,7 +842,7 @@ def _suite_symplectic(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         A = sy.random_cone_element(rng, d)
         g, Ap = sy.conjugate_to_unitary(A)
         H = 0.5 * (1j * Ap.G1 + (1j * Ap.G1).conj().T)
-        return (Ap.antilinear_norm(), rm.symplectic_defect(g),
+        return (Ap.antilinear_norm(), rm.bogoliubov_defect(g, 1),
                 float(np.linalg.eigvalsh(H)[-1]),
                 float(np.linalg.norm(1j * Ap.G1 - (1j * Ap.G1).conj().T)))
 

@@ -42,7 +42,7 @@ import numpy as np
 from .realmaps import (
     RealLinearMap,
     complex_to_real,
-    in_sp,
+    in_algebra,
     inner,
     omega,
     random_symplectic,
@@ -66,7 +66,7 @@ class SymplecticElement:
     X: RealLinearMap
 
     def __post_init__(self):
-        if not in_sp(self.X):
+        if not in_algebra(self.X, 1):
             raise ValueError("omega(Xv, w) is not symmetric: X is not in sp")
 
     @property

@@ -332,8 +332,8 @@ def test_lie_derivative_is_flow_derivative_of_pullback():
     X = random_field(rng, 24, scale=0.5)
     u = random_field(rng, 24)
     h = 1e-4
-    plus = pullback_density(flow(X, h, degree=24), u, 2)
-    minus = pullback_density(flow(X, -h, degree=24), u, 2)
+    plus = pullback_density(flow(X, h), u, 2)
+    minus = pullback_density(flow(X, -h), u, 2)
     fd = (plus - minus) * (1.0 / (2.0 * h))
     exact = lie_derivative(X, u, 2)
     rel = (fd - exact).sup_norm() / max(exact.sup_norm(), 1e-12)
@@ -434,8 +434,8 @@ def test_modified_schwarzian_linearization():
     f = random_field(rng, 6, scale=0.5)
     X = f
     h = 1e-4
-    plus = modified_schwarzian(flow(X, h, degree=24))
-    minus = modified_schwarzian(flow(X, -h, degree=24))
+    plus = modified_schwarzian(flow(X, h))
+    minus = modified_schwarzian(flow(X, -h))
     fd = (plus - minus) * (1.0 / (2.0 * h))
     exact = derivative(derivative(derivative(f))) + derivative(f)
     rel = (fd - exact).sup_norm() / exact.sup_norm()

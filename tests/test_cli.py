@@ -426,8 +426,13 @@ def test_cli_orbit_rejects_flows_past_invertibility(capsys):
                                    ["--steps", "1001"],
                                    ["--curve", "convexity", "--trials", "1001"],
                                    ["--curve", "convexity", "--alpha", "0"],
-                                   ["--curve", "convexity", "--alpha", "-1"]],
+                                   ["--curve", "convexity", "--alpha", "-1"],
+                                   # finite flags whose curve overflows
+                                   ["--alpha", "1e306"], ["--alpha", "1e308"],
+                                   ["--curve", "convexity", "--alpha", "1e308",
+                                    "--trials", "2"]],
                          ids=" ".join)
+@pytest.mark.filterwarnings("error")
 def test_cli_orbit_out_of_range_flag_is_a_usage_error(capsys, flags):
     assert main(["orbit", *flags]) == 2
     captured = capsys.readouterr()

@@ -38,11 +38,8 @@ from virfock.fock import (
 from virfock.realmaps import (
     RealLinearMap,
     inner,
-    is_orthogonal,
-    is_symplectic,
     omega,
-    random_o_element,
-    random_sp_element,
+    random_algebra_element,
     random_symplectic,
     random_unitary,
 )
@@ -67,6 +64,14 @@ def test_fermionic_cutoff_is_mode_count():
     sp = ModeSpace(3, FERMIONIC, cutoff=17)
     assert sp.cutoff == 3
     assert sp.dim == 8
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2])
+def test_fermionic_cutoff_below_mode_count_is_rejected(cutoff):
+    # the space is complete at cutoff d; a smaller one would drop states
+    with pytest.raises(ValueError, match="cutoff >= d = 3"):
+        ModeSpace(3, FERMIONIC, cutoff=cutoff)
+    assert ModeSpace(3, FERMIONIC, cutoff=3) == ModeSpace(3, FERMIONIC)
 
 
 def _filtered_product_basis(d, stat, cutoff):
@@ -215,7 +220,7 @@ def test_builders_match_tensor_product_oracle(d, stat, cutoff):
     sp = ModeSpace(d, stat, cutoff)
     f = random_vec(rng, d)
     M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    x = random_algebra_element(rng, d, sp.sign)
     pair = -0.5 if stat == BOSONIC else 0.5
     pairs = [
         (create(sp, f).mat, tensor_oracle(sp, f, "+")),
@@ -264,7 +269,7 @@ def _coo_ladder_word(space, terms):
 def test_ladder_word_builds_are_canonical_and_repeatable(d, stat, cutoff):
     rng = np.random.default_rng(110 + 10 * d + (cutoff or 0))
     sp = ModeSpace(d, stat, cutoff)
-    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    x = random_algebra_element(rng, d, sp.sign)
     T = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     pair = -0.5 if stat == BOSONIC else 0.5
     quadratic = [(x.G1, "+-"), (pair * x.G2, "++"),
@@ -295,7 +300,7 @@ def test_quadratics_match_products_of_creators_and_annihilators(d, stat, cutoff)
     up = [create(sp, e).mat for e in np.eye(d)]
     down = [annihilate(sp, e).mat for e in np.eye(d)]
     M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    x = random_algebra_element(rng, d, sp.sign)
     pair = -0.5 if stat == BOSONIC else 0.5
     gamma = np.zeros((sp.dim, sp.dim), dtype=complex)
     dpi = np.zeros((sp.dim, sp.dim), dtype=complex)
@@ -366,7 +371,7 @@ def test_ladder_operators_stay_small_on_a_large_space():
     assert sp.dim == 1771
     f, g = random_vec(rng, 3), random_vec(rng, 3)
     ops = [create(sp, f),
-           second_quantize(sp, random_sp_element(rng, 3)),
+           second_quantize(sp, random_algebra_element(rng, 3, sp.sign)),
            annihilate(sp, f).commutator(create(sp, g))]
     for op in ops:
         assert _stored_bytes(op) < 1_000_000
@@ -485,6 +490,35 @@ def test_squeeze_residual_decreases_geometrically():
     assert all(b <= 0.5 * a for a, b in zip(residuals, residuals[1:]))
 
 
+def test_fermionic_vacuum_residuals_reuse_the_space(monkeypatch):
+    # a complete fermionic space is its own roomy space: no space is built,
+    # and the residuals equal those on a freshly built copy
+    rng = np.random.default_rng(66)
+    sp = ModeSpace(6, FERMIONIC)
+    g = (0.3 * random_algebra_element(rng, 6, sp.sign)).exp()
+    _, F = vacuum_implementer(sp, g)
+    fresh = ModeSpace(6, FERMIONIC, sp.cutoff + 2)
+    want = [op.apply(embed(F, fresh)).norm()
+            for op in fock._vacuum_conditions(fresh, g)]
+    built = []
+    init = ModeSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeSpace, "__init__", counting_init)
+    assert np.array_equal(vacuum_residuals(sp, g, F), want)
+    assert built == []
+    # a bosonic space still gets its roomy copy two levels up
+    bs = ModeSpace(1, BOSONIC, cutoff=8)
+    g = squeeze_map(0.5)
+    _, F = vacuum_implementer(bs, g)
+    built.clear()
+    vacuum_residuals(bs, g, F)
+    assert built == [(1, BOSONIC, 10)]
+
+
 def test_unitary_implements_bare_vacuum():
     rng = np.random.default_rng(56)
     sp = ModeSpace(1, BOSONIC, cutoff=8)
@@ -523,7 +557,7 @@ def test_spin_vacuum_matches_closed_form_and_oracle():
     twist_norms = []
     for d in (2, 3, 4, 5, 6, 8, 10):
         sp = ModeSpace(d, FERMIONIC)
-        g = (0.3 * random_o_element(rng, d)).exp()
+        g = (0.3 * random_algebra_element(rng, d, sp.sign)).exp()
         T = fock.twist_matrix(g)
         twist_norms.append(float(np.linalg.norm(T)))
         c, F = vacuum_implementer(sp, g)
@@ -548,11 +582,10 @@ def test_spin_vacuum_matches_closed_form_and_oracle():
 
 def test_central_term_matches_trace_formula():
     rng = np.random.default_rng(58)
-    for stat, sampler in ((BOSONIC, random_sp_element),
-                          (FERMIONIC, random_o_element)):
+    for stat in (BOSONIC, FERMIONIC):
         sp = ModeSpace(2, stat, cutoff=6 if stat == BOSONIC else 2)
         for _ in range(25):
-            x, y = sampler(rng, 2), sampler(rng, 2)
+            x, y = (random_algebra_element(rng, 2, sp.sign) for _ in range(2))
             got = central_term(sp, x, y)
             want = central_term_trace(sp, x, y)
             assert abs(got - want) < 1e-8
@@ -561,11 +594,10 @@ def test_central_term_matches_trace_formula():
 def test_central_term_matches_the_vacuum_entry_of_the_commutator():
     # the route central_term replaced: two operator products, one entry read
     rng = np.random.default_rng(63)
-    for stat, sampler in ((BOSONIC, random_sp_element),
-                          (FERMIONIC, random_o_element)):
+    for stat in (BOSONIC, FERMIONIC):
         sp = ModeSpace(3, stat, cutoff=6)
         for _ in range(10):
-            x, y = sampler(rng, 3), sampler(rng, 3)
+            x, y = (random_algebra_element(rng, 3, sp.sign) for _ in range(2))
             A, B = second_quantize(sp, x), second_quantize(sp, y)
             C = A @ B - B @ A - second_quantize(sp, x.commutator(y))
             want = (complex(C.mat[0, 0]) / 1j).real
@@ -577,12 +609,11 @@ def test_central_term_matches_the_vacuum_entry_of_the_commutator():
 def test_vacuum_expectation_of_a_quadratic_is_exactly_zero(stat, cutoff):
     # why central_term never builds dpi([x, y]): its vacuum entry is 0.0
     rng = np.random.default_rng(64)
-    sampler = random_sp_element if stat == BOSONIC else random_o_element
     for d in (1, 2, 3):
         sp = ModeSpace(d, stat, cutoff=cutoff)
         vac = vacuum(sp)
         for _ in range(5):
-            z = sampler(rng, d)
+            z = random_algebra_element(rng, d, sp.sign)
             assert second_quantize(sp, z).apply(vac).inner(vac) == 0.0
 
 
@@ -590,7 +621,7 @@ def test_central_term_antisymmetric():
     rng = np.random.default_rng(59)
     sp = ModeSpace(2, BOSONIC, cutoff=6)
     for _ in range(10):
-        x, y = random_sp_element(rng, 2), random_sp_element(rng, 2)
+        x, y = (random_algebra_element(rng, 2, sp.sign) for _ in range(2))
         assert abs(central_term(sp, x, y) + central_term(sp, y, x)) < 1e-10
 
 
@@ -598,9 +629,7 @@ def test_central_term_is_lie_cocycle():
     rng = np.random.default_rng(60)
     sp = ModeSpace(2, BOSONIC, cutoff=6)
     for _ in range(10):
-        x = random_sp_element(rng, 2)
-        y = random_sp_element(rng, 2)
-        z = random_sp_element(rng, 2)
+        x, y, z = (random_algebra_element(rng, 2, sp.sign) for _ in range(3))
         val = (central_term(sp, x.commutator(y), z)
                + central_term(sp, y.commutator(z), x)
                + central_term(sp, z.commutator(x), y))
@@ -665,7 +694,7 @@ def test_second_quantized_antilinear_part_hits_vacuum_as_hat(stat, d):
     # hat vector of its coefficient matrix
     rng = np.random.default_rng(65)
     sp = ModeSpace(d, stat, cutoff=6)
-    x = (random_sp_element if stat == BOSONIC else random_o_element)(rng, d)
+    x = random_algebra_element(rng, d, sp.sign)
     x2 = RealLinearMap(np.zeros((d, d)), x.G2)
     out = second_quantize(sp, x2).apply(vacuum(sp))
     assert (out + hat_element(sp, x.G2)).norm() < 1e-12
@@ -685,13 +714,12 @@ def test_one_mode_fermionic_hat_element_is_zero():
     assert np.array_equal(out.amps, np.zeros(sp.dim))
 
 
-@pytest.mark.parametrize("stat,sampler,algebra", [
-    (BOSONIC, random_o_element, "sp"), (FERMIONIC, random_sp_element, "o")])
-def test_second_quantize_rejects_an_element_of_the_other_algebra(stat, sampler, algebra):
+@pytest.mark.parametrize("stat,algebra", [(BOSONIC, "sp"), (FERMIONIC, "o")])
+def test_second_quantize_rejects_an_element_of_the_other_algebra(stat, algebra):
     rng = np.random.default_rng(68)
     sp = ModeSpace(2, stat, cutoff=4)
     with pytest.raises(ValueError, match=f"not in {algebra}:"):
-        second_quantize(sp, sampler(rng, 2))
+        second_quantize(sp, random_algebra_element(rng, 2, -sp.sign))
 
 
 def test_exchange_sign():

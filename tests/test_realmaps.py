@@ -1,5 +1,6 @@
-"""The sp/o membership residuals share one body per relation; an explicit
-copy of the two separate bodies they replaced is the reference."""
+"""The sp/o membership residuals and samplers are one body each, a function
+of the exchange sign; an explicit copy of the separate symplectic and
+orthogonal bodies they replaced is the reference."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,12 @@ import pytest
 from virfock.realmaps import (
     PREDICATE_TOL,
     RealLinearMap,
-    in_o,
-    in_sp,
-    is_orthogonal,
-    is_symplectic,
-    o_defect,
-    orthogonal_defect,
-    random_o_element,
-    random_sp_element,
-    sp_defect,
-    symplectic_defect,
+    algebra_defect,
+    bogoliubov_defect,
+    in_algebra,
+    is_bogoliubov,
+    random_algebra_element,
+    random_skew_hermitian,
 )
 
 
@@ -27,7 +24,7 @@ def _ref_rel_err(M, target):
     return float(np.linalg.norm(M - target) / max(1.0, np.linalg.norm(target)))
 
 
-def ref_symplectic_defect(g):
+def ref_symplectic_residual(g):
     G1, G2 = g.G1, g.G2
     I = np.eye(g.d)
     r = [
@@ -39,7 +36,7 @@ def ref_symplectic_defect(g):
     return max(r)
 
 
-def ref_orthogonal_defect(g):
+def ref_orthogonal_residual(g):
     G1, G2 = g.G1, g.G2
     I = np.eye(g.d)
     r = [
@@ -51,12 +48,12 @@ def ref_orthogonal_defect(g):
     return max(r)
 
 
-def ref_sp_defect(x):
+def ref_sp_residual(x):
     return max(float(np.linalg.norm(x.G1 + x.G1.conj().T)),
                float(np.linalg.norm(x.G2 - x.G2.T)))
 
 
-def ref_o_defect(x):
+def ref_o_residual(x):
     return max(float(np.linalg.norm(x.G1 + x.G1.conj().T)),
                float(np.linalg.norm(x.G2 + x.G2.T)))
 
@@ -66,10 +63,21 @@ def ref_in_algebra(defect, x, tol):
     return defect(x) <= tol * scale
 
 
+def ref_sp_sample(rng, d, scale=1.0):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return RealLinearMap(random_skew_hermitian(rng, d, scale),
+                         scale * 0.5 * (z + z.T))
+
+
+def ref_o_sample(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return RealLinearMap(random_skew_hermitian(rng, d), 0.5 * (z - z.T))
+
+
 # -- samples
 
 
-RANDOM_ELEMENT = {"bosonic": random_sp_element, "fermionic": random_o_element}
+SIGN = {"bosonic": 1, "fermionic": -1}
 
 
 def _noise(rng, d):
@@ -84,7 +92,7 @@ def _samples(statistics, rng, eps_range):
     out = []
     for _ in range(100):
         d = int(rng.integers(1, 5))
-        x = RANDOM_ELEMENT[statistics](rng, d)
+        x = random_algebra_element(rng, d, SIGN[statistics])
         g = (0.3 * x).exp()
         x = x + 10.0 ** rng.uniform(*eps_range) * _noise(rng, d)
         g = g + 10.0 ** rng.uniform(*eps_range) * _noise(rng, d)
@@ -96,10 +104,10 @@ def _samples(statistics, rng, eps_range):
 def test_folded_residuals_are_bit_equal_to_the_separate_bodies(statistics):
     rng = np.random.default_rng(20091124)
     for x, g in _samples(statistics, rng, (-16, 0)):
-        assert symplectic_defect(g) == ref_symplectic_defect(g)
-        assert orthogonal_defect(g) == ref_orthogonal_defect(g)
-        assert sp_defect(x) == ref_sp_defect(x)
-        assert o_defect(x) == ref_o_defect(x)
+        assert bogoliubov_defect(g, 1) == ref_symplectic_residual(g)
+        assert bogoliubov_defect(g, -1) == ref_orthogonal_residual(g)
+        assert algebra_defect(x, 1) == ref_sp_residual(x)
+        assert algebra_defect(x, -1) == ref_o_residual(x)
 
 
 @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
@@ -110,15 +118,29 @@ def test_membership_verdicts_match_the_separate_bodies_near_tolerance(statistics
     verdicts = []
     for x, g in samples:
         for tol in (PREDICATE_TOL, 1e-8):
-            assert in_sp(x, tol) == ref_in_algebra(ref_sp_defect, x, tol)
-            assert in_o(x, tol) == ref_in_algebra(ref_o_defect, x, tol)
-        assert in_sp(x) == ref_in_algebra(ref_sp_defect, x, PREDICATE_TOL)
-        assert in_o(x) == ref_in_algebra(ref_o_defect, x, PREDICATE_TOL)
-        assert is_symplectic(g) == (ref_symplectic_defect(g) <= PREDICATE_TOL)
-        assert is_orthogonal(g) == (ref_orthogonal_defect(g) <= PREDICATE_TOL)
-        own = in_sp(x) if statistics == "bosonic" else in_o(x)
-        own_g = is_symplectic(g) if statistics == "bosonic" else is_orthogonal(g)
-        verdicts.append((own, own_g))
+            assert in_algebra(x, 1, tol) == ref_in_algebra(ref_sp_residual, x, tol)
+            assert in_algebra(x, -1, tol) == ref_in_algebra(ref_o_residual, x, tol)
+        assert in_algebra(x, 1) == ref_in_algebra(ref_sp_residual, x, PREDICATE_TOL)
+        assert in_algebra(x, -1) == ref_in_algebra(ref_o_residual, x, PREDICATE_TOL)
+        assert is_bogoliubov(g, 1) == (ref_symplectic_residual(g) <= PREDICATE_TOL)
+        assert is_bogoliubov(g, -1) == (ref_orthogonal_residual(g) <= PREDICATE_TOL)
+        sign = SIGN[statistics]
+        verdicts.append((in_algebra(x, sign), is_bogoliubov(g, sign)))
     # the samples really straddle the tolerance, for both predicates
     assert {v for v, _ in verdicts} == {True, False}
     assert {v for _, v in verdicts} == {True, False}
+
+
+def test_random_algebra_element_draws_the_separate_samplers_numbers():
+    # same generator state, same draws in the same order, bit-equal entries
+    for seed in range(20):
+        d = 1 + seed % 4
+        for sign, ref in ((1, ref_sp_sample), (-1, ref_o_sample)):
+            got = random_algebra_element(np.random.default_rng(seed), d, sign)
+            want = ref(np.random.default_rng(seed), d)
+            assert np.array_equal(got.G1, want.G1)
+            assert np.array_equal(got.G2, want.G2)
+        got = random_algebra_element(np.random.default_rng(seed), d, 1, 0.3)
+        want = ref_sp_sample(np.random.default_rng(seed), d, 0.3)
+        assert np.array_equal(got.G1, want.G1)
+        assert np.array_equal(got.G2, want.G2)

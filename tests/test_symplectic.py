@@ -7,12 +7,12 @@ import pytest
 
 from virfock.realmaps import (
     RealLinearMap,
+    bogoliubov_defect,
     omega,
     random_skew_hermitian,
-    random_sp_element,
+    random_algebra_element,
     random_symplectic,
     random_unitary,
-    symplectic_defect,
 )
 from virfock.symplectic import (
     QuadraticState,
@@ -68,7 +68,7 @@ def test_negative_definite_hermitian_generator_in_cone():
 
 def test_symplectic_element_rejects_maps_outside_sp():
     rng = np.random.default_rng(69)
-    x = random_sp_element(rng, 3)
+    x = random_algebra_element(rng, 3, 1)
     z = random_vec(rng, 9).reshape(3, 3)
     SymplecticElement(x)
     with pytest.raises(ValueError, match="not in sp"):
@@ -145,7 +145,7 @@ def test_conjugate_to_unitary_normal_form():
         d = int(rng.integers(1, 5))
         A = random_cone_element(rng, d)
         g, Aprime = conjugate_to_unitary(A)
-        assert symplectic_defect(g) < 1e-8
+        assert bogoliubov_defect(g, 1) < 1e-8
         # the conjugated generator is complex linear with i A' <= 0
         assert np.abs(Aprime.G2).max() < 1e-8
         S = 1j * Aprime.G1
