@@ -22,10 +22,7 @@ The affine picture: quadratic Hamiltonians f(v) = c + omega(x, v) +
 H_A(v) with A in the cone attain their minimum at -A^{-1}x with value
 c - (1/2) omega(x, A^{-1}x).
 
-The sl2 example uses the basis h = diag(1, -1), u = [[0,1],[-1,0]],
-t = [[0,1],[1,0]] with the Lorentzian form beta(a, b) = -tr(ab),
-signature (-2x^2 + 2y^2 - 2z^2): the invariant double cone is the
-timelike region, split by the sign of the u-coordinate.
+At d = 1, sp is sl(2, R) and W_sp is its lower timelike cone.
 
 Momentum maps are sampled on projective space: for anti-hermitian x,
 Phi([v])(x) = (1/i)<xv, v>/<v, v> = -i tr(x P_v), and the support
@@ -87,23 +84,6 @@ class QuadraticState:
         if x.shape != (self.A.d,):
             raise ValueError("linear term has the wrong dimension")
         object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
-class Sl2Element:
-    """Coordinates (x, y, z) in the basis h, u, t of sl2(R)."""
-
-    x: float
-    y: float
-    z: float
-
-    def coords(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-SL2_H = np.array([[1.0, 0.0], [0.0, -1.0]])
-SL2_U = np.array([[0.0, 1.0], [-1.0, 0.0]])
-SL2_T = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _as_sp(X) -> SymplecticElement:
@@ -211,51 +191,6 @@ def heisenberg_translate(q: QuadraticState, w) -> QuadraticState:
     """
     w = np.asarray(w, dtype=complex)
     return QuadraticState(float(jacobi_value(q, w)), q.x + q.A.X.apply(w), q.A)
-
-
-# ---------------------------------------------------------------------------
-# the sl2 Lorentz picture
-
-
-def sl2_matrix(a: Sl2Element) -> np.ndarray:
-    return a.x * SL2_H + a.y * SL2_U + a.z * SL2_T
-
-
-def sl2_from_matrix(m) -> Sl2Element:
-    m = np.asarray(m, dtype=float)
-    return Sl2Element(x=0.5 * float(np.trace(m @ SL2_H)),
-                      y=-0.5 * float(np.trace(m @ SL2_U)),
-                      z=0.5 * float(np.trace(m @ SL2_T)))
-
-
-def lorentz_form(a: Sl2Element, b: Sl2Element) -> float:
-    """beta(a, b) = -tr(ab); diagonal values (-2, 2, -2) on (h, u, t)."""
-    return -float(np.trace(sl2_matrix(a) @ sl2_matrix(b)))
-
-
-def orbit_type(a: Sl2Element) -> str:
-    """One of timelike+/-, null+/-, spacelike, zero.
-
-    Timelike means beta(a, a) > 0 (the u-axis is timelike here); the
-    sign suffix is the sign of the u-coordinate, which is constant on
-    connected orbits away from zero.
-    """
-    beta = lorentz_form(a, a)
-    size = float(np.dot(a.coords(), a.coords()))
-    if size <= 1e-9:
-        return "zero"
-    scale = max(1.0, size)
-    if beta > 1e-9 * scale:
-        return "timelike+" if a.y > 0 else "timelike-"
-    if beta < -1e-9 * scale:
-        return "spacelike"
-    return "null+" if a.y > 0 else "null-"
-
-
-def sl2_adjoint(g, a: Sl2Element) -> Sl2Element:
-    """Ad(g) a = g a g^{-1} for g in SL(2, R)."""
-    g = np.asarray(g, dtype=float)
-    return sl2_from_matrix(g @ sl2_matrix(a) @ np.linalg.inv(g))
 
 
 # ---------------------------------------------------------------------------

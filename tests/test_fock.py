@@ -95,7 +95,8 @@ def test_basis_matches_the_filtered_product(d):
 
 
 def test_fock_central_builds_each_space_once(monkeypatch):
-    # one pass draws 217 spaces over 14 distinct constructor arguments
+    # one pass draws 217 spaces over 9 distinct ones (a fermionic space is
+    # the same at every cutoff >= d)
     built = []
     init = ModeSpace.__init__
 
@@ -106,7 +107,7 @@ def test_fock_central_builds_each_space_once(monkeypatch):
     monkeypatch.setattr(ModeSpace, "__init__", counting_init)
     rep = run_suite(SuiteConfig("fock-central"))
     assert all(c.passed for c in rep.checks)
-    assert len(built) <= 14
+    assert len(built) <= 9
 
 
 def test_vacuum_is_annihilated():

@@ -1,4 +1,4 @@
-"""Symplectic cone membership, normal forms, sl2 orbits, momentum duality."""
+"""Symplectic cone membership, normal forms, momentum duality."""
 
 import math
 
@@ -16,7 +16,6 @@ from virfock.realmaps import (
 )
 from virfock.symplectic import (
     QuadraticState,
-    Sl2Element,
     SymplecticElement,
     compatible_complex_structure,
     cone_margin,
@@ -26,15 +25,10 @@ from virfock.symplectic import (
     in_cone_Wsp,
     jacobi_minimum,
     jacobi_value,
-    lorentz_form,
     momentum_map,
-    orbit_type,
     positive_complex_structure,
     random_cone_element,
     rayleigh_max_momentum,
-    sl2_adjoint,
-    sl2_from_matrix,
-    sl2_matrix,
     spectral_support,
 )
 from virfock.suites import SuiteConfig, run_suite
@@ -225,58 +219,85 @@ def test_stacked_draws_are_the_per_sample_draws(d):
 
 
 # ---------------------------------------------------------------------------
-# sl2 and the Lorentz form
+# d = 1: sp(2, R) = sl(2, R) and its Lorentz form
 
 
-def test_lorentz_form_diagonal():
-    h, u, t = Sl2Element(1, 0, 0), Sl2Element(0, 1, 0), Sl2Element(0, 0, 1)
-    assert lorentz_form(h, h) == pytest.approx(-2.0, abs=1e-14)
-    assert lorentz_form(u, u) == pytest.approx(2.0, abs=1e-14)
-    assert lorentz_form(t, t) == pytest.approx(-2.0, abs=1e-14)
-    assert abs(lorentz_form(h, u)) < 1e-14
-    assert abs(lorentz_form(h, t)) < 1e-14
-    assert abs(lorentz_form(u, t)) < 1e-14
+SL2_BASIS = [RealLinearMap.from_real_matrix(m) for m in
+             ([[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [-1.0, 0.0]],
+              [[0.0, 1.0], [1.0, 0.0]])]
 
 
-def test_sl2_matrix_roundtrip():
-    a = Sl2Element(0.3, -1.2, 0.7)
-    b = sl2_from_matrix(sl2_matrix(a))
-    assert np.allclose(a.coords(), b.coords(), atol=1e-14)
+def sl2(x, y, z):
+    """x h + y u + z t as a d = 1 map."""
+    h, u, t = SL2_BASIS
+    return x * h + y * u + z * t
 
 
-def test_orbit_type_constant_along_orbits():
+def beta(a, b):
+    """The Lorentz form -tr(a_r b_r)."""
+    return -float(np.trace(a.to_real_matrix() @ b.to_real_matrix()))
+
+
+def u_coordinate(X):
+    return 0.5 * beta(X, SL2_BASIS[1])
+
+
+def sl2_class(X):
+    """W_sp and -W_sp are the two timelike halves, det X_r < 0 is
+    spacelike, and the sign of the u-coordinate splits the null cone."""
+    Xr = X.to_real_matrix()
+    spacelike = np.linalg.det(Xr) < -1e-9 * max(1.0, float(np.sum(Xr ** 2)))
+    return (in_cone_Wsp(X), in_cone_Wsp(-X), spacelike,
+            not spacelike and u_coordinate(X) > 0)
+
+
+def test_beta_diagonal_on_sl2_basis():
+    h, u, t = SL2_BASIS
+    assert beta(h, h) == pytest.approx(-2.0, abs=1e-14)
+    assert beta(u, u) == pytest.approx(2.0, abs=1e-14)
+    assert beta(t, t) == pytest.approx(-2.0, abs=1e-14)
+    assert abs(beta(h, u)) < 1e-14
+    assert abs(beta(h, t)) < 1e-14
+    assert abs(beta(u, t)) < 1e-14
+
+
+def test_sl2_class_constant_along_orbits():
     rng = np.random.default_rng(77)
-    samples = [Sl2Element(0.0, 1.0, 0.0), Sl2Element(1.0, 0.0, 0.0),
-               Sl2Element(0.0, 1.0, 1.0), Sl2Element(0.2, 0.9, -0.3)]
+    samples = [sl2(0.0, 1.0, 0.0), sl2(1.0, 0.0, 0.0),
+               sl2(0.0, 1.0, 1.0), sl2(0.2, 0.9, -0.3)]
     for a in samples:
-        want = orbit_type(a)
+        want = sl2_class(a)
         for _ in range(10):
-            g = np.eye(2)
+            g = RealLinearMap.identity(1)
             for _ in range(3):
                 x = 0.3 * rng.normal()
-                gen = rng.choice(3)
-                m = [np.array([[1.0, 0.0], [0.0, -1.0]]),
-                     np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                     np.array([[0.0, 1.0], [1.0, 0.0]])][gen]
-                from scipy.linalg import expm
-                g = g @ expm(x * m)
-            assert orbit_type(sl2_adjoint(g, a)) == want
+                g = g.compose((x * SL2_BASIS[rng.choice(3)]).exp())
+            assert sl2_class(g.compose(a).compose(g.inverse())) == want
 
 
 def test_boost_orbit_of_timelike_vector_is_unbounded():
-    from scipy.linalg import expm
-
-    u = Sl2Element(0.0, 1.0, 0.0)
-    beta0 = lorentz_form(u, u)
+    h, u, _ = SL2_BASIS
+    beta0 = beta(u, u)
     ys = []
     for s in np.linspace(0.0, 4.0, 9):
-        g = expm(0.5 * s * np.array([[1.0, 0.0], [0.0, -1.0]]))
-        moved = sl2_adjoint(g, u)
-        assert abs(lorentz_form(moved, moved) - beta0) < 1e-9
-        ys.append(moved.y)
-        assert abs(moved.y - math.cosh(s)) < 1e-9
+        g = (0.5 * s * h).exp()
+        moved = g.compose(u).compose(g.inverse())
+        assert abs(beta(moved, moved) - beta0) < 1e-9
+        ys.append(u_coordinate(moved))
+        assert abs(ys[-1] - math.cosh(s)) < 1e-9
     assert all(b > a for a, b in zip(ys, ys[1:]))
     assert ys[-1] > 25.0
+
+
+def test_d1_cone_is_the_lower_timelike_cone():
+    # cone_margin is the smaller eigenvalue of [[z - y, -x], [-x, -y - z]]
+    rng = np.random.default_rng(79)
+    for x, y, z in [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0),
+                    *rng.normal(size=(200, 3))]:
+        X = sl2(x, y, z)
+        bound = -math.sqrt(x * x + z * z)
+        assert cone_margin(X) == pytest.approx(bound - y, abs=1e-14)
+        assert in_cone_Wsp(X) == (y < bound)
 
 
 # ---------------------------------------------------------------------------
