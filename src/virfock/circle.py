@@ -57,7 +57,8 @@ class FourierFunction:
     @property
     def real_flag(self) -> bool:
         if self._real is None:
-            self._real = self.is_real()
+            c = self.coeffs
+            self._real = bool(np.max(np.abs(np.conj(c[::-1]) - c)) <= REALITY_TOL)
         return self._real
 
     # -- constructors -------------------------------------------------
@@ -154,9 +155,6 @@ class FourierFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.grid_values(8 * max(self.degree, 1) + 1))))
-
-    def is_real(self, tol: float = REALITY_TOL) -> bool:
-        return bool(np.max(np.abs(np.conj(self.coeffs[::-1]) - self.coeffs)) <= tol)
 
     # -- linear arithmetic --------------------------------------------
 

@@ -95,7 +95,7 @@ def _cmd_verify(args) -> int:
     if args.config is not None:
         try:
             cfg = SuiteConfig.from_file(args.config)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return 2
     elif args.suite is not None:
@@ -156,9 +156,8 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
         raise ValueError(f"--degree must be in [{low}, {high}]")
     if args.n == 0:
         raise ValueError("--n must be nonzero (d_0 - d_0 is the zero field)")
-    _, _, most = SUITES["virasoro-orbits"][2]["trials"]
-    if not (1 <= args.steps <= most and 1 <= args.trials <= most):
-        raise ValueError(f"--steps and --trials must be in [1, {most}]")
+    if not (1 <= args.steps <= 1000 and 1 <= args.trials <= 1000):
+        raise ValueError("--steps and --trials must be in [1, 1000]")
     if not all(map(math.isfinite, (args.beta, args.alpha))):
         raise ValueError("--beta and --alpha must be finite")
     if not abs(args.smax) <= 10.0:

@@ -425,14 +425,13 @@ def heisenberg_mul(a: tuple, b: tuple) -> tuple:
 
 def _pair_matrix(space: ModeSpace, A) -> np.ndarray:
     """Matrix M of an antilinear A that can be paired into a degree-2 state:
-    M = sign M^T within 1e-10 relative, and a cutoff >= 2 on a bosonic
+    M = sign M^T within PREDICATE_TOL relative, and a cutoff >= 2 on a bosonic
     space only: a fermionic one holds every degree up to d, and at d = 1,
     cutoff 1, the only antisymmetric M is 0, whose hat vector is 0."""
     M = np.asarray(A, dtype=complex)
     if M.shape != (space.d, space.d):
         raise ValueError("antilinear matrix has the wrong shape")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - space.sign * M.T) > 1e-10 * scale:
+    if not in_algebra(RealLinearMap.from_antilinear(M), space.sign):
         raise ValueError(f"{space.statistics} hat vectors need a "
                          f"{'' if space.sign > 0 else 'anti'}symmetric matrix")
     if space.sign > 0 and space.cutoff < 2:
@@ -472,7 +471,7 @@ def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
     """Normally ordered dpi(x) for x in sp (bosonic) or o (fermionic)."""
     if x.d != space.d:
         raise ValueError("dimension mismatch")
-    if not in_algebra(x, space.sign, 1e-8):
+    if not in_algebra(x, space.sign):
         algebra, pairs = ("sp", "") if space.sign > 0 else ("o", "anti")
         raise ValueError(f"x is not in {algebra}: need skew-hermitian linear "
                          f"and {pairs}symmetric antilinear part")
@@ -597,6 +596,7 @@ def truncated_vacuum_oracle(space: ModeSpace,
     """
     below = space.totals < space.cutoff
     K = np.vstack([op.mat[below] for op in _vacuum_conditions(space, g)])
+    # full V: at d = 1 K is N x (N + 1), and a reduced SVD drops the null row
     _, _, vh = np.linalg.svd(K)
     F = vh[-1].conj()
     if abs(F[0]) < 1e-14:

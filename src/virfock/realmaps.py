@@ -212,9 +212,9 @@ def algebra_defect(x: RealLinearMap, sign: int) -> float:
                float(np.linalg.norm(x.G2 - sign * x.G2.T)))
 
 
-def in_algebra(x: RealLinearMap, sign: int, tol: float = PREDICATE_TOL) -> bool:
+def in_algebra(x: RealLinearMap, sign: int) -> bool:
     scale = max(1.0, x.linear_norm(), x.antilinear_norm())
-    return algebra_defect(x, sign) <= tol * scale
+    return algebra_defect(x, sign) <= PREDICATE_TOL * scale
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def heisenberg_translate(q: QuadraticState, w) -> QuadraticState:
 
 def _check_antihermitian(x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    if np.linalg.norm(x + x.conj().T) > 1e-10 * max(1.0, float(np.linalg.norm(x))):
+    if not in_algebra(RealLinearMap.from_linear(x), 1):
         raise ValueError("expected an anti-hermitian matrix")
     return x
 
@@ -273,7 +273,7 @@ def compatible_complex_structure(A) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("expected a finite matrix")
-    if np.linalg.norm(A + A.T) > 1e-10 * max(1.0, float(np.linalg.norm(A))):
+    if not in_algebra(RealLinearMap.from_linear(A), 1):
         raise ValueError("expected a skew-symmetric matrix")
     U, s, Vt = np.linalg.svd(A)
     if s[-1] <= n * np.finfo(float).eps * s[0]:

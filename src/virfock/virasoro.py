@@ -134,11 +134,10 @@ def normalized_central(degree: int) -> VirasoroElement:
 # algebra level
 
 
-def vir_bracket(x: VirasoroElement, y: VirasoroElement,
-                degree: int | None = None) -> VirasoroElement:
+def vir_bracket(x: VirasoroElement, y: VirasoroElement) -> VirasoroElement:
     """[(z, f), (w, g)] = (omega(f, g), [f, g])."""
     f, g = x.field, y.field
-    return VirasoroElement(omega_cocycle(f, g), lie_bracket(f, g, degree=degree))
+    return VirasoroElement(omega_cocycle(f, g), lie_bracket(f, g))
 
 
 def pairing(lam: VirasoroFunctional, x: VirasoroElement) -> complex:
@@ -202,7 +201,7 @@ def _positive_samples(f: FourierFunction, grid_size: int | None) -> np.ndarray:
     """f on the uniform grid of ``grid_size`` points (default
     max(CHI_MIN_GRID, 8N)); raises ValueError unless f is real and
     positive there."""
-    if not f.is_real(1e-9):
+    if not f.real_flag:
         raise ValueError("chi is defined for real fields only")
     M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
     vals = np.real(f.grid_values(M))
@@ -262,19 +261,18 @@ def convexity_check(x: VirasoroElement, trials: int,
     (z, alpha).  Returns the margins per trial (``beta_margins``,
     ``alpha_margins``) and their minima, nonnegative up to roundoff.
     """
-    alpha = float(np.real(x.field.coeff(0)))
+    base = cartan_projection(x)
     rest = max(abs(x.field.coeff(k)) for k in range(-x.field.degree, x.field.degree + 1) if k != 0) \
         if x.field.degree > 0 else 0.0
-    if alpha <= 0.0 or rest > 1e-12 * max(1.0, alpha):
+    if base.alpha <= 0.0 or rest > 1e-12 * max(1.0, base.alpha):
         raise ValueError("expected an element of the Cartan plane with alpha > 0")
-    beta = float(np.real(x.z))
     beta_margins = np.empty(trials)
     alpha_margins = np.empty(trials)
     for t in range(trials):
         phi = random_diffeo(rng, degree=degree, modes=6, amplitude=0.15)
         proj = cartan_projection(adjoint_action(phi, x))
-        beta_margins[t] = proj.beta - beta
-        alpha_margins[t] = proj.alpha - alpha
+        beta_margins[t] = proj.beta - base.beta
+        alpha_margins[t] = proj.alpha - base.alpha
     return {"min_beta_margin": float(beta_margins.min()),
             "min_alpha_margin": float(alpha_margins.min()),
             "beta_margins": beta_margins, "alpha_margins": alpha_margins}

@@ -139,8 +139,8 @@ def test_config_rejects_parameters_no_suite_reads(key):
 
 
 def test_config_params_default_to_the_suite_declaration():
-    assert SuiteConfig(suite="virasoro-orbits").get("trials") == 30
-    assert SuiteConfig(suite="symplectic-cones").get("trials") == 100
+    assert SuiteConfig(suite="virasoro-orbits").get("degree") == 48
+    assert SuiteConfig(suite="fock-vacuum").get("N") == 40
     assert SuiteConfig(suite="fock-ccr", params={"cutoff": 16}).get("cutoff") == 16
 
 
@@ -313,32 +313,45 @@ def test_cli_verify_bad_config_is_a_usage_error(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['[1, 2]',
-                                  '{"suite": "fock-vacuum", "seed": [1]}',
-                                  '{"suite": "fock-vacuum", "tol_scale": null}',
-                                  '{"suite": ["fock-vacuum"]}',
-                                  '{"suite": "virasoro-verma", "seed": 7.9}',
-                                  '{"suite": "virasoro-verma", "seed": "7"}',
-                                  '{"suite": "virasoro-verma", "seed": true}',
-                                  '{"suite": "virasoro-verma", "seed": -1}',
-                                  '{"suite": "virasoro-verma", "tol_scale": "1e300"}',
-                                  '{"suite": "virasoro-verma", "tol_scale": NaN}',
-                                  '{"suite": "virasoro-verma", "tol_scale": Infinity}',
-                                  '{"suite": "virasoro-verma", "tol_scale": 1e400}',
-                                  '{"suite": "virasoro-verma", "tol_scale": 1'
-                                  + '0' * 400 + '}',
-                                  '{"suite": "virasoro-verma", "tol_scale": 1.0}'],
+NOT_A_CONFIG = "a config must be a JSON object with a string 'suite' key"
+SEED = "seed must be a non-negative integer"
+UNKNOWN = "unknown config parameter 'tol_scale'"
+
+
+@pytest.mark.parametrize("text,message",
+                         [('[1, 2]', NOT_A_CONFIG),
+                          ('{"suite": "fock-vacuum", "seed": [1]}', SEED),
+                          ('{"suite": "fock-vacuum", "tol_scale": null}', UNKNOWN),
+                          ('{"suite": ["fock-vacuum"]}', NOT_A_CONFIG),
+                          ('{"suite": "virasoro-verma", "seed": 7.9}', SEED),
+                          ('{"suite": "virasoro-verma", "seed": "7"}', SEED),
+                          ('{"suite": "virasoro-verma", "seed": true}', SEED),
+                          ('{"suite": "virasoro-verma", "seed": -1}', SEED),
+                          ('{"suite": "virasoro-verma", "tol_scale": "1e300"}', UNKNOWN),
+                          ('{"suite": "virasoro-verma", "tol_scale": NaN}', UNKNOWN),
+                          ('{"suite": "virasoro-verma", "tol_scale": Infinity}', UNKNOWN),
+                          ('{"suite": "virasoro-verma", "tol_scale": 1e400}', UNKNOWN),
+                          ('{"suite": "virasoro-verma", "tol_scale": 1'
+                           + '0' * 400 + '}', UNKNOWN),
+                          ('{"suite": "virasoro-verma", "tol_scale": 1.0}', UNKNOWN),
+                          ('{}', NOT_A_CONFIG),
+                          ('null', NOT_A_CONFIG),
+                          ('7', NOT_A_CONFIG),
+                          ('{"suite": {"a": 1}}', NOT_A_CONFIG)],
                          ids=["list", "seed-list", "tol-scale-null", "suite-list",
                               "seed-float", "seed-string", "seed-bool",
                               "seed-negative", "tol-scale-string",
                               "tol-scale-nan", "tol-scale-inf",
                               "tol-scale-overflow", "tol-scale-huge-int",
-                              "tol-scale-one"])
-def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text):
+                              "tol-scale-one", "empty-object", "null", "number",
+                              "suite-object"])
+def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text,
+                                                      message):
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["verify", "--config", str(path)]) == 2
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("bad config: ") and message in err
 
 
 def _exit_code(argv):
@@ -569,7 +582,12 @@ def test_module_entry_point_usage_error_code():
                                     {"suite": "fock-ccr", "cutoff": 1},
                                     {"suite": "virasoro-verma", "max_level": 7},
                                     {"suite": "fock-vacuum", "N": 1},
-                                    {"suite": "virasoro-orbits", "degree": 1}])
+                                    {"suite": "virasoro-orbits", "degree": 1},
+                                    # sample counts are literals, not params
+                                    {"suite": "convex-cones", "trials": 50},
+                                    {"suite": "virasoro-cocycle", "trials": 50},
+                                    {"suite": "virasoro-orbits", "trials": 30},
+                                    {"suite": "symplectic-cones", "trials": 100}])
 def test_module_entry_point_bad_parameter_is_a_usage_error(tmp_path, capsys,
                                                           config):
     # `python -m virfock` only calls `cli.main`, whose wiring the two tests

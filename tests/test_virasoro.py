@@ -72,7 +72,7 @@ def test_central_element_is_bracket_trivial():
 def test_normalized_bracket_structure(n, m):
     deg = 14
     x, y = generator(n, deg), generator(m, deg)
-    br = vir_bracket(x, y, degree=deg)
+    br = vir_bracket(x, y)
     expected = float(n - m) * generator(n + m, deg)
     if n + m == 0:
         expected = expected + ((n ** 3 - n) / 12.0) * normalized_central(deg)
