@@ -22,6 +22,9 @@ the group level (diffeomorphisms, flows) insists on real data.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.fft on first use; importing it here keeps that cost
+# in `import virfock`
+from numpy.fft import fft, ifft
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,7 +95,7 @@ class FourierFunction:
         M = values.size
         if M < 2 * degree + 1:
             raise ValueError("need at least 2N+1 samples for degree N")
-        a = np.fft.fft(values) / M
+        a = fft(values) / M
         return cls(a[np.arange(-degree, degree + 1) % M])
 
     # -- basic queries ------------------------------------------------
@@ -150,7 +153,7 @@ class FourierFunction:
             raise ValueError("grid too coarse for this degree")
         a = np.zeros(M, dtype=complex)
         a[np.arange(-self.degree, self.degree + 1) % M] = self.coeffs
-        vals = np.fft.ifft(a) * M
+        vals = ifft(a) * M
         return vals.real if self.real_flag else vals
 
     def sup_norm(self) -> float:

@@ -27,16 +27,23 @@ own: the Bogoliubov vacuum series, metaplectic and spin alike, applies
 powers of the pair creator -1/2 sum T_ji a*_i a*_j to Omega, and degree-2
 hat vectors are written straight onto the occupation index.
 
-Storage: a FockOperator holds one complex scipy CSR matrix, built
-column by column from the word tables its ModeSpace caches (one per
-ladder word, computed on first use), weighted by the coefficients;
-products, sums, adjoints, norms and mat-vecs all stay in CSR.  A ladder
-polynomial of degree k has O(d^k) nonzeros per column, so at d=3, N=20
-(dim 1771) a ladder operator takes about 0.1 MB and a second-quantized
-quadratic about 0.7 MB, where a dense matrix takes 50 MB.
-``FockOperator.mat`` is a dense copy, made on each access, for the dense
-oracles: the SVD in `truncated_vacuum_oracle`, `expm` in `weyl`, the
-tests and the storage counters of `perfbench/tracer.py`.
+Storage: a FockOperator holds three numpy arrays, ``rows``, ``cols`` and
+``vals``, that list its entries in row-major order, each position once.
+A builder reads them off the word tables its ModeSpace caches (one per
+ladder word, computed on first use), weighted by the coefficients.
+Products, sums, adjoints, norms and mat-vecs work on the arrays: a
+product expands every pair of entries that meet and `_summed` adds them
+up by position (one stable sort, one ``np.add.at``), unless the pairs
+would outnumber the dim^2 entries of the result, as for Weyl operators;
+then it takes the dense product.  A ladder polynomial of degree k has
+O(d^k) entries per column, so at d=3, N=20 (dim 1771) a ladder operator
+takes about 0.15 MB and a second-quantized quadratic about 0.9 MB, where
+a dense matrix takes 50 MB.  ``FockOperator.mat`` is a dense complex
+copy, made on each access: `weyl` exponentiates it with `realmaps.expm`,
+the dense product multiplies it, and `truncated_vacuum_oracle` (an SVD),
+the tests and the storage counters of `perfbench/tracer.py` read it.  `central_term` and
+`vacuum_implementer` build no operator at all: they apply the word
+tables to vectors.
 
 Quadratic elements x = x_1 + x_2 (linear plus antilinear part, stored as
 a RealLinearMap) are second-quantized normally ordered,
@@ -62,10 +69,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
 
-from .realmaps import PREDICATE_TOL, RealLinearMap, in_algebra, omega
+from .realmaps import PREDICATE_TOL, RealLinearMap, expm, in_algebra, omega
 
 BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
@@ -256,48 +261,71 @@ def basis_vector(space: ModeSpace, occ) -> FockVector:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Operator on a ModeSpace, stored as a complex CSR matrix in the
-    occupation basis.
+    """Operator on a ModeSpace, stored as its entries in the occupation
+    basis: ``rows``, ``cols`` and ``vals`` list them in row-major order,
+    each position at most once.
 
-    Any dense or sparse array-like of shape (dim, dim) is accepted and
-    stored as ``csr``; ``mat`` is a fresh dense copy for dense oracles.
+    Built by `_summed` from any list of (row, column, value) entries, or
+    by `from_dense`; ``mat`` is a fresh dense copy for dense oracles.
     """
 
     space: ModeSpace
-    csr: sparse.csr_array
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self):
-        csr = self.csr
-        if not (isinstance(csr, sparse.csr_array) and csr.dtype == complex):
-            csr = sparse.csr_array(csr, dtype=complex)
-        if csr.shape != (self.space.dim, self.space.dim):
+    @classmethod
+    def from_dense(cls, space: ModeSpace, M) -> "FockOperator":
+        M = np.asarray(M, dtype=complex)
+        if M.shape != (space.dim, space.dim):
             raise ValueError("operator matrix has the wrong shape")
-        # norms read csr.data, so no entry may be stored twice
-        csr.sum_duplicates()
-        object.__setattr__(self, "csr", csr)
+        rows, cols = np.nonzero(M)
+        return cls(space, rows, cols, M[rows, cols])
 
     @property
     def mat(self) -> np.ndarray:
         """Dense copy of the matrix."""
-        return self.csr.toarray()
+        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        out[self.rows, self.cols] = self.vals
+        return out
 
     @classmethod
     def identity(cls, space: ModeSpace) -> "FockOperator":
-        return cls(space, sparse.eye_array(space.dim, dtype=complex, format="csr"))
+        diag = np.arange(space.dim)
+        return cls(space, diag, diag, np.ones(space.dim, dtype=complex))
 
     def apply(self, v: FockVector) -> FockVector:
         _same_space(self.space, v.space)
-        return FockVector(self.space, self.csr @ v.amps)
+        out = np.zeros(self.space.dim, dtype=complex)
+        np.add.at(out, self.rows, self.vals * v.amps[self.cols])
+        return FockVector(self.space, out)
 
     def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, self.csr.conj().T.tocsr())
+        return _summed(self.space, self.cols, self.rows, np.conj(self.vals))
 
     def compose(self, other: "FockOperator") -> "FockOperator":
-        """Operator product self * other (other acts first), taken in CSR:
-        ladder polynomials have O(d^k) nonzeros per column, so it costs
-        about nnz * (nonzeros per row) instead of dim^3."""
-        _same_space(self.space, other.space)
-        return FockOperator(self.space, self.csr @ other.csr)
+        """Operator product self * other (other acts first).
+
+        Entry (i, k) of self meets row k of other, and the partial
+        products are summed by position.  Ladder polynomials have O(d^k)
+        entries per row, so there are about nnz * (entries per row) of
+        them, far below dim^2; when they would outnumber the dim^2 entries
+        of the result (a Weyl operator is dense), the dense product is
+        taken instead.
+        """
+        space = _same_space(self.space, other.space)
+        dim = space.dim
+        other_ptr = np.searchsorted(other.rows, np.arange(dim + 1))
+        counts = np.diff(other_ptr)[self.cols]
+        total = int(counts.sum())
+        if total > dim * dim:
+            return FockOperator.from_dense(space, self.mat @ other.mat)
+        # each entry of self is repeated once per entry of the row of other
+        # it meets; rhs[p] is the entry of other in partial product p
+        starts = other_ptr[self.cols] - (np.cumsum(counts) - counts)
+        rhs = np.arange(total) + np.repeat(starts, counts)
+        return _summed(space, np.repeat(self.rows, counts), other.cols[rhs],
+                       np.repeat(self.vals, counts) * other.vals[rhs])
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -310,46 +338,73 @@ class FockOperator:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self.csr.data))
+        return float(np.linalg.norm(self.vals))
 
     def restricted_norm(self, max_degree: int) -> float:
         """Frobenius norm of P A P with P the projection onto total number
         <= max_degree."""
         # the basis is sorted by total number, so P keeps a prefix
         k = int(np.searchsorted(self.space.totals, max_degree, side="right"))
-        return float(np.linalg.norm(self.csr[:k, :k].data))
+        n = int(np.searchsorted(self.rows, k))
+        return float(np.linalg.norm(self.vals[:n][self.cols[:n] < k]))
 
     def __add__(self, other):
-        _same_space(self.space, other.space)
-        return FockOperator(self.space, self.csr + other.csr)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        _same_space(self.space, other.space)
-        return FockOperator(self.space, self.csr - other.csr)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "FockOperator", sign: int) -> "FockOperator":
+        space = _same_space(self.space, other.space)
+        return _summed(space, np.concatenate((self.rows, other.rows)),
+                       np.concatenate((self.cols, other.cols)),
+                       np.concatenate((self.vals, sign * other.vals)))
 
     def __mul__(self, t: complex):
-        return FockOperator(self.space, t * self.csr)
+        return FockOperator(self.space, self.rows, self.cols, t * self.vals)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FockOperator(self.space, -self.csr)
+        return FockOperator(self.space, self.rows, self.cols, -self.vals)
+
+
+def _summed(space: ModeSpace, rows, cols, vals) -> FockOperator:
+    """The operator with entries (rows[p], cols[p], vals[p]) added up: one
+    entry per position, in row-major order, with exact zeros dropped.
+    Values that share a position are summed in the order given."""
+    # pack each position into one sortable key
+    shift = space.dim.bit_length()
+    keys = (rows << shift) | cols
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():
+        heads = np.flatnonzero(first)
+        sums = np.zeros(heads.size, dtype=complex)
+        np.add.at(sums, np.cumsum(first) - 1, vals)
+        keys, vals = keys[heads], sums
+    if not vals.all():
+        kept = np.flatnonzero(vals)
+        keys, vals = keys[kept], vals[kept]
+    return FockOperator(space, keys >> shift, keys & ((1 << shift) - 1), vals)
 
 
 # ---------------------------------------------------------------------------
 # creation and annihilation
 
 
-def _ladder_word(space: ModeSpace, terms) -> sparse.csr_array:
-    """CSR matrix of a sum over (coeffs, word) terms of
+def _ladder_word(space: ModeSpace, terms) -> FockOperator:
+    """Operator sum over (coeffs, word) terms of
     sum c[i_1..i_k] L_1(i_1) ... L_k(i_k).
 
     Each letter of ``word`` is '+' (a*_i) or '-' (a_i); ``coeffs`` has one
     axis of length d per letter, in word order.  The rightmost letter acts
     first, and states killed or pushed past the cutoff drop out.  The
-    cached word tables, weighted by the coefficients, give the matrix
-    column by column; it is returned in canonical CSR form, with repeated
-    entries summed in term order.
+    cached word tables, weighted by the coefficients, list the entries
+    column by column; repeated entries are summed in term order.
     """
     dim = space.dim
     rows, vals = [], []
@@ -358,12 +413,21 @@ def _ladder_word(space: ModeSpace, terms) -> sparse.csr_array:
         rows.append(target)
         vals.append(amp * np.asarray(coeffs, dtype=complex).reshape(-1))
     rows, vals = np.hstack(rows), np.hstack(vals)
-    keep = (rows < dim) & (vals != 0)
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    out = sparse.csc_array((vals[keep], rows[keep], indptr),
-                           shape=(dim, dim)).tocsr()
-    out.sum_duplicates()
-    return out
+    live = np.flatnonzero(rows < dim)
+    return _summed(space, rows.ravel()[live], live // rows.shape[1],
+                   vals.ravel()[live])
+
+
+def _apply_terms(space: ModeSpace, terms, v: np.ndarray) -> np.ndarray:
+    """The ladder polynomial of (coeffs, word) terms applied, straight from
+    the word tables and without building its operator, to the vector with
+    amplitudes v on the first len(v) basis states and 0 on the rest."""
+    out = np.zeros(space.dim + 1, dtype=complex)
+    for coeffs, word in terms:
+        target, amp = (table[:v.size] for table in space.word_table(word))
+        weights = amp * np.asarray(coeffs, dtype=complex).reshape(-1)
+        np.add.at(out, target, weights * v[:, None])
+    return out[:-1]
 
 
 def _smearing(space: ModeSpace, f) -> np.ndarray:
@@ -375,18 +439,19 @@ def _smearing(space: ModeSpace, f) -> np.ndarray:
 
 def create(space: ModeSpace, f) -> FockOperator:
     """Smeared creator a*(f) = sum_i f_i a*_i (linear in f)."""
-    return FockOperator(space, _ladder_word(space, [(_smearing(space, f), "+")]))
+    return _ladder_word(space, [(_smearing(space, f), "+")])
 
 
 def annihilate(space: ModeSpace, f) -> FockOperator:
     """Smeared annihilator a(f) = sum_i conj(f_i) a_i (antilinear in f)."""
     f = np.conj(_smearing(space, f))
-    return FockOperator(space, _ladder_word(space, [(f, "-")]))
+    return _ladder_word(space, [(f, "-")])
 
 
 def number_operator(space: ModeSpace) -> FockOperator:
-    return FockOperator(space, sparse.diags_array(space.totals.astype(complex),
-                                                  format="csr"))
+    occupied = np.flatnonzero(space.totals)
+    return FockOperator(space, occupied, occupied,
+                        space.totals[occupied].astype(complex))
 
 
 def dgamma(space: ModeSpace, M) -> FockOperator:
@@ -394,7 +459,7 @@ def dgamma(space: ModeSpace, M) -> FockOperator:
     M = np.asarray(M, dtype=complex)
     if M.shape != (space.d, space.d):
         raise ValueError("coefficient matrix has the wrong shape")
-    return FockOperator(space, _ladder_word(space, [(M, "+-")]))
+    return _ladder_word(space, [(M, "+-")])
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +472,7 @@ def weyl(space: ModeSpace, t: float, f) -> FockOperator:
         raise ValueError("Weyl operators live on the bosonic space")
     gen = annihilate(space, f) + create(space, f)
     mat = expm((1j / math.sqrt(2.0)) * gen.mat)
-    return FockOperator(space, cmath.exp(1j * t) * mat)
+    return FockOperator.from_dense(space, cmath.exp(1j * t) * mat)
 
 
 def heisenberg_mul(a: tuple, b: tuple) -> tuple:
@@ -467,8 +532,9 @@ def hat_pairing(space: ModeSpace, A, B) -> complex:
     return 0.5 * space.sign * complex(np.trace(MA @ np.conj(MB)))
 
 
-def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
-    """Normally ordered dpi(x) for x in sp (bosonic) or o (fermionic)."""
+def _dpi_terms(space: ModeSpace, x: RealLinearMap) -> list:
+    """The (coeffs, word) terms of the normally ordered dpi(x), for x in
+    sp (bosonic) or o (fermionic)."""
     if x.d != space.d:
         raise ValueError("dimension mismatch")
     if not in_algebra(x, space.sign):
@@ -478,7 +544,12 @@ def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
     terms = [(x.G1, "+-")]
     if np.any(x.G2 != 0):
         terms += [(-0.5 * space.sign * x.G2, "++"), (0.5 * np.conj(x.G2), "--")]
-    return FockOperator(space, _ladder_word(space, terms))
+    return terms
+
+
+def second_quantize(space: ModeSpace, x: RealLinearMap) -> FockOperator:
+    """Normally ordered dpi(x) for x in sp (bosonic) or o (fermionic)."""
+    return _ladder_word(space, _dpi_terms(space, x))
 
 
 def central_term(space: ModeSpace, x: RealLinearMap, y: RealLinearMap) -> float:
@@ -486,16 +557,22 @@ def central_term(space: ModeSpace, x: RealLinearMap, y: RealLinearMap) -> float:
 
     Exact on truncations with cutoff >= 4 since only states of degree
     <= 4 enter the vacuum matrix element.  Read as
-    <A B Omega - B A Omega, Omega> / i with A = dpi(x), B = dpi(y): four
-    matrix-vector products.  dpi([x, y]) is not built: no word of a
-    normally ordered quadratic maps Omega to Omega, so that term is 0.0.
+    <A B Omega - B A Omega, Omega> / i with A = dpi(x), B = dpi(y), each
+    product applied from the word tables, so neither operator is built.
+    dpi([x, y]) is not built either: no word of a normally ordered
+    quadratic maps Omega to Omega, so that term is 0.0.
     """
-    A = second_quantize(space, x)
-    B = second_quantize(space, y)
-    vac = vacuum(space)
-    defect = A.apply(B.apply(vac)) - B.apply(A.apply(vac))
-    val = defect.inner(vac) / 1j
-    return float(val.real)
+    X, Y = _dpi_terms(space, x), _dpi_terms(space, y)
+    # Omega is basis state 0, and a quadratic maps it into the states of
+    # degree <= 2, a prefix of the basis
+    low = int(np.searchsorted(space.totals, 2, side="right"))
+    vac = np.ones(1, dtype=complex)
+
+    def vacuum_entry(first, second):
+        return _apply_terms(space, second, _apply_terms(space, first, vac)[:low])[0]
+
+    # Re(z / i) = Im z
+    return float((vacuum_entry(Y, X) - vacuum_entry(X, Y)).imag)
 
 
 def central_term_trace(space: ModeSpace, x: RealLinearMap,
@@ -540,11 +617,11 @@ def vacuum_implementer(space: ModeSpace,
     T = twist_matrix(g)
     if space.sign > 0 and np.linalg.norm(T) >= 1.0:
         raise ValueError("||T(g)|| >= 1: outside the convergence domain")
-    Q = _ladder_word(space, [(-0.5 * _pair_matrix(space, T).T, "++")])
+    pair = [(-0.5 * _pair_matrix(space, T).T, "++")]
     term = vacuum(space).amps
     F = term
     for n in range(1, space.cutoff // 2 + 1):
-        term = Q @ term / n
+        term = _apply_terms(space, pair, term) / n
         F = F + term
     c = 1.0 / float(np.linalg.norm(F))
     return c, FockVector(space, c * F)

@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that
+# cost in `import virfock`, out of the first suite run
+from numpy.random import default_rng
 
 from . import circle as ci
 from . import convexcore as cx
@@ -1051,5 +1054,5 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         names = ", ".join(suite_names())
         raise KeyError(f"unknown suite {cfg.suite!r}: valid suites are {names}")
     func = SUITES[cfg.suite][0]
-    checks = tuple(func(cfg, np.random.default_rng(cfg.seed)))
+    checks = tuple(func(cfg, default_rng(cfg.seed)))
     return VerificationReport(suite=cfg.suite, seed=cfg.seed, checks=checks)

@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm as scipy_expm
 
 from virfock import fock
 from virfock.fock import (
@@ -37,6 +38,7 @@ from virfock.fock import (
 )
 from virfock.realmaps import (
     RealLinearMap,
+    expm,
     inner,
     omega,
     random_algebra_element,
@@ -280,17 +282,21 @@ def test_ladder_word_builds_are_canonical_and_repeatable(d, stat, cutoff):
     for terms in (quadratic, creator, creator + quadratic):
         first = fock._ladder_word(sp, terms)
         second = fock._ladder_word(sp, terms)
-        assert first.has_canonical_format
-        assert type(first) is sparse.csr_array and first.dtype == np.complex128
-        for part in ("data", "indices", "indptr"):
+        # row-major, each position once, no stored zero
+        assert np.all(np.diff(first.rows * sp.dim + first.cols) > 0)
+        assert first.vals.dtype == np.complex128 and np.all(first.vals != 0)
+        for part in ("rows", "cols", "vals"):
             assert np.array_equal(getattr(second, part), getattr(first, part))
         # the COO route sorts each row with an unstable sort, so where three
-        # or more entries meet it may sum them in another order
+        # or more entries meet it may sum them in another order; it keeps
+        # the exact zeros of the fermionic pair creator of a symmetric T
         reference = _coo_ladder_word(sp, terms)
-        assert np.array_equal(reference.indices, first.indices)
-        assert np.array_equal(reference.indptr, first.indptr)
-        scale = np.max(np.abs(first.data), initial=0.0)
-        assert np.max(np.abs(reference.data - first.data),
+        reference.eliminate_zeros()
+        assert np.array_equal(reference.indices, first.cols)
+        assert np.array_equal(reference.indptr,
+                              np.searchsorted(first.rows, np.arange(sp.dim + 1)))
+        scale = np.max(np.abs(first.vals), initial=0.0)
+        assert np.max(np.abs(reference.data - first.vals),
                       initial=0.0) <= 1e-15 * scale
 
 
@@ -352,8 +358,8 @@ def test_products_match_the_dense_matrix_product(sp, operands):
     for got, want in [(A.compose(B), AB), (A @ B, AB),
                       (A.commutator(B), AB - BA),
                       (A.anticommutator(B), AB + BA)]:
-        assert type(got.csr) is sparse.csr_array
-        assert got.csr.dtype == np.complex128
+        assert got.vals.dtype == np.complex128
+        assert np.all(np.diff(got.rows * sp.dim + got.cols) > 0)
         # perfbench/tracer.py reads .mat.nbytes and np.count_nonzero(.mat)
         assert type(got.mat) is np.ndarray
         assert got.mat.dtype == np.complex128
@@ -361,8 +367,34 @@ def test_products_match_the_dense_matrix_product(sp, operands):
         assert np.linalg.norm(got.mat - want) <= scale
 
 
+@pytest.mark.parametrize("sp,operands", PRODUCT_CASES,
+                         ids=["b3-6", "b2-24", "b3-16", "f4", "weyl-32",
+                              "weyl-200"])
+def test_products_expand_no_more_entries_than_the_dense_result(sp, operands,
+                                                               monkeypatch):
+    # two dense Weyl operators would make dim^3 partial products, and the
+    # ladder polynomials of the 16-dimensional f4 space more than dim^2;
+    # compose takes the dense product there, and expands the others
+    A, B = operands(np.random.default_rng(71), sp)
+    summed = []
+
+    def recording(space, rows, cols, vals):
+        summed.append(vals.size)
+        return real_summed(space, rows, cols, vals)
+
+    real_summed = fock._summed
+    monkeypatch.setattr(fock, "_summed", recording)
+    A.compose(B)
+    assert all(n <= sp.dim ** 2 for n in summed)
+    # the count, read off the operands: each entry (i, k) of A meets row k of B
+    pairs = int(np.bincount(B.rows, minlength=sp.dim)[A.cols].sum())
+    assert (summed == []) == (pairs > sp.dim ** 2)
+    if operands is _weyl_pair:
+        assert pairs > sp.dim ** 2
+
+
 def _stored_bytes(op):
-    return op.csr.data.nbytes + op.csr.indices.nbytes + op.csr.indptr.nbytes
+    return op.rows.nbytes + op.cols.nbytes + op.vals.nbytes
 
 
 def test_ladder_operators_stay_small_on_a_large_space():
@@ -386,8 +418,8 @@ def test_ladder_operators_stay_small_on_a_large_space():
                          ids=["b3-16", "b2-32", "b1-80", "b3-6", "f4"])
 def test_restricted_norm_is_the_norm_of_the_kept_block(sp):
     rng = np.random.default_rng(72)
-    op = FockOperator(sp, rng.normal(size=(sp.dim, sp.dim))
-                      + 1j * rng.normal(size=(sp.dim, sp.dim)))
+    op = FockOperator.from_dense(sp, rng.normal(size=(sp.dim, sp.dim))
+                                 + 1j * rng.normal(size=(sp.dim, sp.dim)))
     for m in range(-1, sp.cutoff + 2):
         keep = sp.totals <= m
         want = float(np.linalg.norm(op.mat[np.ix_(keep, keep)]))
@@ -405,6 +437,21 @@ def test_weyl_vacuum_coefficient(norm_sq):
     W = weyl(sp, 0.0, f)
     val = W.apply(vacuum(sp)).inner(vacuum(sp))
     assert abs(val - math.exp(-norm_sq / 4.0)) < 1e-6
+
+
+@pytest.mark.parametrize("cutoff", [8, 32, 80, 200])
+def test_expm_matches_scipy_on_weyl_generators(cutoff):
+    # the matrix weyl exponentiates, at 1-norms from 4 to 71 here, so
+    # every cutoff runs the squaring branch (theta_13 = 5.37)
+    rng = np.random.default_rng(cutoff)
+    sp = ModeSpace(1, BOSONIC, cutoff=cutoff)
+    for size in (0.5, 1.0, 2.0):
+        f = size * random_vec(rng, 1)
+        G = (1j / math.sqrt(2.0)) * (annihilate(sp, f) + create(sp, f)).mat
+        want = scipy_expm(G)
+        got = expm(G)
+        assert got.dtype == np.complex128
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_weyl_relation_with_central_phase():

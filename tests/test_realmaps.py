@@ -1,15 +1,18 @@
 """The sp/o membership residuals and samplers are one body each, a function
 of the exchange sign; an explicit copy of the separate symplectic and
-orthogonal bodies they replaced is the reference."""
+orthogonal bodies they replaced is the reference.  The Pade matrix
+exponential is checked against scipy's."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from virfock.realmaps import (
     PREDICATE_TOL,
     RealLinearMap,
     algebra_defect,
     bogoliubov_defect,
+    expm,
     in_algebra,
     is_bogoliubov,
     random_algebra_element,
@@ -141,3 +144,26 @@ def test_random_algebra_element_draws_the_separate_samplers_numbers():
         want = ref_sp_sample(np.random.default_rng(seed), d, 0.3)
         assert np.array_equal(got.G1, want.G1)
         assert np.array_equal(got.G2, want.G2)
+
+
+# -- the matrix exponential
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_expm_matches_scipy_on_algebra_elements(sign):
+    # the real pictures of random sp and o elements; from scale 1 on the
+    # 1-norm passes theta_13 = 5.37, so the squaring branch runs, and its
+    # rounding grows with the norm (up to 2^5 squarings at scale 10)
+    rng = np.random.default_rng(41 if sign > 0 else 42)
+    squared = 0
+    for d in range(1, 6):
+        for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
+            R = random_algebra_element(rng, d, sign, scale).to_real_matrix()
+            norm = float(np.linalg.norm(R, 1))
+            squared += norm > 5.371920351148152
+            want = scipy_expm(R)
+            got = expm(R)
+            assert got.dtype == np.float64
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= 5e-14 * max(1.0, norm)
+    assert squared >= 10
