@@ -60,7 +60,7 @@ J = positive_complex_structure(A)
 JJ = J.compose(J)
 print("positive complex structure for a random cone element (d = 3):")
 print(f"  |J^2 + 1|          = {np.linalg.norm(JJ.G1 + np.eye(3)) + np.linalg.norm(JJ.G2):.2e}")
-print(f"  |[J, A]|           = {np.linalg.norm(J.commutator(A.X).to_real_matrix()):.2e}")
+print(f"  |[J, A]|           = {np.linalg.norm(J.commutator(A).to_real_matrix()):.2e}")
 
 g, Ap = conjugate_to_unitary(A)
 H = 0.5 * (1j * Ap.G1 + (1j * Ap.G1).conj().T)

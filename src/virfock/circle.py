@@ -170,8 +170,6 @@ class FourierFunction:
 
     def __sub__(self, other): return self._binary(other, -1.0)
 
-    def __neg__(self): return FourierFunction(-self.coeffs)
-
     def __mul__(self, scalar):
         return FourierFunction(self.coeffs * scalar)
 
@@ -200,10 +198,6 @@ class CircleDiffeo:
         min_derivative = float(1.0 + np.min(dp))
         if min_derivative <= 0.0:
             raise ValueError(f"not a diffeomorphism: min phi' = {min_derivative:.3e}")
-
-    @classmethod
-    def identity(cls, degree: int) -> "CircleDiffeo":
-        return cls(FourierFunction.zero(degree))
 
     @classmethod
     def rotation(cls, alpha: float, degree: int) -> "CircleDiffeo":

@@ -216,21 +216,12 @@ class FockVector:
         _same_space(self.space, other.space)
         return complex(np.sum(self.amps * np.conj(other.amps)))
 
-    def amplitude(self, occ) -> complex:
-        return complex(self.amps[self.space.index[tuple(occ)]])
-
     def degree_norms(self) -> np.ndarray:
         """Norm of each fixed-particle-number component, index = degree."""
         out = np.zeros(self.space.cutoff + 1)
         for n in range(self.space.cutoff + 1):
             out[n] = float(np.linalg.norm(self.amps[self.space.totals == n]))
         return out
-
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.space, self.amps / n)
 
     def __add__(self, other):
         _same_space(self.space, other.space)
@@ -239,14 +230,6 @@ class FockVector:
     def __sub__(self, other):
         _same_space(self.space, other.space)
         return FockVector(self.space, self.amps - other.amps)
-
-    def __mul__(self, t: complex):
-        return FockVector(self.space, t * self.amps)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FockVector(self.space, -self.amps)
 
 
 def vacuum(space: ModeSpace) -> FockVector:
@@ -327,9 +310,6 @@ class FockOperator:
         return _summed(space, np.repeat(self.rows, counts), other.cols[rhs],
                        np.repeat(self.vals, counts) * other.vals[rhs])
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def commutator(self, other: "FockOperator") -> "FockOperator":
         return self.compose(other) - other.compose(self)
 
@@ -364,9 +344,6 @@ class FockOperator:
         return FockOperator(self.space, self.rows, self.cols, t * self.vals)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return FockOperator(self.space, self.rows, self.cols, -self.vals)
 
 
 def _summed(space: ModeSpace, rows, cols, vals) -> FockOperator:
@@ -603,7 +580,8 @@ def vacuum_implementer(space: ModeSpace,
                        g: RealLinearMap) -> tuple[float, FockVector]:
     """Normalized truncation of c(g) e^{-T-hat(g)} with c = norm^{-1}.
 
-    Requires an invertible linear part and T(g) = sign T(g)^T.  With
+    Requires an invertible linear part (smallest singular value above
+    1e-12 times the largest) and T(g) = sign T(g)^T.  With
     Q = -1/2 sum T_ji a*_i a*_j one has Q Omega = -T-hat, so the series
     is sum_{n <= N/2} Q^n Omega / n!, built from the ladder tables.  Only
     the bosonic series needs ||T(g)||_HS < 1 to converge; the fermionic
@@ -612,7 +590,8 @@ def vacuum_implementer(space: ModeSpace,
     """
     if g.d != space.d:
         raise ValueError("dimension mismatch")
-    if abs(np.linalg.det(g.G1)) < 1e-12:
+    s = np.linalg.svd(g.G1, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
         raise ValueError("linear part g_1 is singular")
     T = twist_matrix(g)
     if space.sign > 0 and np.linalg.norm(T) >= 1.0:

@@ -90,10 +90,6 @@ class RealLinearMap:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, d: int) -> "RealLinearMap":
-        return cls(np.eye(d), np.zeros((d, d)))
-
-    @classmethod
     def from_linear(cls, M) -> "RealLinearMap":
         M = _as_square(M)
         return cls(M, np.zeros_like(M))
@@ -119,9 +115,6 @@ class RealLinearMap:
         return RealLinearMap(
             self.G1 @ other.G1 + self.G2 @ np.conj(other.G2),
             self.G1 @ other.G2 + self.G2 @ np.conj(other.G1))
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def __add__(self, other):
         return RealLinearMap(self.G1 + other.G1, self.G2 + other.G2)

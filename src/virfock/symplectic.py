@@ -8,7 +8,10 @@ X_r^T W is a symmetric matrix; the canonical open cone
 
     W_sp = { X in sp : H_X(v) = (1/2) omega(Xv, v) > 0 for v != 0 }
 
-is the set where that symmetric matrix is positive definite.
+is the set where that symmetric matrix is positive definite.  An sp
+element is a plain `RealLinearMap`: the Hamiltonian, the cone functions
+and `QuadraticState` check their argument with `in_algebra(X, 1)` and
+raise ValueError outside sp.
 
 Every cone element admits a unique commuting positive complex structure
 J = (-A^2)^{-1/2} A, and writing J = I e^x with x = (1/2) log(J^T J)
@@ -56,19 +59,10 @@ def omega_matrix(X: RealLinearMap) -> np.ndarray:
     return X.to_real_matrix().T @ W
 
 
-@dataclass(frozen=True)
-class SymplecticElement:
-    """Element of sp(V, omega), validated on construction."""
-
-    X: RealLinearMap
-
-    def __post_init__(self):
-        if not in_algebra(self.X, 1):
-            raise ValueError("omega(Xv, w) is not symmetric: X is not in sp")
-
-    @property
-    def d(self) -> int:
-        return self.X.d
+def _check_sp(X: RealLinearMap) -> RealLinearMap:
+    if not in_algebra(X, 1):
+        raise ValueError("omega(Xv, w) is not symmetric: X is not in sp")
+    return X
 
 
 @dataclass(frozen=True)
@@ -77,41 +71,35 @@ class QuadraticState:
 
     c: float
     x: np.ndarray
-    A: SymplecticElement
+    A: RealLinearMap
 
     def __post_init__(self):
+        _check_sp(self.A)
         x = np.asarray(self.x, dtype=complex)
         if x.shape != (self.A.d,):
             raise ValueError("linear term has the wrong dimension")
         object.__setattr__(self, "x", x)
 
 
-def _as_sp(X) -> SymplecticElement:
-    if isinstance(X, SymplecticElement):
-        return X
-    return SymplecticElement(X)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonians and the cone
 
 
-def hamiltonian(X, v):
+def hamiltonian(X: RealLinearMap, v):
     """H_X(v) = (1/2) omega(Xv, v); a stack v of shape (..., d) gives
     one value per vector."""
-    Xs = _as_sp(X)
     v = np.asarray(v, dtype=complex)
-    return 0.5 * omega(Xs.X.apply(v), v)
+    return 0.5 * omega(_check_sp(X).apply(v), v)
 
 
-def in_cone_Wsp(X) -> bool:
+def in_cone_Wsp(X: RealLinearMap) -> bool:
     """True iff the symmetric matrix of omega(X., .) is positive definite."""
     return cone_margin(X) > CONE_EIG_MIN
 
 
-def cone_margin(X) -> float:
+def cone_margin(X: RealLinearMap) -> float:
     """Smallest eigenvalue of the Hamiltonian form; positive inside W_sp."""
-    M = omega_matrix(_as_sp(X).X)
+    M = omega_matrix(_check_sp(X))
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
@@ -123,7 +111,7 @@ def _sym_sqrt(S: np.ndarray, power: float) -> np.ndarray:
     return (Q * (w ** power)) @ Q.T
 
 
-def positive_complex_structure(A) -> RealLinearMap:
+def positive_complex_structure(A: RealLinearMap) -> RealLinearMap:
     """J = (-A^2)^{-1/2} A for A in the cone: J^2 = -1, [J, A] = 0,
     omega(Jv, v) > 0.
 
@@ -133,16 +121,15 @@ def positive_complex_structure(A) -> RealLinearMap:
     keeps J^2 = -1 to about cond(S) roundoffs, so one Newton step
     J -> (J - J^{-1})/2 of the sign function follows.
     """
-    As = _as_sp(A)
-    if not in_cone_Wsp(As):
+    if not in_cone_Wsp(A):
         raise ValueError("A is not in the open cone W_sp")
-    W = real_matrix_of_i(As.d)
-    R = _sym_sqrt(omega_matrix(As.X), 0.5)
+    W = real_matrix_of_i(A.d)
+    R = _sym_sqrt(omega_matrix(A), 0.5)
     J = np.linalg.solve(R, compatible_complex_structure(R @ W @ R) @ R)
     return RealLinearMap.from_real_matrix(0.5 * (J - np.linalg.inv(J)))
 
 
-def conjugate_to_unitary(A) -> tuple[RealLinearMap, RealLinearMap]:
+def conjugate_to_unitary(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
     """Symplectic g with A' = g^{-1} A g complex-linear and i A' < 0.
 
     J = (-A^2)^{-1/2}A is written as I e^x with e^x = (J^T J)^{1/2};
@@ -150,13 +137,12 @@ def conjugate_to_unitary(A) -> tuple[RealLinearMap, RealLinearMap]:
     is exactly the statement that conjugation by g straightens A onto
     the unitary subalgebra.
     """
-    As = _as_sp(A)
-    J = positive_complex_structure(As)
+    J = positive_complex_structure(A)
     Jr = J.to_real_matrix()
     S = Jr.T @ Jr
     g = RealLinearMap.from_real_matrix(_sym_sqrt(S, -0.25))
     ginv = RealLinearMap.from_real_matrix(_sym_sqrt(S, 0.25))
-    Aprime = ginv.compose(As.X).compose(g)
+    Aprime = ginv.compose(A).compose(g)
     return g, Aprime
 
 
@@ -175,7 +161,7 @@ def jacobi_minimum(q: QuadraticState) -> tuple[np.ndarray, float]:
     """Global minimizer -A^{-1}x and value c - (1/2) omega(x, A^{-1}x)."""
     if not in_cone_Wsp(q.A):
         raise ValueError("quadratic part is not in the cone")
-    Ar = q.A.X.to_real_matrix()
+    Ar = q.A.to_real_matrix()
     u = np.linalg.solve(Ar, complex_to_real(q.x))
     invAx = real_to_complex(u)
     value = q.c - 0.5 * omega(q.x, invAx)
@@ -190,7 +176,7 @@ def heisenberg_translate(q: QuadraticState, w) -> QuadraticState:
     unchanged because the translation is a bijection.
     """
     w = np.asarray(w, dtype=complex)
-    return QuadraticState(float(jacobi_value(q, w)), q.x + q.A.X.apply(w), q.A)
+    return QuadraticState(float(jacobi_value(q, w)), q.x + q.A.apply(w), q.A)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +271,7 @@ def compatible_complex_structure(A) -> np.ndarray:
 # random cone elements
 
 
-def random_cone_element(rng: np.random.Generator, d: int) -> SymplecticElement:
+def random_cone_element(rng: np.random.Generator, d: int) -> RealLinearMap:
     """Random element of W_sp: a positively twisted multiple of I,
     pushed around by a random symplectic conjugation.
 
@@ -300,4 +286,4 @@ def random_cone_element(rng: np.random.Generator, d: int) -> SymplecticElement:
     pos = z @ z.conj().T + (0.3 + rng.uniform()) * np.eye(d)
     D = RealLinearMap.from_linear(1j * pos)
     g = random_symplectic(rng, d, scale=0.3)
-    return SymplecticElement(g.compose(D).compose(g.inverse()))
+    return g.compose(D).compose(g.inverse())

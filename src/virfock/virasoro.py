@@ -94,9 +94,6 @@ class VirasoroElement:
     def __add__(self, other: "VirasoroElement") -> "VirasoroElement":
         return VirasoroElement(self.z + other.z, self.field + other.field)
 
-    def __sub__(self, other: "VirasoroElement") -> "VirasoroElement":
-        return VirasoroElement(self.z - other.z, self.field - other.field)
-
     def __mul__(self, t: complex) -> "VirasoroElement":
         return VirasoroElement(t * self.z, self.field * t)
 

@@ -44,7 +44,6 @@ from virfock.realmaps import (
 )
 from virfock.symplectic import (
     QuadraticState,
-    SymplecticElement,
     compatible_complex_structure,
     cone_margin,
     conjugate_to_unitary,
@@ -307,8 +306,8 @@ def test_criterion_12_symplectic_normal_forms():
         worst_pcs = max(
             worst_pcs,
             np.linalg.norm(JJ.G1 + np.eye(d)) + np.linalg.norm(JJ.G2),
-            np.linalg.norm(J.commutator(A.X).to_real_matrix()),
-            max(0.0, -cone_margin(SymplecticElement(J))))
+            np.linalg.norm(J.commutator(A).to_real_matrix()),
+            max(0.0, -cone_margin(J)))
         g, Ap = conjugate_to_unitary(A)
         back = g.compose(Ap).compose(g.inverse())
         H = 1j * Ap.G1
@@ -318,7 +317,7 @@ def test_criterion_12_symplectic_normal_forms():
             bogoliubov_defect(g, 1),
             float(np.linalg.norm(H - H.conj().T)),
             max(0.0, float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[-1])),
-            float(np.linalg.norm((back - A.X).to_real_matrix())))
+            float(np.linalg.norm((back - A).to_real_matrix())))
     _verdict(12, "positive complex structures and unitary conjugation",
              worst_pcs < 1e-9 and worst_c2u < 1e-8,
              f"PCS {worst_pcs:.3e} < 1e-9; roundtrip {worst_c2u:.3e} < 1e-8")

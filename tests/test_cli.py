@@ -337,14 +337,15 @@ UNKNOWN = "unknown config parameter 'tol_scale'"
                           ('{}', NOT_A_CONFIG),
                           ('null', NOT_A_CONFIG),
                           ('7', NOT_A_CONFIG),
-                          ('{"suite": {"a": 1}}', NOT_A_CONFIG)],
+                          ('{"suite": {"a": 1}}', NOT_A_CONFIG),
+                          ('[' * 200000 + ']' * 200000, "nests too deeply")],
                          ids=["list", "seed-list", "tol-scale-null", "suite-list",
                               "seed-float", "seed-string", "seed-bool",
                               "seed-negative", "tol-scale-string",
                               "tol-scale-nan", "tol-scale-inf",
                               "tol-scale-overflow", "tol-scale-huge-int",
                               "tol-scale-one", "empty-object", "null", "number",
-                              "suite-object"])
+                              "suite-object", "deep-nesting"])
 def test_cli_verify_malformed_config_is_a_usage_error(tmp_path, capsys, text,
                                                       message):
     path = tmp_path / "config.json"

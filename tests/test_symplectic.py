@@ -16,7 +16,6 @@ from virfock.realmaps import (
 )
 from virfock.symplectic import (
     QuadraticState,
-    SymplecticElement,
     compatible_complex_structure,
     cone_margin,
     conjugate_to_unitary,
@@ -60,18 +59,29 @@ def test_negative_definite_hermitian_generator_in_cone():
         assert not in_cone_Wsp(indefinite)
 
 
-def test_symplectic_element_rejects_maps_outside_sp():
+SP_ENTRY_POINTS = {
+    "hamiltonian": lambda X: hamiltonian(X, np.ones(X.d)),
+    "in_cone_Wsp": in_cone_Wsp,
+    "cone_margin": cone_margin,
+    "positive_complex_structure": positive_complex_structure,
+    "conjugate_to_unitary": conjugate_to_unitary,
+    "QuadraticState": lambda X: QuadraticState(0.0, np.zeros(X.d), X),
+}
+
+
+@pytest.mark.parametrize("entry", SP_ENTRY_POINTS.values(),
+                         ids=SP_ENTRY_POINTS.keys())
+def test_sp_entry_points_reject_maps_outside_sp(entry):
     rng = np.random.default_rng(69)
     x = random_algebra_element(rng, 3, 1)
     z = random_vec(rng, 9).reshape(3, 3)
-    SymplecticElement(x)
-    with pytest.raises(ValueError, match="not in sp"):
-        SymplecticElement(RealLinearMap(x.G1, x.G2 + 1e-6 * (z - z.T)))
-    with pytest.raises(ValueError, match="not in sp"):
-        SymplecticElement(RealLinearMap(x.G1 + 1e-6 * (z + z.conj().T), x.G2))
+    # an antisymmetric antilinear part, then a hermitian linear part
+    for bad in (RealLinearMap(x.G1, x.G2 + 1e-6 * (z - z.T)),
+                RealLinearMap(x.G1 + 1e-6 * (z + z.conj().T), x.G2)):
+        with pytest.raises(ValueError, match="not in sp"):
+            entry(bad)
     for d in range(1, 5):
-        A = random_cone_element(rng, d)
-        assert SymplecticElement(A.X).X is A.X
+        entry(random_cone_element(rng, d))
 
 
 def test_hamiltonian_positive_on_cone_samples():
@@ -89,8 +99,8 @@ def test_positive_complex_structure_postconditions():
         A = random_cone_element(rng, d)
         J = positive_complex_structure(A)
         JJ = J.compose(J)
-        assert (JJ + RealLinearMap.identity(d)).to_real_matrix().max() < 1e-9
-        comm = J.compose(A.X) - A.X.compose(J)
+        assert (JJ + RealLinearMap.from_linear(np.eye(d))).to_real_matrix().max() < 1e-9
+        comm = J.compose(A) - A.compose(J)
         assert np.abs(comm.to_real_matrix()).max() < 1e-9
         for _ in range(10):
             v = random_vec(rng, d)
@@ -103,7 +113,7 @@ def test_positive_complex_structure_matches_the_eigenvector_sign():
     for _ in range(300):
         d = int(rng.integers(1, 5))
         A = random_cone_element(rng, d)
-        lam, V = np.linalg.eig(A.X.to_real_matrix())
+        lam, V = np.linalg.eig(A.to_real_matrix())
         sign = (V * (1j * np.sign(lam.imag))) @ np.linalg.inv(V)
         J = positive_complex_structure(A).to_real_matrix()
         assert np.linalg.norm(J - sign) <= 1e-10 * np.linalg.norm(sign)
@@ -116,7 +126,7 @@ def test_positive_complex_structure_of_ill_conditioned_cone_elements():
     for _ in range(10):
         D = RealLinearMap.from_linear(1j * np.diag([1.0, 1e-8, 0.5]))
         g = random_symplectic(rng, 3, scale=0.3)
-        A = g @ D @ g.inverse()
+        A = g.compose(D).compose(g.inverse())
         assert in_cone_Wsp(A)
         J = positive_complex_structure(A).to_real_matrix()
         Ar = A.to_real_matrix()
@@ -129,7 +139,7 @@ def test_cone_invariant_under_symplectic_conjugation():
     for _ in range(10):
         A = random_cone_element(rng, 3)
         g = random_symplectic(rng, 3, scale=0.4)
-        conj = g @ A.X @ g.inverse()
+        conj = g.compose(A).compose(g.inverse())
         assert in_cone_Wsp(conj)
 
 
@@ -146,8 +156,8 @@ def test_conjugate_to_unitary_normal_form():
         S = 0.5 * (S + S.conj().T)
         assert np.linalg.eigvalsh(S)[-1] < 1e-8
         # and it reproduces A under conjugation by g
-        back = g @ Aprime @ g.inverse()
-        assert np.abs((back - A.X).to_real_matrix()).max() < 1e-8
+        back = g.compose(Aprime).compose(g.inverse())
+        assert np.abs((back - A).to_real_matrix()).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +278,7 @@ def test_sl2_class_constant_along_orbits():
     for a in samples:
         want = sl2_class(a)
         for _ in range(10):
-            g = RealLinearMap.identity(1)
+            g = RealLinearMap.from_linear(np.eye(1))
             for _ in range(3):
                 x = 0.3 * rng.normal()
                 g = g.compose((x * SL2_BASIS[rng.choice(3)]).exp())
