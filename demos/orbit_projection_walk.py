@@ -28,7 +28,7 @@ base = VirasoroElement.cartan(0.0, 1.0, degree)
 
 for n in (2, 3):
     s_values = [0.02 * (k + 1) for k in range(8)]
-    pts = projection_curve(base, n, s_values, degree=degree)
+    pts = projection_curve(base, n, s_values)
     print(f"mode n = {n}: flow along d_{n} - d_{-n}")
     print("   s      beta        alpha       slope")
     for s, p in zip(s_values, pts):
@@ -39,7 +39,7 @@ for n in (2, 3):
 
 # Mode 1 is special: the flow stays inside the rotation subgroup's
 # complexification and the projection never leaves the alpha axis.
-pts = projection_curve(base, 1, [0.05, 0.1, 0.2], degree=degree)
+pts = projection_curve(base, 1, [0.05, 0.1, 0.2])
 print("mode n = 1 stays on the axis: max |beta| =",
       f"{max(abs(p.beta) for p in pts):.2e}\n")
 

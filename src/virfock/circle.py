@@ -6,8 +6,8 @@ u(theta) (dtheta)^s are both their coefficient functions, plain
 `FourierFunction`s; the weight s is an argument of the two operations
 that read it, `pullback_density` and `lie_derivative`, and a field acting
 by its transformation law has s = -1.  An orientation-preserving
-diffeomorphism phi(theta) = theta + p(theta) is a `CircleDiffeo` over
-its displacement p.
+diffeomorphism phi(theta) = theta + p(theta) is a `CircleDiffeo` that
+holds its displacement p and p', from which phi' = 1 + p' is read.
 
 Linear operations (derivative, integration, the two 2-cocycles) are
 exact on coefficients; nonlinear operations (products, compositions,
@@ -105,18 +105,13 @@ class FourierFunction:
             return 0.0 + 0.0j
         return complex(self.coeffs[k + self.degree])
 
-    def padded(self, degree: int) -> "FourierFunction":
-        """Same function at a larger (or equal) truncation degree."""
-        if degree < self.degree:
-            raise ValueError("padded() cannot shrink; use truncated()")
-        c = np.zeros(2 * degree + 1, dtype=complex)
-        c[degree - self.degree: degree + self.degree + 1] = self.coeffs
-        return FourierFunction(c)
-
     def truncated(self, degree: int) -> "FourierFunction":
-        """Drop modes with |k| > degree."""
+        """The series at truncation degree ``degree``: modes with
+        |k| > degree are dropped, and a larger degree pads with zeros."""
         if degree >= self.degree:
-            return self.padded(degree)
+            c = np.zeros(2 * degree + 1, dtype=complex)
+            c[degree - self.degree: degree + self.degree + 1] = self.coeffs
+            return FourierFunction(c)
         lo, hi = self.degree - degree, self.degree + degree + 1
         return FourierFunction(self.coeffs[lo:hi])
 
@@ -163,7 +158,7 @@ class FourierFunction:
 
     def _binary(self, other, sign) -> "FourierFunction":
         n = max(self.degree, other.degree)
-        a, b = self.padded(n), other.padded(n)
+        a, b = self.truncated(n), other.truncated(n)
         return FourierFunction(a.coeffs + sign * b.coeffs)
 
     def __add__(self, other): return self._binary(other, 1.0)
@@ -183,19 +178,20 @@ class FourierFunction:
 class CircleDiffeo:
     """Orientation-preserving diffeomorphism phi(theta) = theta + p(theta).
 
-    The displacement p is a real trigonometric polynomial; validity
-    (phi' = 1 + p' > 0) is checked on the uniform grid with
-    M = max(4N+1, 129) points at construction time.
+    The displacement p is a real trigonometric polynomial, held with its
+    exact derivative ``dp`` = p'; validity (phi' = 1 + p' > 0) is checked
+    on the uniform grid with M = max(4N+1, 129) points at construction
+    time.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "dp")
 
     def __init__(self, p: FourierFunction):
         if not p.real_flag:
             raise ValueError("diffeomorphism displacement must be real")
         self.p = p
-        dp = derivative(p).grid_values(max(4 * p.degree + 1, 129))
-        min_derivative = float(1.0 + np.min(dp))
+        self.dp = derivative(p)
+        min_derivative = float(1.0 + np.min(self.dp.grid_values(max(4 * p.degree + 1, 129))))
         if min_derivative <= 0.0:
             raise ValueError(f"not a diffeomorphism: min phi' = {min_derivative:.3e}")
 
@@ -213,7 +209,7 @@ class CircleDiffeo:
 
     def derivative_values(self, theta):
         """phi'(theta) = 1 + p'(theta)."""
-        return 1.0 + derivative(self.p).evaluate(theta)
+        return 1.0 + self.dp.evaluate(theta)
 
     def __repr__(self):
         return f"CircleDiffeo(degree={self.degree})"
@@ -249,7 +245,7 @@ def integrate(f: FourierFunction) -> complex:
 def pairing_integral(f: FourierFunction, g: FourierFunction) -> complex:
     """Exact integral of the product: 2 pi sum_k f_k g_{-k}."""
     n = max(f.degree, g.degree)
-    a, b = f.padded(n).coeffs, g.padded(n).coeffs
+    a, b = f.truncated(n).coeffs, g.truncated(n).coeffs
     return TWO_PI * complex(np.dot(a, b[::-1]))
 
 
@@ -353,13 +349,12 @@ def invert(phi: CircleDiffeo) -> CircleDiffeo:
     """
     n = phi.degree
     theta = grid_points(refit_size(n))
-    dp = derivative(phi.p)
     x = theta.copy()
     for _ in range(NEWTON_MAX_ITER):
         res = x + phi.p.evaluate(x) - theta
         if np.max(np.abs(res)) < 1e-13:
             break
-        x = x - res / (1.0 + dp.evaluate(x))
+        x = x - res / phi.derivative_values(x)
     else:
         raise RuntimeError("Newton inversion did not converge in "
                            f"{NEWTON_MAX_ITER} iterations")
@@ -398,7 +393,7 @@ def schwarzian_values(phi: CircleDiffeo, theta,
     from phi', phi'' and phi''', each evaluated from the exact coefficient
     derivatives of the displacement; no grid refit."""
     theta = np.asarray(theta, dtype=float)
-    d1 = 1.0 + derivative(phi.p, 1).evaluate(theta)
+    d1 = phi.derivative_values(theta)
     d2 = derivative(phi.p, 2).evaluate(theta)
     d3 = derivative(phi.p, 3).evaluate(theta)
     vals = d3 / d1 - 1.5 * (d2 / d1) ** 2

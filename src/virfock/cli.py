@@ -165,11 +165,10 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
     x = VirasoroElement.cartan(args.beta, args.alpha, args.degree)
     if args.curve == "projection":
         s_values = [args.smax * (k + 1) / args.steps for k in range(args.steps)]
-        pts = projection_curve(x, args.n, s_values, degree=args.degree)
+        pts = projection_curve(x, args.n, s_values)
         rows = [[s, p.beta, p.alpha] for s, p in zip(s_values, pts)]
         return ["s", "beta", "alpha"], rows
-    rep = convexity_check(x, args.trials, np.random.default_rng(args.seed),
-                          args.degree)
+    rep = convexity_check(x, args.trials, np.random.default_rng(args.seed))
     rows = [[trial, float(b), float(a)] for trial, (b, a) in
             enumerate(zip(rep["beta_margins"], rep["alpha_margins"]))]
     return ["trial", "beta_margin", "alpha_margin"], rows

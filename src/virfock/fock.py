@@ -39,7 +39,8 @@ then it takes the dense product.  A ladder polynomial of degree k has
 O(d^k) entries per column, so at d=3, N=20 (dim 1771) a ladder operator
 takes about 0.15 MB and a second-quantized quadratic about 0.9 MB, where
 a dense matrix takes 50 MB.  ``FockOperator.mat`` is a dense complex
-copy, made on each access: `weyl` exponentiates it with `realmaps.expm`,
+copy, made on each access: `weyl(space, f)`, the Weyl operator
+W(f) = exp((i/sqrt2)(a(f) + a*(f))), exponentiates it with `realmaps.expm`,
 the dense product multiplies it, and `truncated_vacuum_oracle` (an SVD),
 the tests and the storage counters of `perfbench/tracer.py` read it.  `central_term` and
 `vacuum_implementer` build no operator at all: they apply the word
@@ -64,7 +65,6 @@ constructions against their glue dpi(x_2) Omega = -x_2-hat.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -443,13 +443,12 @@ def dgamma(space: ModeSpace, M) -> FockOperator:
 # Weyl operators and the Heisenberg product
 
 
-def weyl(space: ModeSpace, t: float, f) -> FockOperator:
-    """W(t, f) = e^{it} exp((i/sqrt2)(a(f) + a*(f))) on the truncation."""
+def weyl(space: ModeSpace, f) -> FockOperator:
+    """W(f) = exp((i/sqrt2)(a(f) + a*(f))) on the truncation."""
     if space.statistics != BOSONIC:
         raise ValueError("Weyl operators live on the bosonic space")
     gen = annihilate(space, f) + create(space, f)
-    mat = expm((1j / math.sqrt(2.0)) * gen.mat)
-    return FockOperator.from_dense(space, cmath.exp(1j * t) * mat)
+    return FockOperator.from_dense(space, expm((1j / math.sqrt(2.0)) * gen.mat))
 
 
 def heisenberg_mul(a: tuple, b: tuple) -> tuple:
@@ -474,8 +473,8 @@ def _pair_matrix(space: ModeSpace, A) -> np.ndarray:
     if M.shape != (space.d, space.d):
         raise ValueError("antilinear matrix has the wrong shape")
     if not in_algebra(RealLinearMap.from_antilinear(M), space.sign):
-        raise ValueError(f"{space.statistics} hat vectors need a "
-                         f"{'' if space.sign > 0 else 'anti'}symmetric matrix")
+        raise ValueError(f"{space.statistics} hat vectors need "
+                         f"{'a ' if space.sign > 0 else 'an anti'}symmetric matrix")
     if space.sign > 0 and space.cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     return M
@@ -580,9 +579,10 @@ def vacuum_implementer(space: ModeSpace,
                        g: RealLinearMap) -> tuple[float, FockVector]:
     """Normalized truncation of c(g) e^{-T-hat(g)} with c = norm^{-1}.
 
-    Requires an invertible linear part (smallest singular value above
-    1e-12 times the largest) and T(g) = sign T(g)^T.  With
-    Q = -1/2 sum T_ji a*_i a*_j one has Q Omega = -T-hat, so the series
+    Requires an invertible linear part (smallest singular value of g_1
+    above 1e-12 max(||g_1||, ||g_2||), spectral norms) and T(g) =
+    sign T(g)^T.  With Q = -1/2 sum T_ji a*_i a*_j one has
+    Q Omega = -T-hat, so the series
     is sum_{n <= N/2} Q^n Omega / n!, built from the ladder tables.  Only
     the bosonic series needs ||T(g)||_HS < 1 to converge; the fermionic
     one stops at n = d/2 (N = d) and is exact, with ||T||_HS often > 1.
@@ -591,7 +591,7 @@ def vacuum_implementer(space: ModeSpace,
     if g.d != space.d:
         raise ValueError("dimension mismatch")
     s = np.linalg.svd(g.G1, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
+    if s[-1] <= 1e-12 * max(s[0], np.linalg.norm(g.G2, 2)):
         raise ValueError("linear part g_1 is singular")
     T = twist_matrix(g)
     if space.sign > 0 and np.linalg.norm(T) >= 1.0:

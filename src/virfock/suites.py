@@ -398,13 +398,13 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         {0: 1.0, 1: 0.15 + 0.1j, -1: 0.15 - 0.1j, 2: 0.05, -2: 0.05},
         degree=degree)
     x = vi.VirasoroElement(0.25, base)
-    chi0 = vi.chi(x)
+    chi0 = vi.chi(x.field)
     inv0 = vi.orbit_invariants(x)
 
     def invariant_defects():
         y = vi.adjoint_action(_random_diffeo(rng, degree), x)
         inv = vi.orbit_invariants(y)
-        return (abs(vi.chi(y) - chi0),
+        return (abs(vi.chi(y.field) - chi0),
                 (abs(inv.beta - inv0.beta), abs(inv.alpha - inv0.alpha)))
 
     chi_defects, inv_defects = zip(*[invariant_defects() for _ in range(30)])
@@ -415,7 +415,7 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 inv_defects, 1e-7)
 
     cart = vi.VirasoroElement.cartan(0.0, 1.0, degree)
-    rep = vi.convexity_check(cart, trials=200, rng=rng, degree=degree)
+    rep = vi.convexity_check(cart, trials=200, rng=rng)
     yield check("04-convexity-margins",
                 "Cartan projection of Ad_phi(x) dominates x in both coordinates",
                 [-rep["min_beta_margin"], -rep["min_alpha_margin"]], 1e-8)
@@ -433,10 +433,9 @@ def _suite_virasoro_orbits(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     ratios = [abs(p.beta / (p.alpha - 1.0) - math.pi * (n * n - 1))
               for n in (2, 3)
-              for p in vi.projection_curve(cart, n, (0.04, 0.02, 0.01),
-                                           degree=degree)]
+              for p in vi.projection_curve(cart, n, (0.04, 0.02, 0.01))]
     shifts = [abs(p.beta)
-              for p in vi.projection_curve(cart, 1, (0.01, 0.03), degree=degree)]
+              for p in vi.projection_curve(cart, 1, (0.01, 0.03))]
     yield check("07-projection-ray-ratio",
                 "curve moves along 2n(pi(n^2 - 1) c + rotation); "
                 "central shift vanishes for n = 1",
@@ -604,7 +603,7 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     ws = fk.ModeSpace(1, fk.BOSONIC, cutoff=cfg.get("N"))
 
     def weyl_defect(norm2):
-        W = fk.weyl(ws, 0.0, np.array([math.sqrt(norm2)]))
+        W = fk.weyl(ws, np.array([math.sqrt(norm2)]))
         val = W.apply(fk.vacuum(ws)).inner(fk.vacuum(ws))
         return abs(val - math.exp(-norm2 / 4.0))
 
@@ -616,8 +615,8 @@ def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     residuals = []
     for N in (8, 12, 16, 20):
         sp = fk.ModeSpace(1, fk.BOSONIC, cutoff=N)
-        W1, W2 = fk.weyl(sp, 0.0, f1), fk.weyl(sp, 0.0, f2)
-        W12 = fk.weyl(sp, 0.0, f1 + f2)
+        W1, W2 = fk.weyl(sp, f1), fk.weyl(sp, f2)
+        W12 = fk.weyl(sp, f1 + f2)
         phase = complex(np.exp(0.5j * rm.omega(f1, f2)))
         diff = W1.compose(W2) - phase * W12
         residuals.append(diff.restricted_norm(N // 2))

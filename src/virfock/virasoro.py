@@ -180,8 +180,7 @@ def coadjoint_action(phi: CircleDiffeo,
 # orbit invariants on the positive cone f > 0
 
 
-def chi(x: VirasoroElement | FourierFunction,
-        grid_size: int | None = None) -> float:
+def chi(f: FourierFunction, grid_size: int | None = None) -> float:
     """(1/2pi) int dtheta / f, evaluated by trapezoidal quadrature.
 
     For a trigonometric polynomial with min f > 0 the integrand is
@@ -190,7 +189,6 @@ def chi(x: VirasoroElement | FourierFunction,
     remaining error is far below 1e-12 unless f nearly touches zero.
     Raises ValueError when f is not real and positive on the grid.
     """
-    f = x.field if isinstance(x, VirasoroElement) else x
     return float(np.mean(1.0 / _positive_samples(f, grid_size)))
 
 
@@ -249,13 +247,13 @@ def beta_hessian_form(h: FourierFunction) -> float:
 
 
 def convexity_check(x: VirasoroElement, trials: int,
-                    rng: np.random.Generator, degree: int) -> dict:
+                    rng: np.random.Generator) -> dict:
     """Empirical check that Cartan projections of Ad_phi(x) dominate x.
 
     x must lie in the Cartan plane with positive dtheta component.  For
-    each trial a random diffeomorphism (6 modes, amplitude 0.15) is drawn
-    and the projection of the transformed element is compared with
-    (z, alpha).  Returns the margins per trial (``beta_margins``,
+    each trial a random diffeomorphism of x's degree (6 modes, amplitude
+    0.15) is drawn and the projection of the transformed element is
+    compared with (z, alpha).  Returns the margins per trial (``beta_margins``,
     ``alpha_margins``) and their minima, nonnegative up to roundoff.
     """
     base = cartan_projection(x)
@@ -266,7 +264,7 @@ def convexity_check(x: VirasoroElement, trials: int,
     beta_margins = np.empty(trials)
     alpha_margins = np.empty(trials)
     for t in range(trials):
-        phi = random_diffeo(rng, degree=degree, modes=6, amplitude=0.15)
+        phi = random_diffeo(rng, degree=x.field.degree, modes=6, amplitude=0.15)
         proj = cartan_projection(adjoint_action(phi, x))
         beta_margins[t] = proj.beta - base.beta
         alpha_margins[t] = proj.alpha - base.alpha
@@ -276,17 +274,17 @@ def convexity_check(x: VirasoroElement, trials: int,
 
 
 def projection_curve(x: VirasoroElement, n: int,
-                     s_values: Sequence[float],
-                     degree: int) -> list[CartanCoords]:
+                     s_values: Sequence[float]) -> list[CartanCoords]:
     """Cartan projections of Ad along the flow of d_n - d_{-n}.
 
     The combination d_n - d_{-n} has field i e^{i n theta} - i e^{-i n theta}
     = -2 sin(n theta), which is real, so the flow stays inside the
-    diffeomorphism group and no complexification is needed.  For x in
-    the Cartan plane the resulting projections move along the ray of
-    direction 2n(pi(n^2 - 1) c + dtheta) emanating from x.
+    diffeomorphism group and no complexification is needed; the field is
+    built at x's degree.  For x in the Cartan plane the resulting
+    projections move along the ray of direction 2n(pi(n^2 - 1) c + dtheta)
+    emanating from x.
     """
-    w = FourierFunction.from_dict({n: 1j, -n: -1j}, degree=degree)
+    w = FourierFunction.from_dict({n: 1j, -n: -1j}, degree=x.field.degree)
     out = []
     for s in s_values:
         phi = flow(w, float(s))

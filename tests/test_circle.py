@@ -25,6 +25,7 @@ from virfock.circle import (
     pullback_density,
     random_diffeo,
     schwarzian,
+    schwarzian_values,
     witt_generator,
 )
 
@@ -192,7 +193,7 @@ def test_evaluate_is_bitwise_blind_to_dead_high_modes():
     f = sparse_real_function(rng, 48)
     theta = np.concatenate([grid_points(384), rng.uniform(-20.0, 20.0, 50)])
     vals = f.evaluate(theta)
-    assert np.array_equal(f.padded(96).evaluate(theta), vals)
+    assert np.array_equal(f.truncated(96).evaluate(theta), vals)
     assert np.array_equal(f.truncated(5).evaluate(theta), vals)
     scale = np.sum(np.abs(f.coeffs))
     assert np.max(np.abs(vals - explicit_sum(f, theta).real)) <= 1e-14 * scale
@@ -260,7 +261,7 @@ def test_bracket_jacobi_identity():
 
 @pytest.mark.parametrize("degree", [4, 12, 20])
 def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
-    # deg f + deg g = 12: the result is truncated, exact, and zero-padded
+    # deg f + deg g = 12: the result is truncated, exact, and zero-filled above
     rng = np.random.default_rng(26)
     f = random_field(rng, 7, modes=7)
     g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
@@ -380,13 +381,52 @@ def test_flow_additivity():
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_flow_rejects_a_non_finite_time(t):
     X = FourierFunction.from_dict({1: 0.1, -1: 0.1}, degree=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"flow time must be finite, not {t}"):
         flow(X, t)
 
 
 def test_diffeo_rejects_non_monotone_candidate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a diffeomorphism: min phi' = -1.400e\+00"):
         CircleDiffeo(FourierFunction.from_dict({1: 1.2, -1: 1.2}, degree=8))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FourierFunction(np.zeros(4)), "odd length"),
+    (lambda: FourierFunction(np.zeros((3, 3))), "odd length"),
+    (lambda: FourierFunction.from_dict({5: 1.0}, 4), "mode 5 exceeds degree 4"),
+    (lambda: FourierFunction.from_grid(np.zeros(8), 4), r"at least 2N\+1 samples"),
+    (lambda: FourierFunction.zero(4).grid_values(8), "grid too coarse"),
+    (lambda: CircleDiffeo(FourierFunction.from_dict({1: 0.1}, 8)),
+     "displacement must be real"),
+    (lambda: witt_generator(5, 4), "degree too small"),
+    (lambda: flow(witt_generator(1, 4)), "real vector fields only"),
+], ids=["even-length", "not-a-vector", "mode-above-degree", "too-few-samples",
+        "grid-too-coarse", "complex-displacement", "witt-degree-too-small",
+        "complex-flow"])
+def test_circle_input_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("degree", [16, 31, 48])
+def test_diffeo_reads_the_derivative_it_was_built_with(degree):
+    # CircleDiffeo keeps the p' its positivity check builds; phi' and the
+    # Schwarzian read that copy and agree bit for bit with p' recomputed
+    rng = np.random.default_rng(degree)
+    theta = np.concatenate([grid_points(8 * degree), rng.uniform(-10.0, 10.0, 40)])
+    for _ in range(4):
+        phi = random_diffeo(rng, degree, modes=8, amplitude=0.2, max_slope=0.6)
+        dp = derivative(phi.p)
+        assert np.array_equal(phi.dp.coeffs, dp.coeffs)
+        assert np.array_equal(phi.derivative_values(theta), 1.0 + dp.evaluate(theta))
+        # the Schwarzian as written before phi' was kept
+        d1 = 1.0 + derivative(phi.p, 1).evaluate(theta)
+        d2 = derivative(phi.p, 2).evaluate(theta)
+        d3 = derivative(phi.p, 3).evaluate(theta)
+        s = d3 / d1 - 1.5 * (d2 / d1) ** 2
+        assert np.array_equal(schwarzian_values(phi, theta), np.real(s))
+        s_mod = s + 0.5 * (d1 ** 2 - 1.0)
+        assert np.array_equal(schwarzian_values(phi, theta, True), np.real(s_mod))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +551,7 @@ def _constructor_paths():
         "from-dict-complex": h,
         "from-grid-real": FourierFunction.from_grid(f.evaluate(grid_points(32)), 6),
         "from-grid-complex": FourierFunction.from_grid(h.evaluate(grid_points(32)), 5),
-        "padded": f.padded(9),
+        "truncated-up": f.truncated(9),
         "truncated": h.truncated(2),
         "derivative": derivative(f, 3),
         "derivative-complex": derivative(h),

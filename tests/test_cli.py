@@ -509,7 +509,7 @@ def test_cli_orbit_convexity_prints_the_margins_of_convexity_check(capsys):
     assert main(["orbit", "--curve", "convexity", "--trials", "5",
                  "--degree", "32"]) == 0
     rep = convexity_check(VirasoroElement.cartan(0.0, 1.0, 32), 5,
-                          np.random.default_rng(12345), 32)
+                          np.random.default_rng(12345))
     want = ["trial,beta_margin,alpha_margin"] + [
         f"{t},{float(b)!r},{float(a)!r}" for t, (b, a) in
         enumerate(zip(rep["beta_margins"], rep["alpha_margins"]))]

@@ -335,8 +335,8 @@ def _ladder_polynomials(rng, sp):
 
 
 def _weyl_pair(rng, sp):
-    return (weyl(sp, 0.3, 0.5 * random_vec(rng, 1)),
-            weyl(sp, -0.1, 0.5 * random_vec(rng, 1)))
+    return (weyl(sp, 0.5 * random_vec(rng, 1)),
+            weyl(sp, 0.5 * random_vec(rng, 1)))
 
 
 PRODUCT_CASES = [
@@ -435,7 +435,7 @@ def test_restricted_norm_is_the_norm_of_the_kept_block(sp):
 def test_weyl_vacuum_coefficient(norm_sq):
     sp = ModeSpace(1, BOSONIC, cutoff=32)
     f = np.array([math.sqrt(norm_sq)], dtype=complex)
-    W = weyl(sp, 0.0, f)
+    W = weyl(sp, f)
     val = W.apply(vacuum(sp)).inner(vacuum(sp))
     assert abs(val - math.exp(-norm_sq / 4.0)) < 1e-6
 
@@ -462,9 +462,9 @@ def test_weyl_relation_with_central_phase():
     sp = ModeSpace(1, BOSONIC, cutoff=32)
     f1 = 0.5 * random_vec(rng, 1)
     f2 = 0.5 * random_vec(rng, 1)
-    lhs = weyl(sp, 0.0, f1).compose(weyl(sp, 0.0, f2))
+    lhs = weyl(sp, f1).compose(weyl(sp, f2))
     phase = complex(np.exp(0.5j * omega(f1, f2)))
-    rhs = phase * weyl(sp, 0.0, f1 + f2)
+    rhs = phase * weyl(sp, f1 + f2)
     assert (lhs - rhs).restricted_norm(8) < 1e-8
 
 
@@ -626,15 +626,20 @@ def test_spin_vacuum_matches_closed_form_and_oracle():
     assert (F - vacuum(sp)).norm() < 1e-12
 
 
-def test_spin_vacuum_of_a_small_but_well_conditioned_linear_part():
+def _paired_spin_rotation(d, t):
     # g = exp(t x) with x antilinear, +-1 on the pairs (0, 1), (2, 3), ...:
-    # g_1 is cos(t) on every mode, so |det g_1| = 9.7e-14 at d = 10 while
-    # cond(g_1) = 1, and the vacuum is as accurate as at any other t
-    d, t = 10, math.pi / 2 - 0.05
+    # g_1 is cos(t) on every mode and g_2 is +-sin(t) on the pairs
     X2 = np.zeros((d, d))
     for k in range(0, d, 2):
         X2[k, k + 1], X2[k + 1, k] = 1.0, -1.0
-    g = (t * RealLinearMap.from_antilinear(X2)).exp()
+    return (t * RealLinearMap.from_antilinear(X2)).exp()
+
+
+def test_spin_vacuum_of_a_small_but_well_conditioned_linear_part():
+    # |det g_1| = 9.7e-14 at d = 10 while cond(g_1) = 1, and the vacuum is
+    # as accurate as at any other t
+    d = 10
+    g = _paired_spin_rotation(d, math.pi / 2 - 0.05)
     sp = ModeSpace(d, FERMIONIC)
     assert bogoliubov_defect(g, sp.sign) <= 1e-15
     assert abs(np.linalg.det(g.G1)) < 1e-12
@@ -647,8 +652,13 @@ def test_spin_vacuum_of_a_small_but_well_conditioned_linear_part():
 
 def test_vacuum_implementer_rejects_a_singular_linear_part():
     bad = RealLinearMap(np.diag([1.0, 1e-13]), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="linear part g_1 is singular"):
         vacuum_implementer(ModeSpace(2, BOSONIC, 8), bad)
+    # at t = pi/2, g_1 is rounding of order 1e-16 with cond(g_1) = 2, while
+    # ||g_2|| = 1: singular against the scale of g, not of g_1 alone
+    with pytest.raises(ValueError, match="linear part g_1 is singular"):
+        vacuum_implementer(ModeSpace(10, FERMIONIC),
+                           _paired_spin_rotation(10, math.pi / 2))
 
 
 # ---------------------------------------------------------------------------

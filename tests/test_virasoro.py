@@ -18,6 +18,7 @@ from virfock.circle import (
 )
 from virfock.suites import SuiteConfig, run_suite
 from virfock.virasoro import (
+    MAX_VERMA_LEVEL,
     CartanCoords,
     VermaBasis,
     VirasoroElement,
@@ -119,9 +120,9 @@ def test_chi_invariant_under_adjoint_action():
     base = FourierFunction.from_dict(
         {0: 1.0, 1: 0.15 + 0.1j, -1: 0.15 - 0.1j, 2: 0.05, -2: 0.05}, degree=48)
     x = VirasoroElement(0.25, base)
-    c0 = chi(x)
+    c0 = chi(x.field)
     for _ in range(10):
-        assert abs(chi(adjoint_action(small_diffeo(rng), x)) - c0) < 1e-9
+        assert abs(chi(adjoint_action(small_diffeo(rng), x).field) - c0) < 1e-9
 
 
 def test_orbit_invariants_constant_on_orbit():
@@ -217,7 +218,7 @@ def test_orbit_suite_passes_where_inversion_error_failed_it(seed):
 def test_cartan_projection_moves_into_dominance_cone():
     rng = np.random.default_rng(46)
     x = VirasoroElement.cartan(0.0, 1.0, 48)
-    rep = convexity_check(x, trials=50, rng=rng, degree=48)
+    rep = convexity_check(x, trials=50, rng=rng)
     assert rep["min_beta_margin"] >= -1e-8
     assert rep["min_alpha_margin"] >= -1e-8
 
@@ -246,14 +247,13 @@ def test_beta_hessian_vanishes_on_constants():
 
 def test_projection_curve_starts_at_base_point():
     x = VirasoroElement.cartan(0.4, 1.1, 32)
-    pts = projection_curve(x, 2, (0.0,), degree=32)
+    pts = projection_curve(x, 2, (0.0,))
     assert abs(pts[0].beta - 0.4) < 1e-12 and abs(pts[0].alpha - 1.1) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_projection_curve_ray_ratio(n):
-    pts = projection_curve(VirasoroElement.cartan(0.0, 1.0, 48), n, (1e-2,),
-                           degree=48)
+    pts = projection_curve(VirasoroElement.cartan(0.0, 1.0, 48), n, (1e-2,))
     p = pts[0]
     ratio = p.beta / (p.alpha - 1.0)
     assert abs(ratio - math.pi * (n * n - 1)) < 1e-3
@@ -261,7 +261,7 @@ def test_projection_curve_ray_ratio(n):
 
 def test_projection_curve_n1_is_pure_rotation_shift():
     pts = projection_curve(VirasoroElement.cartan(0.0, 1.0, 48), 1,
-                           (0.01, 0.03), degree=48)
+                           (0.01, 0.03))
     for p in pts:
         assert abs(p.beta) < 1e-9
     assert pts[-1].alpha != pytest.approx(1.0, abs=1e-6)
@@ -354,5 +354,32 @@ def test_c_zero_h_one_negative_norms_appear():
 
 
 def test_verma_level_guard():
-    with pytest.raises(ValueError):
-        VermaBasis(7, Fraction(1), Fraction(1))
+    with pytest.raises(ValueError, match=f"level must lie in 0..{MAX_VERMA_LEVEL}"):
+        VermaBasis(MAX_VERMA_LEVEL + 1, Fraction(1), Fraction(1))
+
+
+def _cartan_check(field):
+    return convexity_check(VirasoroElement(0.0, field), 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi(FourierFunction.constant(1j, 4)), "real fields only"),
+    (lambda: chi(FourierFunction.from_dict({0: 1.0, 1: 0.6, -1: 0.6}, 4)), "f > 0"),
+    (lambda: chi(FourierFunction.zero(4)), "f > 0"),
+    (lambda: orbit_invariants(VirasoroElement(0.5j, FourierFunction.constant(1.0, 4))),
+     "real elements"),
+    (lambda: _cartan_check(FourierFunction.from_dict({0: 1.0, 2: 0.1, -2: 0.1}, 8)),
+     "Cartan plane with alpha > 0"),
+    (lambda: _cartan_check(FourierFunction.constant(0.0, 8)), "Cartan plane with alpha > 0"),
+    (lambda: VermaBasis(3, Fraction(1), Fraction(1), partitions=((2, 1), (1, 2))),
+     r"\(1, 2\) is not a descending partition of 3"),
+    (lambda: VermaBasis(3, Fraction(1), Fraction(1), partitions=((2,),)),
+     r"\(2,\) is not a descending partition of 3"),
+    (lambda: unitarity_scan([1.0], [1.0], MAX_VERMA_LEVEL + 1),
+     f"max_level must be <= {MAX_VERMA_LEVEL}"),
+], ids=["chi-complex", "chi-not-positive", "chi-zero", "invariants-complex-z",
+        "convexity-off-the-plane", "convexity-alpha-zero", "verma-ascending",
+        "verma-wrong-sum", "scan-level-too-high"])
+def test_virasoro_input_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
