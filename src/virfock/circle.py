@@ -14,6 +14,15 @@ exact on coefficients; nonlinear operations (products, compositions,
 Schwarzian derivatives) are evaluated pointwise on uniform grids large
 enough to be alias-free and re-expanded by FFT.
 
+Sampling takes one of two routes.  On the uniform grid theta_j = 2 pi j / M
+it is one FFT: `grid_values` is an inverse FFT and `from_grid` a forward
+one, both real (irfft, rfft) for real series and real samples, and
+`CircleDiffeo.grid_jet` gives p and its first three derivatives there from
+one batched irfft.  At arbitrary angles `evaluate` runs Horner's rule.  The
+group operations (compose, pullbacks, Schwarzians, the adjoint action)
+read phi on their grid from the jet and keep Horner for moved points only:
+u o phi, flow's RK4 stages, invert's Newton iterates and S(phi) o psi.
+
 Complex coefficient fields are allowed throughout so that the Witt basis
 d_n = i e^{i n theta} d/dtheta can be manipulated directly; everything at
 the group level (diffeomorphisms, flows) insists on real data.
@@ -24,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 # numpy loads numpy.fft on first use; importing it here keeps that cost
 # in `import virfock`
-from numpy.fft import fft, ifft
+from numpy.fft import fft, ifft, irfft, rfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,10 +53,11 @@ class FourierFunction:
         Complex coefficients of length 2N + 1, ordered k = -N .. N.  The
         function is flagged real (``real_flag``) when the reality
         invariant c_{-k} = conj(c_k) holds to within ``REALITY_TOL``; the
-        flag is computed on first read, as the coefficients never change.
+        flag, and a real series' folded k >= 0 half, are computed on first
+        read, as the coefficients never change.
     """
 
-    __slots__ = ("coeffs", "degree", "_real")
+    __slots__ = ("coeffs", "degree", "_real", "_half")
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=complex)
@@ -56,6 +66,7 @@ class FourierFunction:
         self.coeffs = c
         self.degree = c.size // 2
         self._real = None
+        self._half = None
 
     @property
     def real_flag(self) -> bool:
@@ -63,6 +74,18 @@ class FourierFunction:
             c = self.coeffs
             self._real = bool(np.max(np.abs(np.conj(c[::-1]) - c)) <= REALITY_TOL)
         return self._real
+
+    def _real_half(self) -> np.ndarray:
+        """The fold of a real series onto k >= 0: a_0 = Re c_0 and
+        a_k = c_k + conj(c_{-k}), so that f = Re sum_{k>=0} a_k e^{ik theta}
+        even where the reality invariant holds only to ``REALITY_TOL``.  It
+        stops at the highest live mode K (the last a_k != 0)."""
+        if self._half is None:
+            N, c = self.degree, self.coeffs
+            a = np.concatenate(([c[N].real], c[N + 1:] + np.conj(c[N - 1::-1])))
+            live = np.flatnonzero(a)
+            self._half = a[:live[-1] + 1] if live.size else a[:1]
+        return self._half
 
     # -- constructors -------------------------------------------------
 
@@ -90,11 +113,19 @@ class FourierFunction:
     def from_grid(cls, values, degree: int) -> "FourierFunction":
         """Least-degree-(N) fit from samples on the uniform grid
         theta_j = 2 pi j / M, exact for trig polynomials of degree <= N
-        when M >= 2N + 1."""
-        values = np.asarray(values, dtype=complex)
+        when M >= 2N + 1.
+
+        Real samples go through ``rfft`` and give c_{-k} = conj(c_k) bit
+        for bit; complex samples go through the complex ``fft``.
+        """
+        real = np.isrealobj(values)
+        values = np.asarray(values, dtype=float if real else complex)
         M = values.size
         if M < 2 * degree + 1:
             raise ValueError("need at least 2N+1 samples for degree N")
+        if real:
+            r = rfft(values)[:degree + 1] / M
+            return cls(np.concatenate((np.conj(r[:0:-1]), r)))
         a = fft(values) / M
         return cls(a[np.arange(-degree, degree + 1) % M])
 
@@ -119,22 +150,20 @@ class FourierFunction:
         """Pointwise values at arbitrary angles (any shape, 0-d included);
         real output for real functions.
 
-        Horner's rule in z = e^{i theta}.  A real function is folded onto
-        its k >= 0 half, a_0 = Re c_0 and a_k = c_k + conj(c_{-k}), and
-        evaluated as Re sum_{k>=0} a_k z^k, which equals Re sum_k c_k z^k
-        even where the reality invariant holds only to ``REALITY_TOL``; a
-        complex one as e^{-i N theta} sum_{j=0}^{2N} c_{j-N} z^j.  The real
-        sum stops at the highest live mode K (the last a_k != 0): the
-        exact zeros above it would only add exact zeros.  The cost on M
-        angles is one or two exponentials per angle and K (real) or 2N
-        (complex) multiply-adds on M-vectors, O(M K) or O(M N) in all, with
-        no M x (2N+1) table of exponentials.
+        Horner's rule in z = e^{i theta}, for angles that are not a uniform
+        grid; on one, `grid_values` takes the FFT route.  A real function
+        is evaluated from its cached k >= 0 half a_k as
+        Re sum_{k>=0} a_k z^k, which equals Re sum_k c_k z^k even where the
+        reality invariant holds only to ``REALITY_TOL``; a complex one as
+        e^{-i N theta} sum_{j=0}^{2N} c_{j-N} z^j.  The real sum stops at
+        the highest live mode K: the exact zeros above it would only add
+        exact zeros.  The cost on M angles is one or two exponentials per
+        angle and K (real) or 2N (complex) multiply-adds on M-vectors,
+        O(M K) or O(M N) in all, with no M x (2N+1) table of exponentials.
         """
         theta = np.asarray(theta, dtype=float)
-        N, c = self.degree, self.coeffs
-        if self.real_flag:
-            c = np.concatenate(([c[N].real], c[N + 1:] + np.conj(c[N - 1::-1])))
-            c = c[:np.flatnonzero(c)[-1] + 1] if c.any() else c[:1]
+        N = self.degree
+        c = self._real_half() if self.real_flag else self.coeffs
         z = np.exp(1j * theta)
         acc = np.full(theta.shape, c[-1], dtype=complex)
         for ck in c[-2::-1]:
@@ -143,13 +172,17 @@ class FourierFunction:
         return acc.real if self.real_flag else acc * np.exp(-1j * N * theta)
 
     def grid_values(self, M: int):
-        """Values on the uniform grid theta_j = 2 pi j / M via FFT."""
+        """Values on the uniform grid theta_j = 2 pi j / M, M >= 2N + 1, by
+        one inverse FFT: ``irfft`` of the real half for a real series (real
+        values, Re sum_k c_k e^{ik theta} as in `evaluate`), the complex
+        ``ifft`` otherwise."""
         if M < 2 * self.degree + 1:
             raise ValueError("grid too coarse for this degree")
+        if self.real_flag:
+            return _half_grid_values(self._real_half(), M)
         a = np.zeros(M, dtype=complex)
         a[np.arange(-self.degree, self.degree + 1) % M] = self.coeffs
-        vals = ifft(a) * M
-        return vals.real if self.real_flag else vals
+        return ifft(a) * M
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.grid_values(8 * max(self.degree, 1) + 1))))
@@ -181,7 +214,8 @@ class CircleDiffeo:
     The displacement p is a real trigonometric polynomial, held with its
     exact derivative ``dp`` = p'; validity (phi' = 1 + p' > 0) is checked
     on the uniform grid with M = max(4N+1, 129) points at construction
-    time.
+    time.  `grid_jet` samples p and its first three derivatives on a
+    uniform grid; `derivative_values` reads phi' at arbitrary angles.
     """
 
     __slots__ = ("p", "dp")
@@ -203,9 +237,18 @@ class CircleDiffeo:
     def degree(self) -> int:
         return self.p.degree
 
-    def evaluate(self, theta):
-        """phi(theta) = theta + p(theta)."""
-        return np.asarray(theta, dtype=float) + self.p.evaluate(theta)
+    def grid_jet(self, M: int) -> np.ndarray:
+        """Rows p, p', p'', p''' on ``grid_points(M)``, shape (4, M), from
+        one irfft of the real half of p scaled by (ik)^j; M >= 2N + 1."""
+        if M < 2 * self.degree + 1:
+            raise ValueError("grid too coarse for this degree")
+        a = self.p._real_half()
+        ik = 1j * np.arange(a.size)
+        rows = np.empty((4, a.size), dtype=complex)
+        rows[0] = a
+        for j in range(1, 4):
+            rows[j] = rows[j - 1] * ik
+        return _half_grid_values(rows, M)
 
     def derivative_values(self, theta):
         """phi'(theta) = 1 + p'(theta)."""
@@ -222,6 +265,17 @@ class CircleDiffeo:
 def grid_points(M: int) -> np.ndarray:
     """The uniform grid theta_j = 2 pi j / M, j = 0 .. M-1."""
     return TWO_PI * np.arange(M) / M
+
+
+def _half_grid_values(half: np.ndarray, M: int) -> np.ndarray:
+    """Re sum_{k>=0} a_k e^{ik theta_j} on ``grid_points(M)`` for each row a
+    of ``half`` (k = 0 .. K along the last axis, K < M/2, a_0 real): one
+    irfft of h_0 = a_0, h_k = a_k / 2, with no 1/M factor."""
+    K = half.shape[-1]
+    h = np.zeros(half.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    h[..., :K] = half
+    h[..., 1:K] *= 0.5
+    return irfft(h, M, axis=-1, norm="forward")
 
 
 def refit_size(n: int) -> int:
@@ -307,8 +361,9 @@ def pullback_density(phi: CircleDiffeo, u: FourierFunction,
     adjoint action on vector fields, s = 2 the coadjoint one on its dual.
     """
     n = max(u.degree, phi.degree)
-    theta = grid_points(refit_size(n))
-    vals = u.evaluate(phi.evaluate(theta)) * phi.derivative_values(theta) ** s
+    M = refit_size(n)
+    p, dp = phi.grid_jet(M)[:2]
+    vals = u.evaluate(grid_points(M) + p) * (1.0 + dp) ** s
     return FourierFunction.from_grid(vals, n)
 
 
@@ -331,8 +386,9 @@ def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:
     displacement of the result is p_psi + p_phi o psi.
     """
     n = max(phi.degree, psi.degree)
-    theta = grid_points(refit_size(n))
-    vals = psi.p.evaluate(theta) + phi.p.evaluate(psi.evaluate(theta))
+    M = refit_size(n)
+    p = psi.p.grid_values(M)
+    vals = p + phi.p.evaluate(grid_points(M) + p)
     return CircleDiffeo(FourierFunction.from_grid(vals, n))
 
 
@@ -382,42 +438,56 @@ def modified_schwarzian(phi: CircleDiffeo) -> FourierFunction:
 
 
 def _refit_schwarzian(phi: CircleDiffeo, modified: bool) -> FourierFunction:
-    theta = grid_points(refit_size(phi.degree))
-    return FourierFunction.from_grid(schwarzian_values(phi, theta, modified),
-                                     phi.degree)
+    vals = _grid_schwarzian(phi, refit_size(phi.degree), modified)
+    return FourierFunction.from_grid(vals, phi.degree)
+
+
+def _grid_schwarzian(phi: CircleDiffeo, M: int, modified: bool) -> np.ndarray:
+    """S(phi), or S~(phi), on ``grid_points(M)`` from the jet of phi."""
+    _, dp, d2p, d3p = phi.grid_jet(M)
+    return schwarzian_from_jet(1.0 + dp, d2p, d3p, modified)
+
+
+def schwarzian_from_jet(d1, d2, d3, modified: bool = False):
+    """The Schwarzian kernel phi'''/phi' - (3/2)(phi''/phi')^2 from
+    d1 = phi', d2 = phi'' and d3 = phi''' at the same points, plus
+    (1/2)((phi')^2 - 1) when ``modified``."""
+    vals = d3 / d1 - 1.5 * (d2 / d1) ** 2
+    if modified:
+        vals = vals + 0.5 * (d1 ** 2 - 1.0)
+    return vals
 
 
 def schwarzian_values(phi: CircleDiffeo, theta,
                       modified: bool = False) -> np.ndarray:
-    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: pointwise
-    from phi', phi'' and phi''', each evaluated from the exact coefficient
-    derivatives of the displacement; no grid refit."""
+    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: phi',
+    phi'' and phi''' by Horner from the exact coefficient derivatives of
+    the displacement, then `schwarzian_from_jet`; no grid refit.  Grid
+    callers read the derivatives from `CircleDiffeo.grid_jet` instead."""
     theta = np.asarray(theta, dtype=float)
-    d1 = phi.derivative_values(theta)
-    d2 = derivative(phi.p, 2).evaluate(theta)
-    d3 = derivative(phi.p, 3).evaluate(theta)
-    vals = d3 / d1 - 1.5 * (d2 / d1) ** 2
-    if modified:
-        vals = vals + 0.5 * (d1 ** 2 - 1.0)
-    return np.real(vals)
+    return np.real(schwarzian_from_jet(phi.derivative_values(theta),
+                                       derivative(phi.p, 2).evaluate(theta),
+                                       derivative(phi.p, 3).evaluate(theta),
+                                       modified))
 
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
                                 modified: bool = False) -> float:
     """Sup over the 256-point grid of
-    S(phi o psi) - (S(phi) o psi)(psi')^2 - S(psi).
+    S(phi o psi) - (S(phi) o psi)(psi')^2 - S(psi), for degrees <= 127.
 
     The left side goes through the truncated composition, so the value
     measures how well the chain rule survives the refit; the modified
     Schwarzian obeys the identical identity because the correction term
     (1/2)((phi')^2 - 1) is itself a cocycle for the (psi')^2 action.
+    The grid terms read jets; S(phi) o psi is Horner at the moved points.
     """
-    theta = grid_points(256)
-    comp = compose(phi, psi)
-    lhs = schwarzian_values(comp, theta, modified)
-    rhs = schwarzian_values(phi, psi.evaluate(theta), modified) \
-        * psi.derivative_values(theta) ** 2 \
-        + schwarzian_values(psi, theta, modified)
+    M = 256
+    lhs = _grid_schwarzian(compose(phi, psi), M, modified)
+    p, dp, d2p, d3p = psi.grid_jet(M)
+    dpsi = 1.0 + dp
+    rhs = schwarzian_values(phi, grid_points(M) + p, modified) * dpsi ** 2 \
+        + schwarzian_from_jet(dpsi, d2p, d3p, modified)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -66,7 +66,7 @@ from .circle import (
     pullback_density,
     random_diffeo,
     refit_size,
-    schwarzian_values,
+    schwarzian_from_jet,
     witt_generator,
 )
 
@@ -155,13 +155,16 @@ def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
     This is z - int f Stilde(phi^{-1}) dtheta with theta = phi(x)
     substituted, by the cocycle identity
     Stilde(phi^{-1}) o phi = -Stilde(phi) / (phi')^2, so phi is never
-    inverted.  g is sampled once on the refit grid; the field is its
-    refit and the shift the trapezoid mean of g Stilde(phi) pointwise.
+    inverted.  g is sampled once on the refit grid, with phi and its
+    derivatives there read from one jet; the field is its refit and the
+    shift the trapezoid mean of g Stilde(phi) pointwise.
     """
     n = max(x.field.degree, phi.degree)
-    theta = grid_points(refit_size(n))
-    g = x.field.evaluate(phi.evaluate(theta)) / phi.derivative_values(theta)
-    shift = 2.0 * math.pi * np.mean(g * schwarzian_values(phi, theta, modified=True))
+    M = refit_size(n)
+    p, dp, d2p, d3p = phi.grid_jet(M)
+    dphi = 1.0 + dp
+    g = x.field.evaluate(grid_points(M) + p) / dphi
+    shift = 2.0 * math.pi * np.mean(g * schwarzian_from_jet(dphi, d2p, d3p, modified=True))
     new_field = FourierFunction.from_grid(g, n)
     z = x.z + shift
     if abs(complex(z).imag) <= 1e-10 * max(1.0, abs(complex(z).real)):
@@ -199,7 +202,7 @@ def _positive_samples(f: FourierFunction, grid_size: int | None) -> np.ndarray:
     if not f.real_flag:
         raise ValueError("chi is defined for real fields only")
     M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
-    vals = np.real(f.grid_values(M))
+    vals = f.grid_values(M)
     if np.min(vals) <= 0.0:
         raise ValueError("chi requires f > 0 on the circle")
     return vals

@@ -24,6 +24,7 @@ from virfock.circle import (
     omega_cocycle,
     pullback_density,
     random_diffeo,
+    refit_size,
     schwarzian,
     schwarzian_values,
     witt_generator,
@@ -121,13 +122,16 @@ def explicit_sum(f, theta):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("degree", [0, 1, 48, 96])
 def test_evaluate_matches_fft_on_the_uniform_grid(degree, real):
+    # the smallest grid, an even one (whose Nyquist bin must stay empty)
+    # and a roomier odd one
     rng = np.random.default_rng(40 + degree)
     f = random_function(rng, degree, real)
-    M = 2 * degree + 5
-    vals = f.evaluate(grid_points(M))
-    assert np.isrealobj(vals) == real
     scale = np.sum(np.abs(f.coeffs))
-    assert np.max(np.abs(vals - f.grid_values(M))) <= 1e-12 * scale
+    for M in (2 * degree + 1, 2 * degree + 2, 2 * degree + 5):
+        vals = f.evaluate(grid_points(M))
+        grid = f.grid_values(M)
+        assert np.isrealobj(vals) == real and np.isrealobj(grid) == real
+        assert np.max(np.abs(vals - grid)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -158,6 +162,10 @@ def test_evaluate_nearly_real_function_is_real_part_of_full_sum():
     oracle = explicit_sum(f, theta).real
     tol = 1e-14 * np.sum(np.abs(c))
     assert np.max(np.abs(f.evaluate(theta) - oracle)) <= tol
+    # the irfft route folds the same way
+    for M in (2 * N + 1, 64):
+        grid_oracle = explicit_sum(f, grid_points(M)).real
+        assert np.max(np.abs(f.grid_values(M) - grid_oracle)) <= tol
     positive_half = FourierFunction(np.concatenate([np.zeros(N), c[N:]]))
     two_re = 2 * positive_half.evaluate(theta).real - c[N].real
     assert np.max(np.abs(two_re - oracle)) > 10 * tol
@@ -396,13 +404,15 @@ def test_diffeo_rejects_non_monotone_candidate():
     (lambda: FourierFunction.from_dict({5: 1.0}, 4), "mode 5 exceeds degree 4"),
     (lambda: FourierFunction.from_grid(np.zeros(8), 4), r"at least 2N\+1 samples"),
     (lambda: FourierFunction.zero(4).grid_values(8), "grid too coarse"),
+    (lambda: CircleDiffeo(FourierFunction.zero(8)).grid_jet(16),
+     "grid too coarse for this degree"),
     (lambda: CircleDiffeo(FourierFunction.from_dict({1: 0.1}, 8)),
      "displacement must be real"),
     (lambda: witt_generator(5, 4), "degree too small"),
     (lambda: flow(witt_generator(1, 4)), "real vector fields only"),
 ], ids=["even-length", "not-a-vector", "mode-above-degree", "too-few-samples",
-        "grid-too-coarse", "complex-displacement", "witt-degree-too-small",
-        "complex-flow"])
+        "grid-too-coarse", "jet-grid-too-coarse", "complex-displacement",
+        "witt-degree-too-small", "complex-flow"])
 def test_circle_input_guards_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -427,6 +437,45 @@ def test_diffeo_reads_the_derivative_it_was_built_with(degree):
         assert np.array_equal(schwarzian_values(phi, theta), np.real(s))
         s_mod = s + 0.5 * (d1 ** 2 - 1.0)
         assert np.array_equal(schwarzian_values(phi, theta, True), np.real(s_mod))
+
+
+# ---------------------------------------------------------------------------
+# a diffeomorphism's jet on the uniform grid
+
+
+_JET_GRIDS = {"2N+1": lambda n: 2 * n + 1, "2N+2": lambda n: 2 * n + 2,
+              "refit": refit_size}
+
+
+@pytest.mark.parametrize("grid", list(_JET_GRIDS))
+@pytest.mark.parametrize("degree", [0, 1, 32, 48])
+def test_grid_jet_rows_are_the_derivatives_on_the_grid(degree, grid):
+    rng = np.random.default_rng(60 + degree)
+    M = _JET_GRIDS[grid](degree)
+    theta = grid_points(M)
+    ks = np.abs(np.arange(-degree, degree + 1))
+    for _ in range(3):
+        phi = random_diffeo(rng, degree, modes=8, amplitude=0.2, max_slope=0.6)
+        jet = phi.grid_jet(M)
+        assert jet.shape == (4, M) and np.isrealobj(jet)
+        for j in range(4):
+            scale = np.sum(ks ** j * np.abs(phi.p.coeffs))
+            horner = derivative(phi.p, j).evaluate(theta)
+            assert np.max(np.abs(jet[j] - horner)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("degree", [16, 33])
+def test_refit_schwarzian_matches_the_horner_reference(degree):
+    # the refit Schwarzians read the jet; the reference samples them by
+    # Horner on the same grid and refits
+    rng = np.random.default_rng(70 + degree)
+    M = refit_size(degree)
+    for _ in range(3):
+        phi = random_diffeo(rng, degree, modes=8, amplitude=0.2, max_slope=0.6)
+        for refit, modified in ((schwarzian, False), (modified_schwarzian, True)):
+            ref = FourierFunction.from_grid(
+                schwarzian_values(phi, grid_points(M), modified), degree)
+            assert np.max(np.abs(refit(phi).coeffs - ref.coeffs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +632,21 @@ def test_from_grid_reconstructs_band_limited_data():
     vals = f.evaluate(grid_points(64))
     g = FourierFunction.from_grid(vals, degree=10)
     assert (f - g).sup_norm() < 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("M", [21, 22, 64, 97])
+def test_from_grid_round_trips_grid_values(M, real):
+    # real samples take the rfft route, whose c_{-k} = conj(c_k) holds bit
+    # for bit; complex samples keep the complex fft
+    rng = np.random.default_rng(M)
+    f = random_function(rng, 10, real)
+    vals = f.grid_values(M)
+    g = FourierFunction.from_grid(vals, degree=10)
+    assert np.isrealobj(vals) == real and g.real_flag == real
+    if real:
+        assert np.array_equal(g.coeffs[::-1], np.conj(g.coeffs))
+    assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-14 * np.sum(np.abs(f.coeffs))
 
 
 def test_truncation_records_tail():

@@ -10,11 +10,14 @@ from scipy.integrate import quad
 from virfock.circle import (
     CircleDiffeo,
     FourierFunction,
+    grid_points,
     invert,
     modified_schwarzian,
     pairing_integral,
     pullback_density,
     random_diffeo,
+    refit_size,
+    schwarzian_values,
 )
 from virfock.suites import SuiteConfig, run_suite
 from virfock.virasoro import (
@@ -200,6 +203,25 @@ def test_adjoint_field_matches_the_density_pullback():
         pulled = pullback_density(phi, x.field, -1.0)
         diff = adjoint_action(phi, x).field.coeffs - pulled.coeffs
         assert np.max(np.abs(diff)) <= 1e-14
+
+
+@pytest.mark.parametrize("field_degree", [10, 48])
+def test_adjoint_action_matches_the_horner_reference(field_degree):
+    # adjoint_action reads phi on its grid from one jet; the reference
+    # samples phi, phi' and Stilde(phi) there by Horner
+    rng = np.random.default_rng(48 + field_degree)
+    for _ in range(5):
+        phi = small_diffeo(rng)
+        x = VirasoroElement(float(rng.normal()), random_real_field(rng, field_degree))
+        n = max(x.field.degree, phi.degree)
+        theta = grid_points(refit_size(n))
+        dphi = 1.0 + phi.dp.evaluate(theta)
+        g = x.field.evaluate(theta + phi.p.evaluate(theta)) / dphi
+        shift = TWO_PI * np.mean(g * schwarzian_values(phi, theta, True))
+        out = adjoint_action(phi, x)
+        assert abs(out.z - (x.z + shift)) <= 1e-12
+        ref = FourierFunction.from_grid(g, n)
+        assert np.max(np.abs(out.field.coeffs - ref.coeffs)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [9, 79])
