@@ -7,25 +7,24 @@ u(theta) (dtheta)^s are both their coefficient functions, plain
 that read it, `pullback_density` and `lie_derivative`, and a field acting
 by its transformation law has s = -1.  An orientation-preserving
 diffeomorphism phi(theta) = theta + p(theta) is a `CircleDiffeo` that
-holds its displacement p and p', from which phi' = 1 + p' is read.
+holds its displacement p and the jet rows that give p, p', p'', p'''.
 
 Linear operations (derivative, integration, the two 2-cocycles) are
 exact on coefficients; nonlinear operations (products, compositions,
 Schwarzian derivatives) are evaluated pointwise on uniform grids large
 enough to be alias-free and re-expanded by FFT.
 
-Sampling takes one of two routes.  On the uniform grid theta_j = 2 pi j / M
-it is one FFT: `grid_values` is an inverse FFT and `from_grid` a forward
-one, both real (irfft, rfft) for real series and real samples, and
-`CircleDiffeo.grid_jet` gives p and its first three derivatives there from
-one batched irfft.  At arbitrary angles `evaluate` runs Horner's rule.  The
-group operations (compose, pullbacks, Schwarzians, the adjoint action)
-read phi on their grid from the jet and keep Horner for moved points only:
-u o phi, flow's RK4 stages, invert's Newton iterates and S(phi) o psi.
-
-Complex coefficient fields are allowed throughout so that the Witt basis
-d_n = i e^{i n theta} d/dtheta can be manipulated directly; everything at
-the group level (diffeomorphisms, flows) insists on real data.
+Complex series serve the coefficient-exact operations only (the Witt
+basis d_n = i e^{i n theta} d/dtheta enters brackets, cocycles and
+products).  Sampling takes real series and real samples, and raises
+ValueError on complex ones.  A real series is sampled from its folded
+k >= 0 half by one of two kernels over rows of halves: `_half_grid_values`,
+one batched irfft on the uniform grid theta_j = 2 pi j / M (`grid_values`,
+`CircleDiffeo.grid_jet`), and `_half_values`, Horner's rule at arbitrary
+angles (`evaluate`, `CircleDiffeo.jet`); `from_grid` is one rfft.  The
+group operations read phi on their grid from `grid_jet` and keep Horner
+for moved points only: u o phi, flow's RK4 stages, invert's Newton
+iterates and S(phi) o psi.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 # numpy loads numpy.fft on first use; importing it here keeps that cost
 # in `import virfock`
-from numpy.fft import fft, ifft, irfft, rfft
+from numpy.fft import irfft, rfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,7 +78,11 @@ class FourierFunction:
         """The fold of a real series onto k >= 0: a_0 = Re c_0 and
         a_k = c_k + conj(c_{-k}), so that f = Re sum_{k>=0} a_k e^{ik theta}
         even where the reality invariant holds only to ``REALITY_TOL``.  It
-        stops at the highest live mode K (the last a_k != 0)."""
+        stops at the highest live mode K (the last a_k != 0).  A complex
+        series has no such half: it raises ValueError."""
+        if not self.real_flag:
+            raise ValueError("cannot sample a complex series: sampling takes "
+                             "real series (c_{-k} = conj(c_k)) only")
         if self._half is None:
             N, c = self.degree, self.coeffs
             a = np.concatenate(([c[N].real], c[N + 1:] + np.conj(c[N - 1::-1])))
@@ -115,19 +118,18 @@ class FourierFunction:
         theta_j = 2 pi j / M, exact for trig polynomials of degree <= N
         when M >= 2N + 1.
 
-        Real samples go through ``rfft`` and give c_{-k} = conj(c_k) bit
-        for bit; complex samples go through the complex ``fft``.
+        The samples must be real: one ``rfft`` gives c_k for k >= 0, and
+        c_{-k} = conj(c_k) holds bit for bit.  Complex samples raise
+        ValueError.
         """
-        real = np.isrealobj(values)
-        values = np.asarray(values, dtype=float if real else complex)
+        if np.iscomplexobj(values):
+            raise ValueError("from_grid takes real samples, not complex ones")
+        values = np.asarray(values, dtype=float)
         M = values.size
         if M < 2 * degree + 1:
             raise ValueError("need at least 2N+1 samples for degree N")
-        if real:
-            r = rfft(values)[:degree + 1] / M
-            return cls(np.concatenate((np.conj(r[:0:-1]), r)))
-        a = fft(values) / M
-        return cls(a[np.arange(-degree, degree + 1) % M])
+        r = rfft(values)[:degree + 1] / M
+        return cls(np.concatenate((np.conj(r[:0:-1]), r)))
 
     # -- basic queries ------------------------------------------------
 
@@ -147,42 +149,21 @@ class FourierFunction:
         return FourierFunction(self.coeffs[lo:hi])
 
     def evaluate(self, theta):
-        """Pointwise values at arbitrary angles (any shape, 0-d included);
-        real output for real functions.
-
-        Horner's rule in z = e^{i theta}, for angles that are not a uniform
-        grid; on one, `grid_values` takes the FFT route.  A real function
-        is evaluated from its cached k >= 0 half a_k as
-        Re sum_{k>=0} a_k z^k, which equals Re sum_k c_k z^k even where the
-        reality invariant holds only to ``REALITY_TOL``; a complex one as
-        e^{-i N theta} sum_{j=0}^{2N} c_{j-N} z^j.  The real sum stops at
-        the highest live mode K: the exact zeros above it would only add
-        exact zeros.  The cost on M angles is one or two exponentials per
-        angle and K (real) or 2N (complex) multiply-adds on M-vectors,
-        O(M K) or O(M N) in all, with no M x (2N+1) table of exponentials.
-        """
-        theta = np.asarray(theta, dtype=float)
-        N = self.degree
-        c = self._real_half() if self.real_flag else self.coeffs
-        z = np.exp(1j * theta)
-        acc = np.full(theta.shape, c[-1], dtype=complex)
-        for ck in c[-2::-1]:
-            acc *= z
-            acc += ck
-        return acc.real if self.real_flag else acc * np.exp(-1j * N * theta)
+        """Real values of a real series at arbitrary angles (any shape, 0-d
+        included) by `_half_values` over its cached k >= 0 half, which gives
+        Re sum_k c_k e^{ik theta} even where the reality invariant holds only
+        to ``REALITY_TOL``; a complex series raises ValueError.  On a uniform
+        grid `grid_values` takes the FFT route."""
+        return _half_values(self._real_half(), theta)
 
     def grid_values(self, M: int):
-        """Values on the uniform grid theta_j = 2 pi j / M, M >= 2N + 1, by
-        one inverse FFT: ``irfft`` of the real half for a real series (real
-        values, Re sum_k c_k e^{ik theta} as in `evaluate`), the complex
-        ``ifft`` otherwise."""
+        """Real values of a real series on the uniform grid
+        theta_j = 2 pi j / M, M >= 2N + 1, by one ``irfft`` of its half
+        (`_half_grid_values`), the values `evaluate` gives there; a complex
+        series raises ValueError."""
         if M < 2 * self.degree + 1:
             raise ValueError("grid too coarse for this degree")
-        if self.real_flag:
-            return _half_grid_values(self._real_half(), M)
-        a = np.zeros(M, dtype=complex)
-        a[np.arange(-self.degree, self.degree + 1) % M] = self.coeffs
-        return ifft(a) * M
+        return _half_grid_values(self._real_half(), M)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.grid_values(8 * max(self.degree, 1) + 1))))
@@ -211,21 +192,25 @@ class FourierFunction:
 class CircleDiffeo:
     """Orientation-preserving diffeomorphism phi(theta) = theta + p(theta).
 
-    The displacement p is a real trigonometric polynomial, held with its
-    exact derivative ``dp`` = p'; validity (phi' = 1 + p' > 0) is checked
-    on the uniform grid with M = max(4N+1, 129) points at construction
-    time.  `grid_jet` samples p and its first three derivatives on a
-    uniform grid; `derivative_values` reads phi' at arbitrary angles.
+    The displacement p is a real trigonometric polynomial.  Its jet rows,
+    the k >= 0 half of p scaled by (ik)^j for j = 0 .. 3, are built once:
+    `grid_jet` samples them on a uniform grid and `jet` at arbitrary
+    angles, giving p and its first three derivatives (phi' = 1 + p').
+    Validity (phi' > 0) is checked from row 1 on the uniform grid with
+    M = max(4N+1, 129) points at construction time.
     """
 
-    __slots__ = ("p", "dp")
+    __slots__ = ("p", "_rows")
 
     def __init__(self, p: FourierFunction):
         if not p.real_flag:
             raise ValueError("diffeomorphism displacement must be real")
         self.p = p
-        self.dp = derivative(p)
-        min_derivative = float(1.0 + np.min(self.dp.grid_values(max(4 * p.degree + 1, 129))))
+        a = p._real_half()
+        ik = 1j * np.arange(a.size)
+        self._rows = np.array([a, a * ik, a * ik * ik, a * ik * ik * ik])
+        dp = _half_grid_values(self._rows[1], max(4 * p.degree + 1, 129))
+        min_derivative = float(1.0 + np.min(dp))
         if min_derivative <= 0.0:
             raise ValueError(f"not a diffeomorphism: min phi' = {min_derivative:.3e}")
 
@@ -239,20 +224,15 @@ class CircleDiffeo:
 
     def grid_jet(self, M: int) -> np.ndarray:
         """Rows p, p', p'', p''' on ``grid_points(M)``, shape (4, M), from
-        one irfft of the real half of p scaled by (ik)^j; M >= 2N + 1."""
+        one irfft of the jet rows; M >= 2N + 1."""
         if M < 2 * self.degree + 1:
             raise ValueError("grid too coarse for this degree")
-        a = self.p._real_half()
-        ik = 1j * np.arange(a.size)
-        rows = np.empty((4, a.size), dtype=complex)
-        rows[0] = a
-        for j in range(1, 4):
-            rows[j] = rows[j - 1] * ik
-        return _half_grid_values(rows, M)
+        return _half_grid_values(self._rows, M)
 
-    def derivative_values(self, theta):
-        """phi'(theta) = 1 + p'(theta)."""
-        return 1.0 + self.dp.evaluate(theta)
+    def jet(self, theta) -> np.ndarray:
+        """Rows p, p', p'', p''' at arbitrary angles, shape
+        (4,) + theta.shape, from one Horner pass over the jet rows."""
+        return _half_values(self._rows, theta)
 
     def __repr__(self):
         return f"CircleDiffeo(degree={self.degree})"
@@ -265,6 +245,25 @@ class CircleDiffeo:
 def grid_points(M: int) -> np.ndarray:
     """The uniform grid theta_j = 2 pi j / M, j = 0 .. M-1."""
     return TWO_PI * np.arange(M) / M
+
+
+def _half_values(half: np.ndarray, theta) -> np.ndarray:
+    """Re sum_{k>=0} a_k e^{ik theta} at arbitrary angles for each row a of
+    ``half`` (k = 0 .. K along the last axis), shape
+    half.shape[:-1] + theta.shape: Horner's rule in z = e^{i theta}, with
+    one exponential per angle and one loop over k for all rows, and no
+    table of exponentials.  The sum stops at the last column K."""
+    theta = np.asarray(theta, dtype=float)
+    z = np.exp(1j * theta)
+    # k leads; a single row's columns stay scalars, numpy's fast path
+    cols = np.moveaxis(half, -1, 0)
+    if half.ndim > 1:
+        cols = cols.reshape(cols.shape + (1,) * theta.ndim)
+    acc = np.full(half.shape[:-1] + theta.shape, cols[-1], dtype=complex)
+    for ck in cols[-2::-1]:
+        acc *= z
+        acc += ck
+    return acc.real
 
 
 def _half_grid_values(half: np.ndarray, M: int) -> np.ndarray:
@@ -407,10 +406,11 @@ def invert(phi: CircleDiffeo) -> CircleDiffeo:
     theta = grid_points(refit_size(n))
     x = theta.copy()
     for _ in range(NEWTON_MAX_ITER):
-        res = x + phi.p.evaluate(x) - theta
+        p, dp = phi.jet(x)[:2]
+        res = x + p - theta
         if np.max(np.abs(res)) < 1e-13:
             break
-        x = x - res / phi.derivative_values(x)
+        x = x - res / (1.0 + dp)
     else:
         raise RuntimeError("Newton inversion did not converge in "
                            f"{NEWTON_MAX_ITER} iterations")
@@ -460,15 +460,11 @@ def schwarzian_from_jet(d1, d2, d3, modified: bool = False):
 
 def schwarzian_values(phi: CircleDiffeo, theta,
                       modified: bool = False) -> np.ndarray:
-    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: phi',
-    phi'' and phi''' by Horner from the exact coefficient derivatives of
-    the displacement, then `schwarzian_from_jet`; no grid refit.  Grid
-    callers read the derivatives from `CircleDiffeo.grid_jet` instead."""
-    theta = np.asarray(theta, dtype=float)
-    return np.real(schwarzian_from_jet(phi.derivative_values(theta),
-                                       derivative(phi.p, 2).evaluate(theta),
-                                       derivative(phi.p, 3).evaluate(theta),
-                                       modified))
+    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: rows 1-3
+    of `CircleDiffeo.jet` fed to `schwarzian_from_jet`; no grid refit.  Grid
+    callers read the rows from `CircleDiffeo.grid_jet` instead."""
+    _, dp, d2p, d3p = phi.jet(theta)
+    return schwarzian_from_jet(1.0 + dp, d2p, d3p, modified)
 
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,

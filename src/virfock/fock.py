@@ -606,37 +606,29 @@ def vacuum_implementer(space: ModeSpace,
     return c, FockVector(space, c * F)
 
 
-def embed(F: FockVector, bigger: ModeSpace) -> FockVector:
-    """Copy amplitudes into a space with a larger cutoff."""
-    if bigger.d != F.space.d or bigger.statistics != F.space.statistics:
-        raise ValueError("spaces are not compatible")
-    if bigger.cutoff < F.space.cutoff:
-        raise ValueError("target cutoff is smaller")
-    # both bases are sorted by (total, occupation): the smaller is a prefix
-    amps = np.zeros(bigger.dim, dtype=complex)
-    amps[:F.space.dim] = F.amps
-    return FockVector(bigger, amps)
-
-
-def _vacuum_conditions(space: ModeSpace, g: RealLinearMap) -> list[FockOperator]:
-    """The d operators a(e_i) + a*(T(g) e_i) that kill the Bogoliubov vacuum."""
+def _vacuum_conditions(space: ModeSpace, g: RealLinearMap) -> list[list]:
+    """The (coeffs, word) terms of the d operators a(e_i) + a*(T(g) e_i)
+    that kill the Bogoliubov vacuum."""
     T = twist_matrix(g)
-    return [annihilate(space, e) + create(space, T @ e) for e in np.eye(space.d)]
+    return [[(e, "-"), (_smearing(space, T @ e), "+")] for e in np.eye(g.d)]
 
 
 def vacuum_residuals(space: ModeSpace, g: RealLinearMap,
                      F: FockVector) -> np.ndarray:
     """Norms of a(e_i) F + a*(T(g) e_i) F for each mode i.
 
-    Measured after embedding F two levels higher, so the amplitude the
-    creator pushes past the original cutoff counts as residual instead
-    of being silently clipped; this is what decays geometrically in N.
-    A fermionic space is complete, so it is its own roomy space: exact there.
+    Measured on a space two levels higher, whose basis begins with the
+    basis of ``space`` (both are sorted by (total, occupation)), so the
+    amplitude the creator pushes past the original cutoff counts as
+    residual instead of being silently clipped; this is what decays
+    geometrically in N.  A fermionic space is complete, so it is its own
+    roomy space: exact there.
     """
+    _same_space(space, F.space)
     roomy = space if space.sign < 0 else ModeSpace(space.d, space.statistics,
                                                    space.cutoff + 2)
-    Fe = embed(F, roomy)
-    return np.array([op.apply(Fe).norm() for op in _vacuum_conditions(roomy, g)])
+    return np.array([np.linalg.norm(_apply_terms(roomy, terms, F.amps))
+                     for terms in _vacuum_conditions(space, g)])
 
 
 def truncated_vacuum_oracle(space: ModeSpace,
@@ -651,7 +643,8 @@ def truncated_vacuum_oracle(space: ModeSpace,
     The cut is bosonic: for fermions (N = d) the rows below d still fix F.
     """
     below = space.totals < space.cutoff
-    K = np.vstack([op.mat[below] for op in _vacuum_conditions(space, g)])
+    K = np.vstack([_ladder_word(space, terms).mat[below]
+                   for terms in _vacuum_conditions(space, g)])
     # full V: at d = 1 K is N x (N + 1), and a reduced SVD drops the null row
     _, _, vh = np.linalg.svd(K)
     F = vh[-1].conj()

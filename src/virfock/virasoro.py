@@ -221,7 +221,7 @@ def orbit_invariants(x: VirasoroElement) -> CartanCoords:
     f = x.field
     fv = _positive_samples(f, None)
     chi_val = float(np.mean(1.0 / fv))
-    dfv = np.real(derivative(f).grid_values(fv.size))
+    dfv = derivative(f).grid_values(fv.size)
     energy = 2.0 * math.pi * float(np.mean(dfv ** 2 / (2.0 * fv)))
     beta = (float(np.real(x.z)) - energy
             + 0.5 * float(np.real(integrate(f))) - math.pi / chi_val)

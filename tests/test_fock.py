@@ -22,7 +22,6 @@ from virfock.fock import (
     central_term_trace,
     create,
     dgamma,
-    embed,
     hat_element,
     hat_pairing,
     heisenberg_mul,
@@ -540,6 +539,15 @@ def test_squeeze_residual_decreases_geometrically():
     assert all(b <= 0.5 * a for a, b in zip(residuals, residuals[1:]))
 
 
+def _dense_vacuum_residuals(roomy, g, F):
+    """||(a(e_i) + a*(T e_i)) F|| from the dense matrices on ``roomy``, whose
+    first F.space.dim basis states are those of F's space."""
+    T = fock.twist_matrix(g)
+    return np.array([np.linalg.norm((annihilate(roomy, e) + create(roomy, T @ e))
+                                    .mat[:, :F.space.dim] @ F.amps)
+                     for e in np.eye(g.d)])
+
+
 def test_fermionic_vacuum_residuals_reuse_the_space(monkeypatch):
     # a complete fermionic space is its own roomy space: no space is built,
     # and the residuals equal those on a freshly built copy
@@ -548,8 +556,7 @@ def test_fermionic_vacuum_residuals_reuse_the_space(monkeypatch):
     g = (0.3 * random_algebra_element(rng, 6, sp.sign)).exp()
     _, F = vacuum_implementer(sp, g)
     fresh = ModeSpace(6, FERMIONIC, sp.cutoff + 2)
-    want = [op.apply(embed(F, fresh)).norm()
-            for op in fock._vacuum_conditions(fresh, g)]
+    want = _dense_vacuum_residuals(fresh, g, F)
     built = []
     init = ModeSpace.__init__
 
@@ -558,7 +565,7 @@ def test_fermionic_vacuum_residuals_reuse_the_space(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ModeSpace, "__init__", counting_init)
-    assert np.array_equal(vacuum_residuals(sp, g, F), want)
+    assert np.max(np.abs(vacuum_residuals(sp, g, F) - want)) <= 1e-14
     assert built == []
     # a bosonic space still gets its roomy copy two levels up
     bs = ModeSpace(1, BOSONIC, cutoff=8)
@@ -843,18 +850,23 @@ def test_quasifree_twist_rejects_noncommuting_pair():
 
 
 # ---------------------------------------------------------------------------
-# embeddings and the cutoff
+# the roomy space of the vacuum residuals, and the cutoff
 
 
-def test_embed_preserves_amplitudes():
+def test_vacuum_residuals_read_F_as_a_prefix_of_the_roomy_space():
+    # the space two levels up lists the states of F's space first, so the
+    # residuals are the dense conditions there applied to F's amplitudes
     rng = np.random.default_rng(67)
     sp = ModeSpace(2, BOSONIC, cutoff=4)
-    big = ModeSpace(2, BOSONIC, cutoff=7)
+    roomy = ModeSpace(2, BOSONIC, cutoff=6)
+    assert roomy.basis[:sp.dim] == sp.basis
+    g = (0.3 * random_algebra_element(rng, 2, sp.sign)).exp()
     amps = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
-    v = FockVector(sp, amps / np.linalg.norm(amps))
-    w = embed(v, big)
-    assert abs(v.norm() - w.norm()) < 1e-14
-    assert abs(v.amps[sp.index[(1, 2)]] - w.amps[big.index[(1, 2)]]) < 1e-15
+    F = FockVector(sp, amps / np.linalg.norm(amps))
+    want = _dense_vacuum_residuals(roomy, g, F)
+    assert np.max(np.abs(vacuum_residuals(sp, g, F) - want)) <= 1e-13 * np.max(want)
+    with pytest.raises(ValueError, match="mode spaces do not match"):
+        vacuum_residuals(roomy, g, F)
 
 
 def test_create_records_leak_at_cutoff():
