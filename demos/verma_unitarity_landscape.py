@@ -11,14 +11,13 @@ first level carrying a negative-norm vector.
 
 from fractions import Fraction
 
-from virfock.virasoro import VermaBasis, unitarity_scan, verma_gram
+from virfock.virasoro import partitions_of, unitarity_scan, verma_gram
 
 # Level-2 Gram matrix at the Ising values (c, h) = (1/2, 1/16): the
 # basis is d(-2)v, d(-1)d(-1)v and every entry is an exact fraction.
-basis = VermaBasis(2, Fraction(1, 2), Fraction(1, 16))
-G = verma_gram(basis)
+G = verma_gram(2, Fraction(1, 2), Fraction(1, 16))
 print("level 2, c = 1/2, h = 1/16")
-for part, row in zip(basis.partitions, G):
+for part, row in zip(partitions_of(2), G):
     label = "d" + "".join(f"(-{p})" for p in part) + "v"
     print(f"  {label:12s} {[str(v) for v in row]}")
 print()
@@ -28,8 +27,7 @@ print()
 print("c = 0 pair determinants, h = 1:")
 for n in (1, 2, 3):
     h = Fraction(1)
-    b = VermaBasis(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
-    g = verma_gram(b)
+    g = verma_gram(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     sign = "positive" if det > 0 else "negative" if det < 0 else "zero"
     print(f"  n = {n}: det = {det}  ({sign})")

@@ -196,8 +196,8 @@ class CircleDiffeo:
     the k >= 0 half of p scaled by (ik)^j for j = 0 .. 3, are built once:
     `grid_jet` samples them on a uniform grid and `jet` at arbitrary
     angles, giving p and its first three derivatives (phi' = 1 + p').
-    Validity (phi' > 0) is checked from row 1 on the uniform grid with
-    M = max(4N+1, 129) points at construction time.
+    Validity (phi' > 0) is checked from row 1 on the refit grid of
+    8 max(N, 4) points at construction time.
     """
 
     __slots__ = ("p", "_rows")
@@ -209,7 +209,7 @@ class CircleDiffeo:
         a = p._real_half()
         ik = 1j * np.arange(a.size)
         self._rows = np.array([a, a * ik, a * ik * ik, a * ik * ik * ik])
-        dp = _half_grid_values(self._rows[1], max(4 * p.degree + 1, 129))
+        dp = _half_grid_values(self._rows[1], refit_size(p.degree))
         min_derivative = float(1.0 + np.min(dp))
         if min_derivative <= 0.0:
             raise ValueError(f"not a diffeomorphism: min phi' = {min_derivative:.3e}")
@@ -421,23 +421,15 @@ def invert(phi: CircleDiffeo) -> CircleDiffeo:
 # Schwarzian derivatives
 
 
-def schwarzian(phi: CircleDiffeo) -> FourierFunction:
-    """Schwarzian derivative S(phi) = phi'''/phi' - (3/2)(phi''/phi')^2.
+def schwarzian(phi: CircleDiffeo, modified: bool = False) -> FourierFunction:
+    """Schwarzian derivative S(phi) = phi'''/phi' - (3/2)(phi''/phi')^2, or
+    S~(phi) = S(phi) + (1/2)((phi')^2 - 1) when ``modified``; the
+    derivative of S~ at the identity in direction f d/dtheta is f''' + f'.
 
     The derivatives of p are exact in coefficients; the rational
     expression is formed pointwise on the refit grid of 8 max(N, 4)
     points and re-expanded to the degree N of phi.
     """
-    return _refit_schwarzian(phi, False)
-
-
-def modified_schwarzian(phi: CircleDiffeo) -> FourierFunction:
-    """S~(phi) = S(phi) + (1/2)((phi')^2 - 1); its derivative at the
-    identity in direction f d/dtheta is f''' + f'."""
-    return _refit_schwarzian(phi, True)
-
-
-def _refit_schwarzian(phi: CircleDiffeo, modified: bool) -> FourierFunction:
     vals = _grid_schwarzian(phi, refit_size(phi.degree), modified)
     return FourierFunction.from_grid(vals, phi.degree)
 
@@ -469,8 +461,8 @@ def schwarzian_values(phi: CircleDiffeo, theta,
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
                                 modified: bool = False) -> float:
-    """Sup over the 256-point grid of
-    S(phi o psi) - (S(phi) o psi)(psi')^2 - S(psi), for degrees <= 127.
+    """Sup over the refit grid of 8 max(N, 4) points (N the larger degree)
+    of S(phi o psi) - (S(phi) o psi)(psi')^2 - S(psi).
 
     The left side goes through the truncated composition, so the value
     measures how well the chain rule survives the refit; the modified
@@ -478,7 +470,7 @@ def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
     (1/2)((phi')^2 - 1) is itself a cocycle for the (psi')^2 action.
     The grid terms read jets; S(phi) o psi is Horner at the moved points.
     """
-    M = 256
+    M = refit_size(max(phi.degree, psi.degree))
     lhs = _grid_schwarzian(compose(phi, psi), M, modified)
     p, dp, d2p, d3p = psi.grid_jet(M)
     dpsi = 1.0 + dp

@@ -23,9 +23,9 @@ import numpy as np
 from .reports import emit
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite, suite_names
 from .virasoro import (
-    VermaBasis,
     VirasoroElement,
     convexity_check,
+    partitions_of,
     projection_curve,
     verma_gram,
 )
@@ -207,14 +207,13 @@ def _cmd_gram(args) -> int:
         print(f"bad rational parameter: {exc}", file=sys.stderr)
         return 2
     try:
-        basis = VermaBasis(level=args.level, c=c, h=h)
+        G = verma_gram(args.level, c, h)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    G = verma_gram(basis)
     print(f"level {args.level}, c = {c}, h = {h}")
     labels = ["d" + "".join(f"(-{p})" for p in part) + "v" if part else "v"
-              for part in basis.partitions]
+              for part in partitions_of(args.level)]
     width = max(len(s) for s in labels)
     for lab, row in zip(labels, G):
         entries = "  ".join(str(v) for v in row)

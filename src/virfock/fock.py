@@ -233,12 +233,9 @@ class FockVector:
 
 
 def vacuum(space: ModeSpace) -> FockVector:
-    return basis_vector(space, (0,) * space.d)
-
-
-def basis_vector(space: ModeSpace, occ) -> FockVector:
+    """The vacuum, basis state 0 of ``space``."""
     amps = np.zeros(space.dim, dtype=complex)
-    amps[space.index[tuple(occ)]] = 1.0
+    amps[0] = 1.0
     return FockVector(space, amps)
 
 

@@ -105,9 +105,6 @@ class VerificationReport:
         ]
         return out
 
-    def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timestamp), indent=2) + "\n"
-
     def summary_lines(self) -> list[str]:
         lines = []
         for c in self.checks:
@@ -122,33 +119,24 @@ class VerificationReport:
 CSV_COLUMNS = ("suite", "id", "anchor", "residual", "tolerance", "pass")
 
 
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rep in reports:
-        for c in rep.checks:
-            writer.writerow([rep.suite, c.check_id, c.anchor,
-                             repr(c.residual), repr(c.tolerance),
-                             "true" if c.passed else "false"])
-    return buf.getvalue()
-
-
-def reports_to_json(reports: list[VerificationReport],
-                    include_timestamp: bool = True) -> str:
-    if len(reports) == 1:
-        return reports[0].to_json(include_timestamp)
-    payload = [rep.to_dict(include_timestamp) for rep in reports]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def emit(reports: list[VerificationReport], fmt: str,
          path: str | None = None, include_timestamp: bool = True) -> str:
-    """Serialize reports to json or csv; write to path when given."""
+    """Serialize reports to json (one report gives an object, several a
+    list) or csv, one row per check; write to path when given."""
     if fmt == "json":
-        text = reports_to_json(reports, include_timestamp)
+        payload = [rep.to_dict(include_timestamp) for rep in reports]
+        text = json.dumps(payload[0] if len(payload) == 1 else payload,
+                          indent=2) + "\n"
     elif fmt == "csv":
-        text = reports_to_csv(reports)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rep in reports:
+            for c in rep.checks:
+                writer.writerow([rep.suite, c.check_id, c.anchor,
+                                 repr(c.residual), repr(c.tolerance),
+                                 "true" if c.passed else "false"])
+        text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}: expected json or csv")
     if path is not None:

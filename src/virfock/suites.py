@@ -71,23 +71,20 @@ class SuiteConfig:
         return self.params.get(key, SUITES[self.suite][2][key][0])
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SuiteConfig":
-        if not isinstance(data, dict) or not isinstance(data.get("suite"), str):
-            raise ValueError("a config must be a JSON object with a string "
-                             "'suite' key")
-        data = dict(data)
-        suite = data.pop("suite")
-        seed = data.pop("seed", DEFAULT_SEED)
-        return cls(suite=suite, seed=seed, params=data)
-
-    @classmethod
     def from_file(cls, path: str) -> "SuiteConfig":
+        """Read a JSON object with a string 'suite' key, an optional
+        'seed' and flat integer params."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except RecursionError:
                 raise ValueError("the JSON nests too deeply") from None
-        return cls.from_dict(data)
+        if not isinstance(data, dict) or not isinstance(data.get("suite"), str):
+            raise ValueError("a config must be a JSON object with a string "
+                             "'suite' key")
+        suite = data.pop("suite")
+        seed = data.pop("seed", DEFAULT_SEED)
+        return cls(suite=suite, seed=seed, params=data)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         br = ci.lie_bracket(ci.witt_generator(n, degree=14),
                             ci.witt_generator(m, degree=14), degree=14)
         diff = br - (n - m) * ci.witt_generator(n + m, degree=14)
-        return [abs(diff.coeff(k)) for k in range(-14, 15)]
+        return np.abs(diff.coeffs)
 
     yield check("02-bracket-structure-constants", "[d_n, d_m] = (n - m) d_{n+m}",
                 [bracket_defect(n, m) for n in range(-6, 7) for m in range(-6, 7)],
@@ -362,7 +359,8 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     rot = ci.CircleDiffeo.rotation(1.234, degree=16)
     yield check("07-rotation-schwarzian-zero", "S and Stilde vanish on rotations",
-                [ci.schwarzian(rot).sup_norm(), ci.modified_schwarzian(rot).sup_norm()],
+                [ci.schwarzian(rot).sup_norm(),
+                 ci.schwarzian(rot, modified=True).sup_norm()],
                 1e-12)
 
     chat = vi.normalized_central(degree=14)
@@ -373,9 +371,8 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         expected = (n - m) * vi.generator(n + m, degree=14)
         if n + m == 0:
             expected = expected + ((n ** 3 - n) / 12.0) * chat
-        return [abs(br.z - expected.z)] + [
-            abs(br.field.coeff(k) - expected.field.coeff(k))
-            for k in range(-14, 15)]
+        return [abs(br.z - expected.z),
+                *np.abs(br.field.coeffs - expected.field.coeffs)]
 
     yield check("08-normalized-bracket",
                 "[d_n, d_m] = (n - m) d_{n+m} + delta (n^3 - n)/12 chat",
@@ -476,8 +473,7 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         return Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 8)))
 
     def singletons_exact(c, h):
-        return all([vi.verma_gram(vi.VermaBasis(level=n, c=c, h=h,
-                                                partitions=((n,),)))[0, 0]
+        return all([vi.verma_gram(n, c, h, partitions=((n,),))[0, 0]
                     == vi.singleton_norm(n, c, h) for n in range(1, 6)])
 
     yield boolean_check("01-singleton-norms-exact",
@@ -487,8 +483,8 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                              for _ in range(5)]))
 
     def level2_exact(c, h):
-        basis = vi.VermaBasis(level=2, c=c, h=h)
-        G = vi.verma_gram(basis)
+        parts = tuple(vi.partitions_of(2))
+        G = vi.verma_gram(2, c, h)
         expected = {
             ((2,), (2,)): 4 * h + Fraction(c, 2),
             ((2,), (1, 1)): 6 * h,
@@ -496,16 +492,15 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
         }
         return all([G[i, j] == expected[(pi_, pj) if (pi_, pj) in expected
                                          else (pj, pi_)]
-                    for i, pi_ in enumerate(basis.partitions)
-                    for j, pj in enumerate(basis.partitions)])
+                    for i, pi_ in enumerate(parts)
+                    for j, pj in enumerate(parts)])
 
     yield boolean_check("02-level2-gram-exact",
                         "level-2 Gram matrix [[4h + c/2, 6h], [6h, 8h^2 + 4h]]",
                         all([level2_exact(rand_frac(), rand_frac()) for _ in range(5)]))
 
     def pair_determinant_exact(h, n):
-        G = vi.verma_gram(vi.VermaBasis(level=2 * n, c=Fraction(0), h=h,
-                                        partitions=((2 * n,), (n, n))))
+        G = vi.verma_gram(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
         det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
         return det == 4 * n ** 3 * h ** 2 * (8 * h - 5 * n)
 
@@ -518,8 +513,7 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     # Gram matrices of different levels differ in size: reduce each first.
     def asymmetry(c, h):
-        grams = [vi.verma_gram(vi.VermaBasis(level=level, c=c, h=h))
-                 for level in range(1, 5)]
+        grams = [vi.verma_gram(level, c, h) for level in range(1, 5)]
         return [float(np.max(np.abs(G - G.T))) for G in grams]
 
     yield check("04-gram-symmetry",
@@ -530,8 +524,8 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     c, h = Fraction(7, 10), Fraction(-3, 4)
 
     def exact_vs_float(level):
-        Ge = vi.verma_gram(vi.VermaBasis(level=level, c=c, h=h))
-        Gf = vi.verma_gram(vi.VermaBasis(level=level, c=float(c), h=float(h)))
+        Ge = vi.verma_gram(level, c, h)
+        Gf = vi.verma_gram(level, float(c), float(h))
         return float(np.max(np.abs(np.vectorize(float)(Ge) - Gf)))
 
     yield check("05-exact-vs-float", "float Gram agrees with the rational one",

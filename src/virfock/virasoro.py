@@ -46,7 +46,7 @@ computed in exact rational arithmetic when (c, h) are rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,12 +60,12 @@ from .circle import (
     grid_points,
     integrate,
     lie_bracket,
-    modified_schwarzian,
     omega_cocycle,
     pairing_integral,
     pullback_density,
     random_diffeo,
     refit_size,
+    schwarzian,
     schwarzian_from_jet,
     witt_generator,
 )
@@ -175,8 +175,8 @@ def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
 def coadjoint_action(phi: CircleDiffeo,
                      lam: VirasoroFunctional) -> VirasoroFunctional:
     """Ad*_phi(a, u) = (a, (u o phi)(phi')^2 - a Stilde(phi))."""
-    return VirasoroFunctional(
-        lam.a, pullback_density(phi, lam.u, 2) - modified_schwarzian(phi) * lam.a)
+    return VirasoroFunctional(lam.a, pullback_density(phi, lam.u, 2)
+                              - schwarzian(phi, modified=True) * lam.a)
 
 
 # ---------------------------------------------------------------------------
@@ -299,37 +299,6 @@ def projection_curve(x: VirasoroElement, n: int,
 # Verma modules
 
 
-@dataclass(frozen=True)
-class VermaBasis:
-    """PBW monomials d_{-n1} ... d_{-nk} v at a fixed level.
-
-    Partitions are descending tuples summing to the level; by default
-    all partitions of the level, in lexicographically decreasing order.
-    """
-
-    level: int
-    c: Fraction | float
-    h: Fraction | float
-    partitions: tuple[tuple[int, ...], ...] = field(default=None)
-
-    def __post_init__(self):
-        if self.level < 0 or self.level > MAX_VERMA_LEVEL:
-            raise ValueError(f"level must lie in 0..{MAX_VERMA_LEVEL}")
-        if self.partitions is None:
-            object.__setattr__(self, "partitions",
-                               tuple(partitions_of(self.level)))
-        else:
-            parts = tuple(tuple(p) for p in self.partitions)
-            for p in parts:
-                if sum(p) != self.level or list(p) != sorted(p, reverse=True):
-                    raise ValueError(f"{p} is not a descending partition of {self.level}")
-            object.__setattr__(self, "partitions", parts)
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.c, (int, Fraction)) and isinstance(self.h, (int, Fraction))
-
-
 def partitions_of(n: int, largest: int | None = None) -> Iterable[tuple[int, ...]]:
     """Descending partitions of n, largest part first."""
     if n == 0:
@@ -389,18 +358,30 @@ def _gram_entry(mu: tuple[int, ...], nu: tuple[int, ...], c, h):
     return state.get((), type(h)(0))
 
 
-def verma_gram(basis: VermaBasis) -> np.ndarray:
-    """Gram matrix of the PBW monomials of `basis`.
+def verma_gram(level: int, c: Fraction | float, h: Fraction | float,
+               partitions: Sequence[tuple[int, ...]] | None = None) -> np.ndarray:
+    """Gram matrix of the PBW monomials d_{-n1} ... d_{-nk} v at ``level``.
 
-    Exact rational entries (dtype=object) when both c and h are
-    rational; float entries otherwise.  The matrix is symmetric because
-    the adjoint exchanges d_n and d_{-n}.
+    ``partitions`` are descending tuples summing to the level; by default
+    all of them, in the order of `partitions_of`.  Exact rational entries
+    (dtype=object) when both c and h are rational; float entries
+    otherwise.  The matrix is symmetric because the adjoint exchanges d_n
+    and d_{-n}.
     """
-    num = Fraction if basis.exact else float
-    c, h = num(basis.c), num(basis.h)
-    parts = basis.partitions
+    if level < 0 or level > MAX_VERMA_LEVEL:
+        raise ValueError(f"level must lie in 0..{MAX_VERMA_LEVEL}")
+    if partitions is None:
+        parts = tuple(partitions_of(level))
+    else:
+        parts = tuple(tuple(p) for p in partitions)
+        for p in parts:
+            if sum(p) != level or list(p) != sorted(p, reverse=True):
+                raise ValueError(f"{p} is not a descending partition of {level}")
+    exact = isinstance(c, (int, Fraction)) and isinstance(h, (int, Fraction))
+    num = Fraction if exact else float
+    c, h = num(c), num(h)
     k = len(parts)
-    G = np.empty((k, k), dtype=object if basis.exact else float)
+    G = np.empty((k, k), dtype=object if exact else float)
     for i in range(k):
         for j in range(i, k):
             G[i, j] = G[j, i] = _gram_entry(parts[i], parts[j], c, h)
@@ -429,7 +410,7 @@ def unitarity_scan(c_values: Sequence[float], h_values: Sequence[float],
             mins = []
             first_bad = None
             for level in range(1, max_level + 1):
-                G = verma_gram(VermaBasis(level=level, c=float(c), h=float(h)))
+                G = verma_gram(level, float(c), float(h))
                 eigs = np.linalg.eigvalsh(G)
                 mins.append(float(eigs[0]))
                 if first_bad is None and eigs[0] < -1e-9 * max(1.0, float(np.abs(G).max())):

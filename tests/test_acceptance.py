@@ -56,7 +56,6 @@ from virfock.symplectic import (
     spectral_support,
 )
 from virfock.virasoro import (
-    VermaBasis,
     VirasoroElement,
     adjoint_action,
     beta_hessian_form,
@@ -179,9 +178,8 @@ def test_criterion_06_verma_gram_exact():
             ok = ok and singleton_norm(n, c, h) == want
     for n in range(1, 4):
         for h in (Fraction(5, 7), Fraction(1, 2), Fraction(3)):
-            basis = VermaBasis(2 * n, Fraction(0), h,
-                               partitions=((2 * n,), (n, n)))
-            g = verma_gram(basis)
+            g = verma_gram(2 * n, Fraction(0), h,
+                           partitions=((2 * n,), (n, n)))
             det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
             ok = ok and det == 4 * n ** 3 * h ** 2 * (8 * h - 5 * n)
     _verdict(6, "singleton norms (n <= 5) and c=0 pair dets (n <= 3)",

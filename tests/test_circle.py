@@ -19,7 +19,6 @@ from virfock.circle import (
     invert,
     lie_bracket,
     lie_derivative,
-    modified_schwarzian,
     multiply,
     omega_cocycle,
     pullback_density,
@@ -470,10 +469,11 @@ def test_refit_schwarzian_matches_the_horner_reference(degree):
     M = refit_size(degree)
     for _ in range(3):
         phi = random_diffeo(rng, degree, modes=8, amplitude=0.2, max_slope=0.6)
-        for refit, modified in ((schwarzian, False), (modified_schwarzian, True)):
+        for modified in (False, True):
             ref = FourierFunction.from_grid(
                 schwarzian_values(phi, grid_points(M), modified), degree)
-            assert np.max(np.abs(refit(phi).coeffs - ref.coeffs)) <= 1e-12
+            refit = schwarzian(phi, modified)
+            assert np.max(np.abs(refit.coeffs - ref.coeffs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +483,10 @@ def test_refit_schwarzian_matches_the_horner_reference(degree):
 def test_schwarzian_vanishes_on_rotations_and_identity():
     rot = CircleDiffeo.rotation(1.1, degree=12)
     assert schwarzian(rot).sup_norm() < 1e-13
-    assert modified_schwarzian(rot).sup_norm() < 1e-13
+    assert schwarzian(rot, modified=True).sup_norm() < 1e-13
     ident = CircleDiffeo(FourierFunction.zero(12))
     assert schwarzian(ident).sup_norm() < 1e-13
-    assert modified_schwarzian(ident).sup_norm() < 1e-13
+    assert schwarzian(ident, modified=True).sup_norm() < 1e-13
 
 
 @pytest.mark.parametrize("a", [0.3, 0.6])
@@ -499,7 +499,7 @@ def test_refit_schwarzian_matches_closed_form_off_the_grid(a):
     s = d3 / d1 - 1.5 * (d2 / d1) ** 2
     assert np.max(np.abs(schwarzian(phi).evaluate(theta) - s)) < 1e-12
     s_mod = s + 0.5 * (d1 ** 2 - 1.0)
-    assert np.max(np.abs(modified_schwarzian(phi).evaluate(theta) - s_mod)) < 1e-12
+    assert np.max(np.abs(schwarzian(phi, modified=True).evaluate(theta) - s_mod)) < 1e-12
 
 
 @pytest.mark.parametrize("modified", [False, True])
@@ -516,14 +516,26 @@ def test_schwarzian_cocycle_identity(modified):
         assert res < 1e-8
 
 
+@pytest.mark.parametrize("modified", [False, True])
+def test_schwarzian_cocycle_residual_has_no_degree_cap(modified):
+    # the residual samples on the refit grid of the larger degree, which
+    # grows with it, so degrees above 127 (half of 256) are allowed
+    from virfock.circle import schwarzian_cocycle_residual
+
+    rng = np.random.default_rng(35)
+    phi = random_diffeo(rng, degree=130, modes=5, amplitude=0.06, max_slope=0.4)
+    psi = random_diffeo(rng, degree=130, modes=5, amplitude=0.06, max_slope=0.4)
+    assert schwarzian_cocycle_residual(phi, psi, modified=modified) < 1e-8
+
+
 def test_modified_schwarzian_linearization():
     # (d/dt)|_0 Stilde(flow(tX)) = f''' + f', by central differences
     rng = np.random.default_rng(34)
     f = random_field(rng, 6, scale=0.5)
     X = f
     h = 1e-4
-    plus = modified_schwarzian(flow(X, h))
-    minus = modified_schwarzian(flow(X, -h))
+    plus = schwarzian(flow(X, h), modified=True)
+    minus = schwarzian(flow(X, -h), modified=True)
     fd = (plus - minus) * (1.0 / (2.0 * h))
     exact = derivative(derivative(derivative(f))) + derivative(f)
     rel = (fd - exact).sup_norm() / exact.sup_norm()

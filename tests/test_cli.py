@@ -17,7 +17,6 @@ from virfock.reports import (
     boolean_check,
     check,
     emit,
-    reports_to_csv,
 )
 from virfock.suites import SuiteConfig, run_suite, suite_names
 from virfock.virasoro import VirasoroElement, convexity_check
@@ -97,15 +96,15 @@ def test_fock_vacuum_oracle_agrees_at_odd_and_even_cutoffs(N):
 
 def test_identical_config_gives_identical_json():
     cfg = SuiteConfig(suite="virasoro-verma", seed=2026)
-    first = run_suite(cfg).to_json(include_timestamp=False)
-    second = run_suite(cfg).to_json(include_timestamp=False)
+    first = emit([run_suite(cfg)], "json", include_timestamp=False)
+    second = emit([run_suite(cfg)], "json", include_timestamp=False)
     assert first == second
 
 
 def test_suite_order_does_not_change_reports():
     def texts(order):
-        return {name: run_suite(SuiteConfig(suite=name))
-                .to_json(include_timestamp=False) for name in order}
+        return {name: emit([run_suite(SuiteConfig(suite=name))], "json",
+                           include_timestamp=False) for name in order}
 
     forward = texts(["convex-cones", "virasoro-verma", "fock-vacuum"])
     backward = texts(["fock-vacuum", "virasoro-verma", "convex-cones"])
@@ -180,12 +179,12 @@ def _tiny_report():
 
 def test_empty_report_emits_header_only_csv():
     rep = VerificationReport(suite="demo", seed=0, checks=())
-    assert reports_to_csv([rep]) == "suite,id,anchor,residual,tolerance,pass\n"
+    assert emit([rep], "csv") == "suite,id,anchor,residual,tolerance,pass\n"
 
 
 def test_csv_has_one_row_per_check_plus_header():
     rep = _tiny_report()
-    lines = reports_to_csv([rep]).splitlines()
+    lines = emit([rep], "csv").splitlines()
     assert len(lines) == len(rep.checks) + 1
     assert lines[0] == "suite,id,anchor,residual,tolerance,pass"
     assert lines[1].startswith("demo,01-alpha,first anchor,")
@@ -194,7 +193,7 @@ def test_csv_has_one_row_per_check_plus_header():
 
 def test_json_round_trip_preserves_values():
     rep = _tiny_report()
-    data = json.loads(rep.to_json(include_timestamp=False))
+    data = json.loads(emit([rep], "json", include_timestamp=False))
     assert data["suite"] == "demo"
     assert data["seed"] == 5
     assert data["all_passed"] is False
@@ -236,6 +235,14 @@ def test_checks_are_ordered_by_id():
         suite="demo", seed=0,
         checks=(check("02-b", "a", 0.0, 1.0), check("01-a", "a", 0.0, 1.0)))
     assert [c.check_id for c in rep.checks] == ["01-a", "02-b"]
+
+
+def test_emit_json_gives_an_object_for_one_report_and_a_list_for_two():
+    rep = _tiny_report()
+    one = json.loads(emit([rep], "json", include_timestamp=False))
+    assert one == rep.to_dict(include_timestamp=False)
+    two = json.loads(emit([rep, rep], "json", include_timestamp=False))
+    assert two == [one, one]
 
 
 def test_emit_writes_the_requested_file(tmp_path):

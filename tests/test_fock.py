@@ -17,7 +17,6 @@ from virfock.fock import (
     FockVector,
     ModeSpace,
     annihilate,
-    basis_vector,
     central_term,
     central_term_trace,
     create,
@@ -50,6 +49,12 @@ from virfock.suites import SuiteConfig, run_suite
 
 def random_vec(rng, d):
     return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+
+def _basis_vector(space, occ):
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[space.index[occ]] = 1.0
+    return FockVector(space, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,7 @@ def test_vacuum_is_annihilated():
     rng = np.random.default_rng(50)
     for stat in (BOSONIC, FERMIONIC):
         sp = ModeSpace(2, stat, cutoff=4)
+        assert (vacuum(sp) - _basis_vector(sp, (0, 0))).norm() == 0.0
         f = random_vec(rng, 2)
         assert annihilate(sp, f).apply(vacuum(sp)).norm() < 1e-14
 
@@ -157,7 +163,7 @@ def test_creation_is_adjoint_of_annihilation():
 
 def test_creation_raises_degree_by_one():
     sp = ModeSpace(2, BOSONIC, cutoff=6)
-    v = basis_vector(sp, (1, 2))
+    v = _basis_vector(sp, (1, 2))
     w = create(sp, [1.0, 0.0]).apply(v)
     assert w.degree_norms()[4] > 0
     assert sum(w.degree_norms()[:4]) < 1e-15
@@ -165,7 +171,7 @@ def test_creation_raises_degree_by_one():
 
 def test_number_operator_counts():
     sp = ModeSpace(2, BOSONIC, cutoff=5)
-    v = basis_vector(sp, (2, 1))
+    v = _basis_vector(sp, (2, 1))
     assert np.linalg.norm(number_operator(sp).apply(v).amps - 3.0 * v.amps) < 1e-14
 
 
@@ -872,4 +878,4 @@ def test_vacuum_residuals_read_F_as_a_prefix_of_the_roomy_space():
 def test_create_records_leak_at_cutoff():
     sp = ModeSpace(1, BOSONIC, cutoff=3)
     op = create(sp, [1.0])
-    assert op.apply(basis_vector(sp, (3,))).norm() < 1e-14
+    assert op.apply(_basis_vector(sp, (3,))).norm() < 1e-14

@@ -12,18 +12,17 @@ from virfock.circle import (
     FourierFunction,
     grid_points,
     invert,
-    modified_schwarzian,
     pairing_integral,
     pullback_density,
     random_diffeo,
     refit_size,
+    schwarzian,
     schwarzian_values,
 )
 from virfock.suites import SuiteConfig, run_suite
 from virfock.virasoro import (
     MAX_VERMA_LEVEL,
     CartanCoords,
-    VermaBasis,
     VirasoroElement,
     VirasoroFunctional,
     adjoint_action,
@@ -191,7 +190,7 @@ def test_adjoint_central_shift_matches_the_inverse_route():
         phi = small_diffeo(rng)
         x = VirasoroElement(float(rng.normal()), random_real_field(rng, 48))
         inverse_route = x.z - pairing_integral(
-            x.field, modified_schwarzian(invert(phi)))
+            x.field, schwarzian(invert(phi), modified=True))
         assert abs(adjoint_action(phi, x).z - inverse_route) <= 1e-11
 
 
@@ -294,7 +293,7 @@ def test_projection_curve_n1_is_pure_rotation_shift():
 
 
 def frac_gram(level, c, h):
-    return verma_gram(VermaBasis(level, Fraction(c[0], c[1]), Fraction(h[0], h[1])))
+    return verma_gram(level, Fraction(c[0], c[1]), Fraction(h[0], h[1]))
 
 
 def test_partitions_enumeration():
@@ -307,8 +306,7 @@ def test_singleton_norm_closed_form(n):
     c, h = Fraction(7, 10), Fraction(3, 4)
     expected = 2 * n * h + c * Fraction(n ** 3 - n, 12)
     assert singleton_norm(n, c, h) == expected
-    basis = VermaBasis(n, c, h, partitions=((n,),))
-    gram = verma_gram(basis)
+    gram = verma_gram(n, c, h, partitions=((n,),))
     assert gram[0, 0] == expected
 
 
@@ -323,8 +321,7 @@ def test_level_two_gram_exact():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_c_zero_pair_determinant(n):
     h = Fraction(5, 7)
-    basis = VermaBasis(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
-    gram = verma_gram(basis)
+    gram = verma_gram(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
     det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
     assert det == 4 * n ** 3 * h ** 2 * (8 * h - 5 * n)
 
@@ -339,8 +336,8 @@ def test_gram_symmetric_exactly():
 
 def test_gram_float_matches_exact():
     c, h = Fraction(11, 3), Fraction(2, 5)
-    exact = verma_gram(VermaBasis(3, c, h))
-    approx = verma_gram(VermaBasis(3, float(c), float(h)))
+    exact = verma_gram(3, c, h)
+    approx = verma_gram(3, float(c), float(h))
     worst = np.max(np.abs(np.vectorize(float)(exact) - approx))
     assert worst < 1e-9
 
@@ -367,8 +364,7 @@ def test_c_zero_h_one_negative_norms_appear():
     # pick up their first negative eigenvalue at level 3
     h = Fraction(1)
     for n, positive in [(1, True), (2, False)]:
-        basis = VermaBasis(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
-        gram = verma_gram(basis)
+        gram = verma_gram(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
         det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
         assert (det > 0) == positive
     scan = unitarity_scan([0.0], [1.0], max_level=3)
@@ -377,7 +373,7 @@ def test_c_zero_h_one_negative_norms_appear():
 
 def test_verma_level_guard():
     with pytest.raises(ValueError, match=f"level must lie in 0..{MAX_VERMA_LEVEL}"):
-        VermaBasis(MAX_VERMA_LEVEL + 1, Fraction(1), Fraction(1))
+        verma_gram(MAX_VERMA_LEVEL + 1, Fraction(1), Fraction(1))
 
 
 def _cartan_check(field):
@@ -393,9 +389,9 @@ def _cartan_check(field):
     (lambda: _cartan_check(FourierFunction.from_dict({0: 1.0, 2: 0.1, -2: 0.1}, 8)),
      "Cartan plane with alpha > 0"),
     (lambda: _cartan_check(FourierFunction.constant(0.0, 8)), "Cartan plane with alpha > 0"),
-    (lambda: VermaBasis(3, Fraction(1), Fraction(1), partitions=((2, 1), (1, 2))),
+    (lambda: verma_gram(3, Fraction(1), Fraction(1), partitions=((2, 1), (1, 2))),
      r"\(1, 2\) is not a descending partition of 3"),
-    (lambda: VermaBasis(3, Fraction(1), Fraction(1), partitions=((2,),)),
+    (lambda: verma_gram(3, Fraction(1), Fraction(1), partitions=((2,),)),
      r"\(2,\) is not a descending partition of 3"),
     (lambda: unitarity_scan([1.0], [1.0], MAX_VERMA_LEVEL + 1),
      f"max_level must be <= {MAX_VERMA_LEVEL}"),
