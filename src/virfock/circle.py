@@ -20,11 +20,15 @@ products).  Sampling takes real series and real samples, and raises
 ValueError on complex ones.  A real series is sampled from its folded
 k >= 0 half by one of two kernels over rows of halves: `_half_grid_values`,
 one batched irfft on the uniform grid theta_j = 2 pi j / M (`grid_values`,
-`CircleDiffeo.grid_jet`), and `_half_values`, Horner's rule at arbitrary
-angles (`evaluate`, `CircleDiffeo.jet`); `from_grid` is one rfft.  The
-group operations read phi on their grid from `grid_jet` and keep Horner
-for moved points only: u o phi, flow's RK4 stages, invert's Newton
-iterates and S(phi) o psi.
+`CircleDiffeo.grid_jet`), and `_half_values`, Horner's rule in
+z = e^{i theta} at arbitrary angles (`evaluate`, `CircleDiffeo.jet`);
+`from_grid` is one rfft.  A third use bounds memory on fine grids:
+`grid_arcs` yields the grid in arcs of at most ``GRID_BLOCK`` points (or
+the refit grid, if larger), one irfft when the whole grid fits in one
+arc and Horner on each arc's phases otherwise.  The group operations
+read phi on their grid from `grid_jet` and keep Horner for moved points
+only: u o phi, flow's RK4 stages, invert's Newton iterates and
+S(phi) o psi.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ DEFAULT_DEGREE = 32
 
 #: Tolerance for the reality invariant c_{-k} = conj(c_k).
 REALITY_TOL = 1e-12
+
+#: Most grid points `FourierFunction.grid_arcs` samples at once for a
+#: series of degree N <= GRID_BLOCK / 8 (a higher degree's refit grid).
+GRID_BLOCK = 4096
 
 
 class FourierFunction:
@@ -154,7 +162,8 @@ class FourierFunction:
         Re sum_k c_k e^{ik theta} even where the reality invariant holds only
         to ``REALITY_TOL``; a complex series raises ValueError.  On a uniform
         grid `grid_values` takes the FFT route."""
-        return _half_values(self._real_half(), theta)
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        return _half_values(self._real_half(), z)
 
     def grid_values(self, M: int):
         """Real values of a real series on the uniform grid
@@ -164,6 +173,25 @@ class FourierFunction:
         if M < 2 * self.degree + 1:
             raise ValueError("grid too coarse for this degree")
         return _half_grid_values(self._real_half(), M)
+
+    def grid_arcs(self, M: int):
+        """Real values of a real series on ``grid_points(M)`` in consecutive
+        arcs of at most B = max(GRID_BLOCK, refit_size(N)) points, so no
+        array spans a grid finer than that.  A grid of at most B points is
+        one arc, `grid_values` itself; a finer one runs `_half_values` at
+        z = e^{i theta_lo} w_m on each arc, from one table
+        w_m = e^{2 pi i m / M}, m < B.  Horner costs M K where the irfft
+        costs M log M, so B grows with the refit grid, which every
+        nonlinear operation on the series samples anyway.  Raises the
+        ValueErrors of `grid_values`."""
+        block = max(GRID_BLOCK, refit_size(self.degree))
+        if M <= block:
+            yield self.grid_values(M)
+            return
+        half = self._real_half()
+        w = np.exp(1j * TWO_PI * np.arange(block) / M)
+        for lo in range(0, M, block):
+            yield _half_values(half, np.exp(1j * TWO_PI * lo / M) * w[:M - lo])
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.grid_values(8 * max(self.degree, 1) + 1))))
@@ -232,7 +260,8 @@ class CircleDiffeo:
     def jet(self, theta) -> np.ndarray:
         """Rows p, p', p'', p''' at arbitrary angles, shape
         (4,) + theta.shape, from one Horner pass over the jet rows."""
-        return _half_values(self._rows, theta)
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        return _half_values(self._rows, z)
 
     def __repr__(self):
         return f"CircleDiffeo(degree={self.degree})"
@@ -247,19 +276,16 @@ def grid_points(M: int) -> np.ndarray:
     return TWO_PI * np.arange(M) / M
 
 
-def _half_values(half: np.ndarray, theta) -> np.ndarray:
-    """Re sum_{k>=0} a_k e^{ik theta} at arbitrary angles for each row a of
-    ``half`` (k = 0 .. K along the last axis), shape
-    half.shape[:-1] + theta.shape: Horner's rule in z = e^{i theta}, with
-    one exponential per angle and one loop over k for all rows, and no
-    table of exponentials.  The sum stops at the last column K."""
-    theta = np.asarray(theta, dtype=float)
-    z = np.exp(1j * theta)
+def _half_values(half: np.ndarray, z) -> np.ndarray:
+    """Re sum_{k>=0} a_k z^k at points z = e^{i theta} of the unit circle
+    for each row a of ``half`` (k = 0 .. K along the last axis), shape
+    half.shape[:-1] + z.shape: Horner's rule, with one loop over k for all
+    rows and no table of powers.  The sum stops at the last column K."""
     # k leads; a single row's columns stay scalars, numpy's fast path
-    cols = np.moveaxis(half, -1, 0)
+    cols = half.T
     if half.ndim > 1:
-        cols = cols.reshape(cols.shape + (1,) * theta.ndim)
-    acc = np.full(half.shape[:-1] + theta.shape, cols[-1], dtype=complex)
+        cols = cols.reshape(cols.shape + (1,) * z.ndim)
+    acc = np.full(half.shape[:-1] + z.shape, cols[-1], dtype=complex)
     for ck in cols[-2::-1]:
         acc *= z
         acc += ck

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -188,24 +188,34 @@ def chi(f: FourierFunction, grid_size: int | None = None) -> float:
 
     For a trigonometric polynomial with min f > 0 the integrand is
     analytic in a strip, so the periodic trapezoid rule converges
-    geometrically; the default grid is generous enough that the
-    remaining error is far below 1e-12 unless f nearly touches zero.
-    Raises ValueError when f is not real and positive on the grid.
+    geometrically; the default grid of max(CHI_MIN_GRID, 8N) points is
+    generous enough that the remaining error is far below 1e-12 unless f
+    nearly touches zero.  The rule sums 1/f arc by arc over
+    `FourierFunction.grid_arcs`, so a grid of any size takes
+    O(max(GRID_BLOCK, 8N)) memory; on one arc, the default grid's
+    included, the sum is bit for bit np.mean.  Raises ValueError when f
+    is not real and positive on the grid.
     """
-    return float(np.mean(1.0 / _positive_samples(f, grid_size)))
+    total, points = 0.0, 0
+    for vals in _positive_arcs(f, grid_size):
+        total += np.sum(1.0 / vals)
+        points += vals.size
+    return float(total / points)
 
 
-def _positive_samples(f: FourierFunction, grid_size: int | None) -> np.ndarray:
+def _positive_arcs(f: FourierFunction,
+                   grid_size: int | None) -> Iterator[np.ndarray]:
     """f on the uniform grid of ``grid_size`` points (default
-    max(CHI_MIN_GRID, 8N)); raises ValueError unless f is real and
-    positive there."""
+    max(CHI_MIN_GRID, 8N), one arc) arc by arc, as
+    `FourierFunction.grid_arcs` yields it; raises ValueError unless f is
+    real and positive there."""
     if not f.real_flag:
         raise ValueError("chi is defined for real fields only")
     M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
-    vals = f.grid_values(M)
-    if np.min(vals) <= 0.0:
-        raise ValueError("chi requires f > 0 on the circle")
-    return vals
+    for vals in f.grid_arcs(M):
+        if np.min(vals) <= 0.0:
+            raise ValueError("chi requires f > 0 on the circle")
+        yield vals
 
 
 def orbit_invariants(x: VirasoroElement) -> CartanCoords:
@@ -219,7 +229,7 @@ def orbit_invariants(x: VirasoroElement) -> CartanCoords:
     if abs(complex(x.z).imag) > 1e-9:
         raise ValueError("orbit invariants are defined for real elements")
     f = x.field
-    fv = _positive_samples(f, None)
+    [fv] = _positive_arcs(f, None)
     chi_val = float(np.mean(1.0 / fv))
     dfv = derivative(f).grid_values(fv.size)
     energy = 2.0 * math.pi * float(np.mean(dfv ** 2 / (2.0 * fv)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from virfock.circle import (
+    GRID_BLOCK,
     REALITY_TOL,
     CircleDiffeo,
     FourierFunction,
@@ -143,6 +144,28 @@ def test_evaluate_matches_explicit_sum_at_arbitrary_angles(degree, real):
     oracle = explicit_sum(f, theta).real
     scale = np.sum(np.abs(f.coeffs))
     assert np.max(np.abs(f.evaluate(theta) - oracle)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("degree", [4, 48])
+def test_grid_arcs_cover_a_large_grid_in_bounded_arcs(degree):
+    # past GRID_BLOCK points the arcs are Horner at rotated phases, ending
+    # in a short arc of 17 points
+    rng = np.random.default_rng(60 + degree)
+    f = random_function(rng, degree, real=True)
+    M = 3 * GRID_BLOCK + 17
+    arcs = list(f.grid_arcs(M))
+    assert [a.size for a in arcs] == [GRID_BLOCK] * 3 + [17]
+    scale = np.sum(np.abs(f.coeffs))
+    oracle = f.evaluate(grid_points(M))
+    assert np.max(np.abs(np.concatenate(arcs) - oracle)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("degree, M", [(48, GRID_BLOCK), (600, refit_size(600))])
+def test_grid_arcs_of_a_grid_that_fits_one_arc_are_grid_values(degree, M):
+    # past degree GRID_BLOCK / 8 an arc holds the whole refit grid
+    f = random_function(np.random.default_rng(62), degree, real=True)
+    arcs = list(f.grid_arcs(M))
+    assert len(arcs) == 1 and np.array_equal(arcs[0], f.grid_values(M))
 
 
 def test_evaluate_nearly_real_function_is_real_part_of_full_sum():
@@ -409,11 +432,16 @@ def test_diffeo_rejects_non_monotone_candidate():
     (lambda: witt_generator(1, 4).sup_norm(), "cannot sample a complex series"),
     (lambda: FourierFunction.from_grid(np.ones(9) + 0.5j, 4),
      "from_grid takes real samples, not complex ones"),
+    (lambda: list(FourierFunction.zero(4).grid_arcs(8)), "grid too coarse for this degree"),
+    (lambda: list(witt_generator(1, 4).grid_arcs(9)), "cannot sample a complex series"),
+    (lambda: list(witt_generator(1, 4).grid_arcs(2 * GRID_BLOCK)),
+     "cannot sample a complex series"),
 ], ids=["even-length", "not-a-vector", "mode-above-degree", "too-few-samples",
         "grid-too-coarse", "jet-grid-too-coarse", "complex-displacement",
         "witt-degree-too-small", "complex-flow", "evaluate-complex-series",
         "grid-values-complex-series", "sup-norm-complex-series",
-        "from-grid-complex-samples"])
+        "from-grid-complex-samples", "arcs-too-coarse",
+        "arcs-complex-series-one-arc", "arcs-complex-series-many-arcs"])
 def test_circle_input_guards_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,6 +1,7 @@
 """Virasoro brackets, orbit invariants, convexity samples, Verma Gram data."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,42 @@ def test_chi_blowup_closed_form_and_monotonicity():
         values.append(val)
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] > 1e3
+
+
+@pytest.mark.parametrize("degree, M", [(16, 1024), (600, 4800)])
+def test_chi_on_its_default_grid_is_the_mean_of_one_over_f(degree, M):
+    g = FourierFunction.from_dict(
+        {0: 1.5, 1: 0.3 - 0.2j, -1: 0.3 + 0.2j, 3: 0.1, -3: 0.1}, degree=degree)
+    assert chi(g) == float(np.mean(1.0 / g.grid_values(M)))
+
+
+def test_chi_finds_a_sign_change_past_the_first_arc():
+    # 0.9 + cos is negative only near theta = pi, far past the first arc
+    f = FourierFunction.from_dict({0: 0.9, 1: 0.5, -1: 0.5}, degree=4)
+    assert np.min(next(f.grid_arcs(200000))) > 0.0
+    with pytest.raises(ValueError, match="chi requires f > 0"):
+        chi(f, grid_size=200000)
+
+
+def test_chi_memory_is_bounded_on_a_fine_grid():
+    # a 200,000-point grid held at once needs 3 MiB of arrays
+    f = FourierFunction.from_dict({0: 1.0, 1: 0.4999, -1: 0.4999}, degree=4)
+    tracemalloc.start()
+    try:
+        chi(f, grid_size=200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_orbit_invariants_past_degree_grid_block_over_8_match_a_small_degree():
+    # degree 600 puts the default grid at 4800 points, more than GRID_BLOCK
+    modes = {0: 1.0, 1: 0.15 + 0.1j, -1: 0.15 - 0.1j, 2: 0.05, -2: 0.05}
+    fields = [FourierFunction.from_dict(modes, n) for n in (48, 600)]
+    small, large = (orbit_invariants(VirasoroElement(0.25, f)) for f in fields)
+    assert abs(large.beta - small.beta) < 1e-12
+    assert abs(large.alpha - small.alpha) < 1e-12
 
 
 # ---------------------------------------------------------------------------
