@@ -9,10 +9,14 @@ by its transformation law has s = -1.  An orientation-preserving
 diffeomorphism phi(theta) = theta + p(theta) is a `CircleDiffeo` that
 holds its displacement p and the jet rows that give p, p', p'', p'''.
 
-Linear operations (derivative, integration, the two 2-cocycles) are
-exact on coefficients; nonlinear operations (products, compositions,
-Schwarzian derivatives) are evaluated pointwise on uniform grids large
-enough to be alias-free and re-expanded by FFT.
+The algebra is exact on coefficients and returns its exact degree:
+derivative, integration, the two 2-cocycles, and the products
+(`multiply`, `lie_derivative`, `lie_bracket`), convolutions of degree
+N_f + N_g.  The group operations (compose, invert, pullback, flow, the
+Schwarzian) are sampled on the refit grid of their degree N and refit to
+N by FFT.  Only series built from data take a degree (`from_dict`,
+`constant`, `zero`, `from_grid`, `CircleDiffeo.rotation`,
+`random_diffeo`): it is the ambient truncation that the refits read.
 
 Complex series serve the coefficient-exact operations only (the Witt
 basis d_n = i e^{i n theta} d/dtheta enters brackets, cocycles and
@@ -328,25 +332,16 @@ def pairing_integral(f: FourierFunction, g: FourierFunction) -> complex:
     return TWO_PI * complex(np.dot(a, b[::-1]))
 
 
-def multiply(f: FourierFunction, g: FourierFunction,
-             degree: int | None = None) -> FourierFunction:
-    """Pointwise product, alias-free.
-
-    Computed as the exact coefficient convolution at degree N_f + N_g
-    (equivalently: sampled on any uniform grid with M >= 2(N_f+N_g) + 1
-    points and transformed back), then re-truncated to
-    ``max(N_f, N_g)`` unless the caller requests another degree.
-    """
-    full = np.convolve(f.coeffs, g.coeffs)
-    prod = FourierFunction(full)
-    return prod.truncated(max(f.degree, g.degree) if degree is None else degree)
+def multiply(f: FourierFunction, g: FourierFunction) -> FourierFunction:
+    """Pointwise product, exact: the coefficient convolution, of degree
+    N_f + N_g (what a grid of 2(N_f + N_g) + 1 points or more would give)."""
+    return FourierFunction(np.convolve(f.coeffs, g.coeffs))
 
 
-def lie_bracket(f: FourierFunction, g: FourierFunction,
-                degree: int | None = None) -> FourierFunction:
+def lie_bracket(f: FourierFunction, g: FourierFunction) -> FourierFunction:
     """[f d, g d] = (f g' - f' g) d, the Lie derivative along f d of g
-    read as a (-1)-density; exact up to the final truncation."""
-    return lie_derivative(f, g, -1.0, degree)
+    read as a (-1)-density; exact, of degree N_f + N_g."""
+    return lie_derivative(f, g, -1.0)
 
 
 def gelfand_fuchs(f: FourierFunction, g: FourierFunction) -> complex:
@@ -365,11 +360,10 @@ def omega_cocycle(f: FourierFunction, g: FourierFunction) -> complex:
     return pairing_integral(derivative(f, 3) + derivative(f), g)
 
 
-def witt_generator(n: int, degree: int) -> FourierFunction:
-    """d_n = i e^{i n theta} d/dtheta (complex field; d_n* = d_{-n})."""
-    if abs(n) > degree:
-        raise ValueError("degree too small for this generator")
-    return FourierFunction.from_dict({n: 1j}, degree)
+def witt_generator(n: int) -> FourierFunction:
+    """d_n = i e^{i n theta} d/dtheta (complex field of degree |n|;
+    d_n* = d_{-n})."""
+    return FourierFunction.from_dict({n: 1j}, abs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +386,12 @@ def pullback_density(phi: CircleDiffeo, u: FourierFunction,
     return FourierFunction.from_grid(vals, n)
 
 
-def lie_derivative(f: FourierFunction, u: FourierFunction, s: float,
-                   degree: int | None = None) -> FourierFunction:
+def lie_derivative(f: FourierFunction, u: FourierFunction,
+                   s: float) -> FourierFunction:
     """Coefficient function f u' + s f' u of L_f (u (dtheta)^s), the
-    derivative of the s-density's pullback along the flow of f d/dtheta,
-    at ``degree`` (default max(N_f, N_u))."""
-    full = max(f.degree + u.degree, 1)
-    a = multiply(f, derivative(u), degree=full)
-    b = multiply(derivative(f), u, degree=full)
-    target = max(f.degree, u.degree) if degree is None else degree
-    return (a + s * b).truncated(target)
+    derivative of the s-density's pullback along the flow of f d/dtheta;
+    exact, of degree N_f + N_u."""
+    return multiply(f, derivative(u)) + s * multiply(derivative(f), u)
 
 
 def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:
@@ -432,7 +422,7 @@ def invert(phi: CircleDiffeo) -> CircleDiffeo:
     theta = grid_points(refit_size(n))
     x = theta.copy()
     for _ in range(NEWTON_MAX_ITER):
-        p, dp = phi.jet(x)[:2]
+        p, dp = _half_values(phi._rows[:2], np.exp(1j * x))
         res = x + p - theta
         if np.max(np.abs(res)) < 1e-13:
             break

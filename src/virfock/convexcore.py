@@ -246,7 +246,8 @@ def _pointed_cone_rays(A: np.ndarray, k: int) -> list[np.ndarray]:
     """Extreme rays of the pointed cone {y in R^k : Ay >= 0}.
 
     Candidates are null directions of rank-(k-1) subsets of rows; both
-    orientations are kept when feasible, which also covers k = 1.
+    orientations are kept when feasible.  For k = 1 the one subset is
+    empty and its null space is the whole line, so the candidates are +-1.
     """
     from itertools import combinations
 
@@ -256,11 +257,6 @@ def _pointed_cone_rays(A: np.ndarray, k: int) -> list[np.ndarray]:
     def feasible(r):
         return np.all(A @ r >= -TOL * max(1.0, float(np.abs(A).max(initial=1.0))))
 
-    if k == 1:
-        for r in (np.array([1.0]), np.array([-1.0])):
-            if feasible(r):
-                out.append(r)
-        return out
     for idx in combinations(range(m), k - 1):
         sub = A[list(idx)]
         null = _nullspace(sub)

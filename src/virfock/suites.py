@@ -231,7 +231,7 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     def product_defect():
         f = _random_field(rng, degree=12)
         g = _random_field(rng, degree=12)
-        vals = ci.multiply(f, g, degree=24).evaluate(grid)
+        vals = ci.multiply(f, g).evaluate(grid)
         return np.abs(vals - f.evaluate(grid) * g.evaluate(grid))
 
     yield check("01-product-alias-free",
@@ -239,10 +239,9 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                 [product_defect() for _ in range(20)], 1e-11)
 
     def bracket_defect(n, m):
-        br = ci.lie_bracket(ci.witt_generator(n, degree=14),
-                            ci.witt_generator(m, degree=14), degree=14)
-        diff = br - (n - m) * ci.witt_generator(n + m, degree=14)
-        return np.abs(diff.coeffs)
+        br = ci.lie_bracket(ci.witt_generator(n), ci.witt_generator(m))
+        diff = br - (n - m) * ci.witt_generator(n + m)
+        return np.max(np.abs(diff.coeffs))
 
     yield check("02-bracket-structure-constants", "[d_n, d_m] = (n - m) d_{n+m}",
                 [bracket_defect(n, m) for n in range(-6, 7) for m in range(-6, 7)],
@@ -250,9 +249,9 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 
     def jacobi_defect():
         F, G, H = [_random_field(rng, 8) for _ in range(3)]
-        j = (ci.lie_bracket(F, ci.lie_bracket(G, H, degree=16), degree=24)
-             + ci.lie_bracket(G, ci.lie_bracket(H, F, degree=16), degree=24)
-             + ci.lie_bracket(H, ci.lie_bracket(F, G, degree=16), degree=24))
+        j = (ci.lie_bracket(F, ci.lie_bracket(G, H))
+             + ci.lie_bracket(G, ci.lie_bracket(H, F))
+             + ci.lie_bracket(H, ci.lie_bracket(F, G)))
         return j.sup_norm()
 
     yield check("03-jacobi-identity", "Jacobi identity for the field bracket",
@@ -314,8 +313,8 @@ def _suite_circle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     yield check("01-generator-values",
                 "omega(d_n, d_{-n}) = 2 pi i (n^3 - n)",
-                [abs(ci.omega_cocycle(ci.witt_generator(n, degree=10),
-                                      ci.witt_generator(-n, degree=10))
+                [abs(ci.omega_cocycle(ci.witt_generator(n),
+                                      ci.witt_generator(-n))
                      - 2j * math.pi * (n ** 3 - n)) for n in range(1, 9)],
                 1e-9)
 
@@ -363,16 +362,15 @@ def _suite_virasoro_cocycle(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
                  ci.schwarzian(rot, modified=True).sup_norm()],
                 1e-12)
 
-    chat = vi.normalized_central(degree=14)
+    chat = vi.normalized_central()
 
     def bracket_defect(n, m):
-        br = vi.vir_bracket(vi.generator(n, degree=14),
-                            vi.generator(m, degree=14))
-        expected = (n - m) * vi.generator(n + m, degree=14)
+        br = vi.vir_bracket(vi.generator(n), vi.generator(m))
+        expected = (n - m) * vi.generator(n + m)
         if n + m == 0:
             expected = expected + ((n ** 3 - n) / 12.0) * chat
-        return [abs(br.z - expected.z),
-                *np.abs(br.field.coeffs - expected.field.coeffs)]
+        return max(abs(br.z - expected.z),
+                   np.max(np.abs((br.field - expected.field).coeffs)))
 
     yield check("08-normalized-bracket",
                 "[d_n, d_m] = (n - m) d_{n+m} + delta (n^3 - n)/12 chat",

@@ -117,14 +117,14 @@ class CartanCoords:
     alpha: float
 
 
-def generator(n: int, degree: int) -> VirasoroElement:
+def generator(n: int) -> VirasoroElement:
     """Complexified generator d_n = (0, i e^{i n theta} d/dtheta)."""
-    return VirasoroElement(0.0, witt_generator(n, degree))
+    return VirasoroElement(0.0, witt_generator(n))
 
 
-def normalized_central(degree: int) -> VirasoroElement:
+def normalized_central() -> VirasoroElement:
     """chat = (24 pi i, 0), the central element dual to (n^3 - n)/12."""
-    return VirasoroElement(24j * math.pi, FourierFunction.zero(degree))
+    return VirasoroElement(24j * math.pi, FourierFunction.zero(0))
 
 
 # ---------------------------------------------------------------------------

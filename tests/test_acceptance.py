@@ -88,8 +88,7 @@ def test_criterion_01_central_cocycle_on_generators():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(1, 9):
-        val = omega_cocycle(witt_generator(n, degree=20),
-                            witt_generator(-n, degree=20))
+        val = omega_cocycle(witt_generator(n), witt_generator(-n))
         worst = max(worst, abs(val - 2j * math.pi * (n ** 3 - n)))
     elapsed = time.perf_counter() - t0
     _verdict(1, "omega(d_n, d_-n) = 2 pi i (n^3 - n) for n <= 8",

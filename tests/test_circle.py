@@ -72,7 +72,8 @@ def test_multiply_matches_grid_oracle():
     for _ in range(10):
         f = random_field(rng, N)
         g = random_field(rng, N)
-        prod = multiply(f, g, degree=2 * N)
+        prod = multiply(f, g)
+        assert prod.degree == 2 * N
         oracle = f.evaluate(theta) * g.evaluate(theta)
         assert np.max(np.abs(prod.evaluate(theta) - oracle)) < 1e-12
 
@@ -244,15 +245,15 @@ def test_evaluate_degenerate_series_match_the_explicit_sum(f):
 
 
 def test_bracket_d1_dminus1():
-    br = lie_bracket(witt_generator(1, degree=6), witt_generator(-1, degree=6))
-    expected = 2.0 * witt_generator(0, degree=6)
+    br = lie_bracket(witt_generator(1), witt_generator(-1))
+    expected = 2.0 * witt_generator(0)
     for k in range(-6, 7):
         assert br.coeff(k) == pytest.approx(expected.coeff(k), abs=1e-14)
 
 
 def test_bracket_d2_d3():
-    br = lie_bracket(witt_generator(2, degree=8), witt_generator(3, degree=8))
-    expected = -1.0 * witt_generator(5, degree=8)
+    br = lie_bracket(witt_generator(2), witt_generator(3))
+    expected = -1.0 * witt_generator(5)
     for k in range(-8, 9):
         assert br.coeff(k) == pytest.approx(expected.coeff(k), abs=1e-13)
 
@@ -260,16 +261,15 @@ def test_bracket_d2_d3():
 def test_bracket_of_field_with_itself_vanishes():
     rng = np.random.default_rng(23)
     X = random_field(rng, 10)
-    assert lie_bracket(X, X, degree=20).sup_norm() < 1e-14
+    assert lie_bracket(X, X).sup_norm() < 1e-14
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(-8, 9) for m in range(-8, 9)])
 def test_bracket_structure_constants(n, m):
-    deg = 18
-    br = lie_bracket(witt_generator(n, degree=deg), witt_generator(m, degree=deg))
-    expected = float(n - m) * witt_generator(n + m, degree=deg)
-    worst = max(abs(br.coeff(k) - expected.coeff(k)) for k in range(-deg, deg + 1))
-    assert worst < 1e-12
+    br = lie_bracket(witt_generator(n), witt_generator(m))
+    expected = float(n - m) * witt_generator(n + m)
+    assert br.degree == abs(n) + abs(m)
+    assert np.max(np.abs((br - expected).coeffs)) < 1e-12
 
 
 def test_bracket_jacobi_identity():
@@ -278,28 +278,24 @@ def test_bracket_jacobi_identity():
         F = random_field(rng, 8)
         G = random_field(rng, 8)
         H = random_field(rng, 8)
-        j = (lie_bracket(F, lie_bracket(G, H, degree=16), degree=24)
-             + lie_bracket(G, lie_bracket(H, F, degree=16), degree=24)
-             + lie_bracket(H, lie_bracket(F, G, degree=16), degree=24))
+        j = (lie_bracket(F, lie_bracket(G, H))
+             + lie_bracket(G, lie_bracket(H, F))
+             + lie_bracket(H, lie_bracket(F, G)))
         assert j.sup_norm() < 1e-10
 
 
-@pytest.mark.parametrize("degree", [4, 12, 20])
-def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
-    # deg f + deg g = 12: the result is truncated, exact, and zero-filled above
+def test_bracket_is_the_lie_derivative_of_a_minus_one_density():
+    # deg f + deg g = 12, the exact degree of the bracket
     rng = np.random.default_rng(26)
     f = random_field(rng, 7, modes=7)
     g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
-    X, Y = f, g
-    br = lie_bracket(X, Y, degree)
-    lie = lie_derivative(X, g, -1.0, degree)
-    assert br.degree == lie.degree == degree
-    assert np.array_equal(br.coeffs, lie.coeffs)
+    br = lie_bracket(f, g)
+    assert br.degree == 12
+    assert np.array_equal(br.coeffs, lie_derivative(f, g, -1.0).coeffs)
     # f g' - f' g by explicit coefficient convolution (modes -12..12)
     full = (np.convolve(f.coeffs, derivative(g).coeffs)
             - np.convolve(derivative(f).coeffs, g.coeffs))
-    ref = [full[k + 12] if abs(k) <= 12 else 0.0 for k in range(-degree, degree + 1)]
-    assert np.max(np.abs(br.coeffs - np.array(ref))) < 1e-14
+    assert np.max(np.abs(br.coeffs - full)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +348,7 @@ def test_lie_derivative_of_constant_weight_zero():
 
 
 def test_lie_derivative_is_flow_derivative_of_pullback():
-    # central finite differences of t -> pullback(flow(tX), u) at t = 0;
-    # inputs live in degree-24 containers so the product terms are not
-    # clipped before the comparison
+    # central finite differences of t -> pullback(flow(tX), u) at t = 0
     rng = np.random.default_rng(29)
     X = random_field(rng, 24, scale=0.5)
     u = random_field(rng, 24)
@@ -425,20 +419,19 @@ def test_diffeo_rejects_non_monotone_candidate():
      "grid too coarse for this degree"),
     (lambda: CircleDiffeo(FourierFunction.from_dict({1: 0.1}, 8)),
      "displacement must be real"),
-    (lambda: witt_generator(5, 4), "degree too small"),
-    (lambda: flow(witt_generator(1, 4)), "real vector fields only"),
-    (lambda: witt_generator(1, 4).evaluate(0.5), "cannot sample a complex series"),
-    (lambda: witt_generator(1, 4).grid_values(9), "cannot sample a complex series"),
-    (lambda: witt_generator(1, 4).sup_norm(), "cannot sample a complex series"),
+    (lambda: flow(witt_generator(1)), "real vector fields only"),
+    (lambda: witt_generator(1).evaluate(0.5), "cannot sample a complex series"),
+    (lambda: witt_generator(1).grid_values(9), "cannot sample a complex series"),
+    (lambda: witt_generator(1).sup_norm(), "cannot sample a complex series"),
     (lambda: FourierFunction.from_grid(np.ones(9) + 0.5j, 4),
      "from_grid takes real samples, not complex ones"),
     (lambda: list(FourierFunction.zero(4).grid_arcs(8)), "grid too coarse for this degree"),
-    (lambda: list(witt_generator(1, 4).grid_arcs(9)), "cannot sample a complex series"),
-    (lambda: list(witt_generator(1, 4).grid_arcs(2 * GRID_BLOCK)),
+    (lambda: list(witt_generator(1).grid_arcs(9)), "cannot sample a complex series"),
+    (lambda: list(witt_generator(1).grid_arcs(2 * GRID_BLOCK)),
      "cannot sample a complex series"),
 ], ids=["even-length", "not-a-vector", "mode-above-degree", "too-few-samples",
         "grid-too-coarse", "jet-grid-too-coarse", "complex-displacement",
-        "witt-degree-too-small", "complex-flow", "evaluate-complex-series",
+        "complex-flow", "evaluate-complex-series",
         "grid-values-complex-series", "sup-norm-complex-series",
         "from-grid-complex-samples", "arcs-too-coarse",
         "arcs-complex-series-one-arc", "arcs-complex-series-many-arcs"])
@@ -577,7 +570,7 @@ def test_modified_schwarzian_linearization():
 @pytest.mark.parametrize("n,expected", [(1, 0.0), (2, 12 * math.pi),
                                         (3, 48 * math.pi), (4, 120 * math.pi)])
 def test_omega_on_generators(n, expected):
-    val = omega_cocycle(witt_generator(n, degree=10), witt_generator(-n, degree=10))
+    val = omega_cocycle(witt_generator(n), witt_generator(-n))
     assert val == pytest.approx(1j * expected, abs=1e-10)
 
 
@@ -589,7 +582,7 @@ def test_omega_antisymmetric_on_real_fields():
 
 def test_omega_equals_gelfand_fuchs_minus_half_bracket_integral():
     rng = np.random.default_rng(36)
-    d2, dm2 = witt_generator(2, degree=8), witt_generator(-2, degree=8)
+    d2, dm2 = witt_generator(2), witt_generator(-2)
     pairs = [(d2, dm2)]
     for _ in range(10):
         pairs.append((random_field(rng, 8),
@@ -606,9 +599,9 @@ def test_omega_two_cocycle_identity():
         F = random_field(rng, 8)
         G = random_field(rng, 8)
         H = random_field(rng, 8)
-        val = (omega_cocycle(lie_bracket(F, G, degree=16), H)
-               + omega_cocycle(lie_bracket(G, H, degree=16), F)
-               + omega_cocycle(lie_bracket(H, F, degree=16), G))
+        val = (omega_cocycle(lie_bracket(F, G), H)
+               + omega_cocycle(lie_bracket(G, H), F)
+               + omega_cocycle(lie_bracket(H, F), G))
         assert abs(val) < 1e-9
 
 

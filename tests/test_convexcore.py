@@ -95,6 +95,20 @@ def test_dual_of_quarter_turn_cone():
         assert in_cone(D, v) == in_oracle
 
 
+@pytest.mark.parametrize("normals, expected", [
+    ([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+    ([[1.0, 0.0], [-1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]]),
+    ([[0.0, 2.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]),
+    ([[1.0], [-1.0]], np.zeros((0, 1))),
+], ids=["half-plane", "line", "repeated-half-plane", "origin"])
+def test_generators_of_cones_with_a_one_dimensional_pointed_quotient(normals, expected):
+    # after the lineality space splits off, one direction is left, and its
+    # rays are the feasible ones of +-1
+    gens = cone_generators(PolyCone(normals=normals))
+    assert gens.shape == np.shape(expected)
+    np.testing.assert_allclose(gens, expected, atol=1e-12)
+
+
 def test_double_dual_random_cones():
     rng = np.random.default_rng(7)
     for _ in range(10):

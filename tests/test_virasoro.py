@@ -13,6 +13,8 @@ from virfock.circle import (
     FourierFunction,
     grid_points,
     invert,
+    lie_bracket,
+    omega_cocycle,
     pairing_integral,
     pullback_density,
     random_diffeo,
@@ -66,24 +68,33 @@ def random_real_field(rng, degree, modes=5, scale=1.0):
 
 
 def test_central_element_is_bracket_trivial():
-    chat = normalized_central(degree=8)
-    x = generator(2, degree=8)
+    chat = normalized_central()
+    x = generator(2)
     br = vir_bracket(chat, x)
     assert abs(br.z) < 1e-14 and br.field.sup_norm() < 1e-14
 
 
 @pytest.mark.parametrize("n,m", [(1, -1), (2, -2), (3, -3), (2, 3), (-4, 1)])
 def test_normalized_bracket_structure(n, m):
-    deg = 14
-    x, y = generator(n, deg), generator(m, deg)
+    x, y = generator(n), generator(m)
     br = vir_bracket(x, y)
-    expected = float(n - m) * generator(n + m, deg)
+    expected = float(n - m) * generator(n + m)
     if n + m == 0:
-        expected = expected + ((n ** 3 - n) / 12.0) * normalized_central(deg)
+        expected = expected + ((n ** 3 - n) / 12.0) * normalized_central()
     assert abs(br.z - expected.z) < 1e-9
-    worst = max(abs(br.field.coeff(k) - expected.field.coeff(k))
-                for k in range(-deg, deg + 1))
-    assert worst < 1e-9
+    assert np.max(np.abs((br.field - expected.field).coeffs)) < 1e-9
+
+
+def test_bracket_of_degree_8_fields_has_degree_16():
+    # the field part is the exact Lie bracket, modes above 8 included, and
+    # the central part is the cocycle
+    rng = np.random.default_rng(40)
+    f, g = random_real_field(rng, 8, modes=8), random_real_field(rng, 8, modes=8)
+    br = vir_bracket(VirasoroElement(0.3, f), VirasoroElement(-1.2, g))
+    assert br.field.degree == 16
+    assert br.field.coeff(15) != 0.0
+    assert np.array_equal(br.field.coeffs, lie_bracket(f, g).coeffs)
+    assert br.z == omega_cocycle(f, g)
 
 
 # ---------------------------------------------------------------------------
