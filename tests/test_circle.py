@@ -284,18 +284,24 @@ def test_bracket_jacobi_identity():
         assert j.sup_norm() < 1e-10
 
 
-def test_bracket_is_the_lie_derivative_of_a_minus_one_density():
-    # deg f + deg g = 12, the exact degree of the bracket
+@pytest.mark.parametrize("degree", [4, 12, 20])
+def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
+    # deg f + deg g = 12, the exact degree of the bracket; truncating it to
+    # ``degree`` drops the modes above it, or zero-fills them past 12
     rng = np.random.default_rng(26)
     f = random_field(rng, 7, modes=7)
     g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
     br = lie_bracket(f, g)
     assert br.degree == 12
     assert np.array_equal(br.coeffs, lie_derivative(f, g, -1.0).coeffs)
+    cut = br.truncated(degree)
+    assert cut.degree == degree
     # f g' - f' g by explicit coefficient convolution (modes -12..12)
     full = (np.convolve(f.coeffs, derivative(g).coeffs)
             - np.convolve(derivative(f).coeffs, g.coeffs))
     assert np.max(np.abs(br.coeffs - full)) < 1e-14
+    ref = [full[k + 12] if abs(k) <= 12 else 0.0 for k in range(-degree, degree + 1)]
+    assert np.max(np.abs(cut.coeffs - np.array(ref))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
