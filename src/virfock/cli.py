@@ -3,7 +3,10 @@ print Verma Gram matrices.
 
 Exit codes follow the usual convention: 0 when every check passes, 1
 when a suite ran but some check failed, 2 for usage errors (unknown
-suite, malformed flags, an ``--out`` path that cannot be written).  All
+suite, malformed flags, an ``--out`` path that cannot be written).
+`SuiteConfig` rejects a bad suite name, seed or param, which `verify`
+reports as ``bad config``; `_write` is the one writer of ``--out`` and
+stdout for `verify` and `orbit`.  All
 randomness is drawn from numpy's seeded default generator (PCG64), so a
 fixed config reproduces a fixed report; ``--no-timestamp`` drops the
 only unstable field for byte-for-byte comparisons.
@@ -12,16 +15,21 @@ only unstable field for byte-for-byte comparisons.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .reports import emit
-from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite, suite_names
+from .reports import csv_table, emit
+from .suites import (
+    DEFAULT_SEED,
+    SUITES,
+    SuiteConfig,
+    read_config,
+    run_suite,
+    suite_names,
+)
 from .virasoro import (
     VirasoroElement,
     convexity_check,
@@ -86,62 +94,46 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
+def _write(path: str | None, text: str) -> int:
+    """Write text to path, when given, then to stdout.  On an OSError print
+    ``cannot write <path>: <reason>`` and return 2, with nothing on stdout."""
+    if path is not None:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
+    return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.config is not None:
-        try:
-            cfg = SuiteConfig.from_file(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return 2
-    elif args.suite is not None:
-        cfg = SuiteConfig(suite=args.suite)
-    else:
+    if args.suite is None and args.config is None:
         print("verify needs a suite name or --config", file=sys.stderr)
         return 2
-    suite = args.suite if args.suite is not None else cfg.suite
-    seed = args.seed if args.seed is not None else cfg.seed
-
-    targets = suite_names() if suite == "all" else [suite]
-    for name in targets:
-        if name not in suite_names():
-            valid = ", ".join(suite_names())
-            print(f"unknown suite {name!r}; valid suites: {valid}",
-                  file=sys.stderr)
-            return 2
-
     try:
-        configs = [SuiteConfig(suite=name, seed=seed, params=cfg.params)
-                   for name in targets]
-    except ValueError as exc:
+        suite, seed, params = (read_config(args.config) if args.config is not None
+                               else (args.suite, DEFAULT_SEED, {}))
+        suite = suite if args.suite is None else args.suite
+        seed = seed if args.seed is None else args.seed
+        configs = [SuiteConfig(name, seed, params) for name in
+                   (suite_names() if suite == "all" else [suite])]
+    except (OSError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
 
     # open --out before any suite runs, so a bad path fails at once
-    if args.out is not None:
-        try:
-            open(args.out, "w", encoding="utf-8").close()
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
-
+    if _write(args.out, ""):
+        return 2
     reports = []
-    for target in configs:
-        rep = run_suite(target)
-        reports.append(rep)
-        for line in rep.summary_lines():
-            print(line, file=sys.stderr)
-
-    try:
-        text = emit(reports, args.format, path=args.out,
-                    include_timestamp=not args.no_timestamp)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    sys.stdout.write(text)
-    return 0 if all(rep.all_passed for rep in reports) else 1
+    for cfg in configs:
+        reports.append(run_suite(cfg))
+        print("\n".join(reports[-1].summary_lines()), file=sys.stderr)
+    text = emit(reports, args.format, include_timestamp=not args.no_timestamp)
+    return _write(args.out, text) or (
+        0 if all(rep.all_passed for rep in reports) else 1)
 
 
 def _cmd_list(_args) -> int:
@@ -183,20 +175,7 @@ def _cmd_orbit(args) -> int:
     except ValueError as exc:
         print(f"orbit parameters out of range: {exc}", file=sys.stderr)
         return 2
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    text = buf.getvalue()
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
-    sys.stdout.write(text)
-    return 0
+    return _write(args.out, csv_table(header, rows))
 
 
 def _cmd_gram(args) -> int:

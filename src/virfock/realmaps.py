@@ -178,17 +178,6 @@ def real_matrix_of_i(d: int) -> np.ndarray:
     return np.block([[Z, -I], [I, Z]])
 
 
-def complex_to_real(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
-
-
-def real_to_complex(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    d = u.size // 2
-    return u[:d] + 1j * u[d:]
-
-
 def omega(v, w):
     """Symplectic form Im<v, w> with the first-argument-linear product,
     reduced over the last axis: a float for vectors, an array for stacks."""

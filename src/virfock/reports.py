@@ -119,27 +119,28 @@ class VerificationReport:
 CSV_COLUMNS = ("suite", "id", "anchor", "residual", "tolerance", "pass")
 
 
+def csv_table(header, rows) -> str:
+    """CSV text: the header, then one line per row.  Python floats print
+    as their shortest round-trip repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def emit(reports: list[VerificationReport], fmt: str,
-         path: str | None = None, include_timestamp: bool = True) -> str:
+         include_timestamp: bool = True) -> str:
     """Serialize reports to json (one report gives an object, several a
-    list) or csv, one row per check; write to path when given."""
+    list) or csv, one row per check.  Only serializes: the caller writes
+    the text where it belongs."""
     if fmt == "json":
         payload = [rep.to_dict(include_timestamp) for rep in reports]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload,
+        return json.dumps(payload[0] if len(payload) == 1 else payload,
                           indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rep in reports:
-            for c in rep.checks:
-                writer.writerow([rep.suite, c.check_id, c.anchor,
-                                 repr(c.residual), repr(c.tolerance),
-                                 "true" if c.passed else "false"])
-        text = buf.getvalue()
-    else:
-        raise ValueError(f"unknown format {fmt!r}: expected json or csv")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    if fmt == "csv":
+        return csv_table(CSV_COLUMNS, [
+            [rep.suite, c.check_id, c.anchor, c.residual, c.tolerance,
+             "true" if c.passed else "false"]
+            for rep in reports for c in rep.checks])
+    raise ValueError(f"unknown format {fmt!r}: expected json or csv")

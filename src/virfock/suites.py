@@ -10,9 +10,11 @@ Tolerances and sample counts are fixed literals, the same for every
 config; anchors are plain statements of the identity being checked.
 
 Each suite declares the integer parameters it reads, its truncation
-sizes, with a default and an allowed range (`SUITES`); a config that
-names any other key, or a value outside its range, is rejected before
-the suite runs.
+sizes, with a default and an allowed range (`SUITES`).  `SuiteConfig` is
+the one gate: it raises ValueError for an unregistered suite name, a bad
+seed, a key the suite does not declare or a value outside its range, so
+`run_suite` runs whatever config it is given.  `read_config` only parses
+a config file; the caller expands "all" and builds the configs.
 """
 
 from __future__ import annotations
@@ -42,20 +44,21 @@ DEFAULT_SEED = 12345
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite name plus seed (a non-negative int) and integer overrides of
-    the parameters the suite declares.  Params are checked only for a
-    registered suite; run_suite rejects any other name."""
+    """A registered suite name plus seed (a non-negative int) and integer
+    overrides of the parameters the suite declares.  Any other name,
+    "all" included, raises ValueError listing the valid suites."""
 
     suite: str
     seed: int = DEFAULT_SEED
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.suite not in SUITES:
+            raise ValueError(f"unknown suite {self.suite!r}; valid suites: "
+                             f"{', '.join(suite_names())}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.suite not in SUITES:
-            return
         declared = SUITES[self.suite][2]
         for key, val in self.params.items():
             if key not in declared:
@@ -70,21 +73,20 @@ class SuiteConfig:
     def get(self, key: str) -> int:
         return self.params.get(key, SUITES[self.suite][2][key][0])
 
-    @classmethod
-    def from_file(cls, path: str) -> "SuiteConfig":
-        """Read a JSON object with a string 'suite' key, an optional
-        'seed' and flat integer params."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError("the JSON nests too deeply") from None
-        if not isinstance(data, dict) or not isinstance(data.get("suite"), str):
-            raise ValueError("a config must be a JSON object with a string "
-                             "'suite' key")
-        suite = data.pop("suite")
-        seed = data.pop("seed", DEFAULT_SEED)
-        return cls(suite=suite, seed=seed, params=data)
+
+def read_config(path: str) -> tuple[str, int, dict]:
+    """(suite, seed, params) of a JSON object with a string 'suite' key, an
+    optional 'seed' and flat params, unchecked: the suite may be "all",
+    and `SuiteConfig` validates the rest."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply") from None
+    if not isinstance(data, dict) or not isinstance(data.get("suite"), str):
+        raise ValueError("a config must be a JSON object with a string "
+                         "'suite' key")
+    return data.pop("suite"), data.pop("seed", DEFAULT_SEED), data
 
 
 # ---------------------------------------------------------------------------
@@ -1044,10 +1046,7 @@ def suite_names() -> list[str]:
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    """Execute one named suite and assemble its report."""
-    if cfg.suite not in SUITES:
-        names = ", ".join(suite_names())
-        raise KeyError(f"unknown suite {cfg.suite!r}: valid suites are {names}")
+    """Execute the suite of a (validated) config and assemble its report."""
     func = SUITES[cfg.suite][0]
     checks = tuple(func(cfg, default_rng(cfg.seed)))
     return VerificationReport(suite=cfg.suite, seed=cfg.seed, checks=checks)

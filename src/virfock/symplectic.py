@@ -41,13 +41,11 @@ import numpy as np
 
 from .realmaps import (
     RealLinearMap,
-    complex_to_real,
     in_algebra,
     inner,
     omega,
     random_symplectic,
     real_matrix_of_i,
-    real_to_complex,
 )
 
 CONE_EIG_MIN = 1e-10
@@ -161,9 +159,7 @@ def jacobi_minimum(q: QuadraticState) -> tuple[np.ndarray, float]:
     """Global minimizer -A^{-1}x and value c - (1/2) omega(x, A^{-1}x)."""
     if not in_cone_Wsp(q.A):
         raise ValueError("quadratic part is not in the cone")
-    Ar = q.A.to_real_matrix()
-    u = np.linalg.solve(Ar, complex_to_real(q.x))
-    invAx = real_to_complex(u)
+    invAx = q.A.inverse().apply(q.x)
     value = q.c - 0.5 * omega(q.x, invAx)
     return -invAx, float(value)
 

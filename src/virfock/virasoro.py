@@ -165,11 +165,7 @@ def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
     dphi = 1.0 + dp
     g = x.field.evaluate(grid_points(M) + p) / dphi
     shift = 2.0 * math.pi * np.mean(g * schwarzian_from_jet(dphi, d2p, d3p, modified=True))
-    new_field = FourierFunction.from_grid(g, n)
-    z = x.z + shift
-    if abs(complex(z).imag) <= 1e-10 * max(1.0, abs(complex(z).real)):
-        z = float(complex(z).real)
-    return VirasoroElement(z, new_field)
+    return VirasoroElement(x.z + shift, FourierFunction.from_grid(g, n))
 
 
 def coadjoint_action(phi: CircleDiffeo,

@@ -18,7 +18,7 @@ from virfock.reports import (
     check,
     emit,
 )
-from virfock.suites import SuiteConfig, run_suite, suite_names
+from virfock.suites import SuiteConfig, read_config, run_suite, suite_names
 from virfock.virasoro import VirasoroElement, convexity_check
 
 ALL_SUITES = (
@@ -66,11 +66,13 @@ def test_virasoro_cocycle_suite_passes_with_defaults():
 
 
 def test_unknown_suite_lists_valid_names():
-    with pytest.raises(KeyError) as exc:
-        run_suite(SuiteConfig(suite="no-such-suite"))
-    message = str(exc.value)
-    for name in ALL_SUITES:
-        assert name in message
+    # "all" is the CLI's word for every suite, not a suite
+    for name in ("no-such-suite", "all"):
+        with pytest.raises(ValueError) as exc:
+            SuiteConfig(suite=name)
+        message = str(exc.value)
+        for valid in ALL_SUITES:
+            assert valid in message
 
 
 def test_fock_vacuum_residual_decreases_with_cutoff():
@@ -158,10 +160,27 @@ def test_config_from_file_round_trip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(
         {"suite": "fock-vacuum", "seed": 99, "N": 16}))
-    cfg = SuiteConfig.from_file(str(path))
+    cfg = SuiteConfig(*read_config(str(path)))
     assert cfg.suite == "fock-vacuum"
     assert cfg.seed == 99
     assert cfg.params == {"N": 16}
+
+
+def test_cli_verify_config_naming_all_checks_every_suite_before_running(
+        tmp_path, capsys, monkeypatch):
+    # a config file may name "all"; N is not read by circle-calculus
+    def no_suite_may_run(cfg):
+        raise AssertionError(f"suite {cfg.suite} ran before its config "
+                             "was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite_may_run)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suite": "all", "N": 16}))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad config")
+    assert "circle-calculus" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +262,6 @@ def test_emit_json_gives_an_object_for_one_report_and_a_list_for_two():
     assert one == rep.to_dict(include_timestamp=False)
     two = json.loads(emit([rep, rep], "json", include_timestamp=False))
     assert two == [one, one]
-
-
-def test_emit_writes_the_requested_file(tmp_path):
-    rep = _tiny_report()
-    path = tmp_path / "report.csv"
-    text = emit([rep], "csv", path=str(path))
-    assert path.read_text(encoding="utf-8") == text
 
 
 def test_emit_rejects_unknown_format():
@@ -429,6 +441,14 @@ def test_cli_orbit_projection_curve(capsys):
         _, beta, alpha = (float(v) for v in line.split(","))
         assert alpha > 1.0
         assert beta > 0.0
+
+
+def test_cli_orbit_out_writes_what_it_prints(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    assert main(["orbit", "--steps", "3", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("s,beta,alpha\n")
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_cli_orbit_rejects_flows_past_invertibility(capsys):
