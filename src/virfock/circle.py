@@ -12,9 +12,10 @@ holds its displacement p and the jet rows that give p, p', p'', p'''.
 The algebra is exact on coefficients and returns its exact degree:
 derivative, integration, the two 2-cocycles, and the products
 (`multiply`, `lie_derivative`, `lie_bracket`), convolutions of degree
-N_f + N_g.  The group operations (compose, invert, pullback, flow, the
-Schwarzian) are sampled on the refit grid of their degree N and refit to
-N by FFT.  Only series built from data take a degree (`from_dict`,
+N_f + N_g.  The group operations are sampled on the refit grid of their
+degree N and refit to N by FFT at four sites: `pullback_density`, the one
+sampler of u o phi (`compose` included), `invert`, `flow` and
+`schwarzian`.  Only series built from data take a degree (`from_dict`,
 `constant`, `zero`, `from_grid`, `CircleDiffeo.rotation`,
 `random_diffeo`): it is the ambient truncation that the refits read.
 
@@ -198,7 +199,8 @@ class FourierFunction:
             yield _half_values(half, np.exp(1j * TWO_PI * lo / M) * w[:M - lo])
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.grid_values(8 * max(self.degree, 1) + 1))))
+        """max |f| on the refit grid, where `CircleDiffeo` checks phi' > 0."""
+        return float(np.max(np.abs(self.grid_values(refit_size(self.degree)))))
 
     # -- linear arithmetic --------------------------------------------
 
@@ -376,8 +378,8 @@ def pullback_density(phi: CircleDiffeo, u: FourierFunction,
     s-density u (dtheta)^s.
 
     Evaluated pointwise on the refit grid of 8 max(N, 4) points (N the
-    larger of the two degrees) and re-expanded; s = -1 reproduces the
-    adjoint action on vector fields, s = 2 the coadjoint one on its dual.
+    larger degree) and re-expanded, the one sampler of u o phi: s = -1
+    gives the adjoint action, s = 2 the coadjoint one, s = 0 `compose`.
     """
     n = max(u.degree, phi.degree)
     M = refit_size(n)
@@ -397,14 +399,10 @@ def lie_derivative(f: FourierFunction, u: FourierFunction,
 def compose(phi: CircleDiffeo, psi: CircleDiffeo) -> CircleDiffeo:
     """Plain composition phi o psi (callers pick their group convention).
 
-    Sampled on the refit grid of 8 max(N, 4) points and refit; the
-    displacement of the result is p_psi + p_phi o psi.
+    The displacement of the result is p_psi + p_phi o psi, the second term
+    `pullback_density` of p_phi as a 0-density, refit to the larger degree.
     """
-    n = max(phi.degree, psi.degree)
-    M = refit_size(n)
-    p = psi.p.grid_values(M)
-    vals = p + phi.p.evaluate(grid_points(M) + p)
-    return CircleDiffeo(FourierFunction.from_grid(vals, n))
+    return CircleDiffeo(psi.p + pullback_density(psi, phi.p, 0))
 
 
 NEWTON_MAX_ITER = 50
@@ -446,20 +444,15 @@ def schwarzian(phi: CircleDiffeo, modified: bool = False) -> FourierFunction:
     expression is formed pointwise on the refit grid of 8 max(N, 4)
     points and re-expanded to the degree N of phi.
     """
-    vals = _grid_schwarzian(phi, refit_size(phi.degree), modified)
+    vals = schwarzian_from_jet(phi.grid_jet(refit_size(phi.degree)), modified)
     return FourierFunction.from_grid(vals, phi.degree)
 
 
-def _grid_schwarzian(phi: CircleDiffeo, M: int, modified: bool) -> np.ndarray:
-    """S(phi), or S~(phi), on ``grid_points(M)`` from the jet of phi."""
-    _, dp, d2p, d3p = phi.grid_jet(M)
-    return schwarzian_from_jet(1.0 + dp, d2p, d3p, modified)
-
-
-def schwarzian_from_jet(d1, d2, d3, modified: bool = False):
-    """The Schwarzian kernel phi'''/phi' - (3/2)(phi''/phi')^2 from
-    d1 = phi', d2 = phi'' and d3 = phi''' at the same points, plus
-    (1/2)((phi')^2 - 1) when ``modified``."""
+def schwarzian_from_jet(jet, modified: bool = False):
+    """The Schwarzian kernel phi'''/phi' - (3/2)(phi''/phi')^2 from the
+    (4, ...) jet rows p, p', p'', p''' of `CircleDiffeo.jet` or `grid_jet`
+    (phi' = 1 + p'), plus (1/2)((phi')^2 - 1) when ``modified``."""
+    d1, d2, d3 = 1.0 + jet[1], jet[2], jet[3]
     vals = d3 / d1 - 1.5 * (d2 / d1) ** 2
     if modified:
         vals = vals + 0.5 * (d1 ** 2 - 1.0)
@@ -468,11 +461,10 @@ def schwarzian_from_jet(d1, d2, d3, modified: bool = False):
 
 def schwarzian_values(phi: CircleDiffeo, theta,
                       modified: bool = False) -> np.ndarray:
-    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: rows 1-3
+    """S(phi), or S~(phi) when ``modified``, at arbitrary angles: the rows
     of `CircleDiffeo.jet` fed to `schwarzian_from_jet`; no grid refit.  Grid
     callers read the rows from `CircleDiffeo.grid_jet` instead."""
-    _, dp, d2p, d3p = phi.jet(theta)
-    return schwarzian_from_jet(1.0 + dp, d2p, d3p, modified)
+    return schwarzian_from_jet(phi.jet(theta), modified)
 
 
 def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
@@ -487,11 +479,10 @@ def schwarzian_cocycle_residual(phi: CircleDiffeo, psi: CircleDiffeo,
     The grid terms read jets; S(phi) o psi is Horner at the moved points.
     """
     M = refit_size(max(phi.degree, psi.degree))
-    lhs = _grid_schwarzian(compose(phi, psi), M, modified)
-    p, dp, d2p, d3p = psi.grid_jet(M)
-    dpsi = 1.0 + dp
-    rhs = schwarzian_values(phi, grid_points(M) + p, modified) * dpsi ** 2 \
-        + schwarzian_from_jet(dpsi, d2p, d3p, modified)
+    lhs = schwarzian_from_jet(compose(phi, psi).grid_jet(M), modified)
+    jet = psi.grid_jet(M)
+    rhs = schwarzian_values(phi, grid_points(M) + jet[0], modified) \
+        * (1.0 + jet[1]) ** 2 + schwarzian_from_jet(jet, modified)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("--steps", type=int, default=8)
     p_orbit.add_argument("--smax", type=float, default=0.2,
                          help="largest flow time; the flow refit to "
-                              "--degree must stay a diffeomorphism "
+                              "max(--degree, 32) must stay a diffeomorphism "
                               "(phi' > 0): about 0.7 for n=2 and 0.4 for "
                               "n=3 at degree 48, less for higher modes")
     p_orbit.add_argument("--trials", type=int, default=50,

@@ -57,16 +57,13 @@ from .circle import (
     FourierFunction,
     derivative,
     flow,
-    grid_points,
     integrate,
     lie_bracket,
     omega_cocycle,
     pairing_integral,
     pullback_density,
     random_diffeo,
-    refit_size,
     schwarzian,
-    schwarzian_from_jet,
     witt_generator,
 )
 
@@ -155,17 +152,13 @@ def adjoint_action(phi: CircleDiffeo, x: VirasoroElement) -> VirasoroElement:
     This is z - int f Stilde(phi^{-1}) dtheta with theta = phi(x)
     substituted, by the cocycle identity
     Stilde(phi^{-1}) o phi = -Stilde(phi) / (phi')^2, so phi is never
-    inverted.  g is sampled once on the refit grid, with phi and its
-    derivatives there read from one jet; the field is its refit and the
-    shift the trapezoid mean of g Stilde(phi) pointwise.
+    inverted.  g is `pullback_density` of f with weight -1, and the shift
+    is the exact pairing of two refits, g and the Stilde(phi) that
+    `coadjoint_action` reads.
     """
-    n = max(x.field.degree, phi.degree)
-    M = refit_size(n)
-    p, dp, d2p, d3p = phi.grid_jet(M)
-    dphi = 1.0 + dp
-    g = x.field.evaluate(grid_points(M) + p) / dphi
-    shift = 2.0 * math.pi * np.mean(g * schwarzian_from_jet(dphi, d2p, d3p, modified=True))
-    return VirasoroElement(x.z + shift, FourierFunction.from_grid(g, n))
+    g = pullback_density(phi, x.field, -1)
+    shift = pairing_integral(g, schwarzian(phi, modified=True)).real
+    return VirasoroElement(x.z + shift, g)
 
 
 def coadjoint_action(phi: CircleDiffeo,

@@ -378,6 +378,32 @@ def test_compose_with_identity():
     assert (out.p - phi.p).sup_norm() < 1e-11
 
 
+def test_compose_matches_the_pointwise_composition():
+    rng = np.random.default_rng(35)
+    ident = CircleDiffeo(FourierFunction.zero(32))
+    for _ in range(10):
+        phi = random_diffeo(rng, degree=32, modes=5, amplitude=0.06, max_slope=0.4)
+        psi = random_diffeo(rng, degree=24, modes=5, amplitude=0.06, max_slope=0.4)
+        theta = rng.uniform(-10.0, 10.0, 200)
+        q = psi.p.evaluate(theta)
+        exact = q + phi.p.evaluate(theta + q)
+        assert np.max(np.abs(compose(phi, psi).p.evaluate(theta) - exact)) <= 1e-14
+        # the left identity
+        assert np.max(np.abs((compose(ident, psi).p - psi.p).coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("degree", [8, 16, 32, 48])
+def test_random_diffeo_slope_bound_holds_on_the_checked_grid(degree):
+    # CircleDiffeo checks phi' > 0 on the refit grid; the slope rescale
+    # must read the same grid, or the bound fails between its points
+    rng = np.random.default_rng(36 + degree)
+    M = refit_size(degree)
+    worst = max(np.max(np.abs(random_diffeo(
+        rng, degree, modes=8, amplitude=0.3, max_slope=0.4).grid_jet(M)[1]))
+        for _ in range(200))
+    assert worst <= 0.4 + 1e-15
+
+
 def test_invert_rotation():
     rot = CircleDiffeo.rotation(0.4, degree=8)
     inv = invert(rot)

@@ -254,8 +254,9 @@ def test_adjoint_field_matches_the_density_pullback():
 
 @pytest.mark.parametrize("field_degree", [10, 48])
 def test_adjoint_action_matches_the_horner_reference(field_degree):
-    # adjoint_action reads phi on its grid from one jet; the reference
-    # samples phi, phi' and Stilde(phi) there by Horner
+    # adjoint_action pairs the refits of g and Stilde(phi) exactly; the
+    # reference samples phi, phi' and Stilde(phi) on the refit grid by
+    # Horner and takes the shift as the trapezoid mean of g Stilde(phi)
     rng = np.random.default_rng(48 + field_degree)
     for _ in range(5):
         phi = small_diffeo(rng)
