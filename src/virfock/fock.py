@@ -66,6 +66,7 @@ constructions against their glue dpi(x_2) Omega = -x_2-hat.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,9 @@ class ModeSpace:
                  "ladders", "words")
 
     def __init__(self, d: int, statistics: str, cutoff: int | None = None):
+        for name, val in (("d", d), ("cutoff", 0 if cutoff is None else cutoff)):
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
         if d < 1:
             raise ValueError("need at least one mode")
         if statistics not in (BOSONIC, FERMIONIC):

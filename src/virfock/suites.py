@@ -550,41 +550,33 @@ def _suite_virasoro_verma(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
 def _suite_fock_ccr(cfg: SuiteConfig, rng) -> Iterator[CheckResult]:
     bs = fk.ModeSpace(3, fk.BOSONIC, cutoff=cfg.get("cutoff"))
     safe = bs.cutoff - 2
+    fs = fk.ModeSpace(3, fk.FERMIONIC)
 
-    def ccr_defects():
+    # [., .] for bosons on number <= cutoff - 2, {., .} for fermions everywhere
+    def exchange_defects(space, keep):
         f, g = _complex_normal(rng, 3), _complex_normal(rng, 3)
-        af = fk.annihilate(bs, f)
-        comm = af.commutator(fk.create(bs, g)) \
-            - rm.inner(g, f) * fk.FockOperator.identity(bs)
-        return (comm.restricted_norm(safe),
-                af.commutator(fk.annihilate(bs, g)).restricted_norm(safe))
+        af = fk.annihilate(space, f)
+        bracket = af.commutator if space.sign > 0 else af.anticommutator
+        return ((bracket(fk.create(space, g))
+                 - rm.inner(g, f) * fk.FockOperator.identity(space)).restricted_norm(keep),
+                bracket(fk.annihilate(space, g)).restricted_norm(keep))
 
-    comm_defects, aa_defects = zip(*[ccr_defects() for _ in range(10)])
+    comm_defects, aa_defects = zip(*[exchange_defects(bs, safe) for _ in range(10)])
     yield check("01-ccr-commutator", "[a(f), a*(g)] = <g, f> on the safe subspace",
                 comm_defects, 1e-12)
     yield check("02-ccr-annihilators-commute", "[a(f), a(g)] = 0 on the safe subspace",
                 aa_defects, 1e-12)
 
-    fs = fk.ModeSpace(3, fk.FERMIONIC)
-
-    def car_defects():
-        f, g = _complex_normal(rng, 3), _complex_normal(rng, 3)
-        af = fk.annihilate(fs, f)
-        anti = af.anticommutator(fk.create(fs, g)) \
-            - rm.inner(g, f) * fk.FockOperator.identity(fs)
-        return anti.norm(), af.anticommutator(fk.annihilate(fs, g)).norm()
-
-    anti_defects, aa_defects = zip(*[car_defects() for _ in range(10)])
+    anti_defects, aa_defects = zip(*[exchange_defects(fs, fs.cutoff) for _ in range(10)])
     yield check("03-car-anticommutator",
                 "{a(f), a*(g)} = <g, f> exactly", anti_defects, 1e-13)
     yield check("04-car-annihilators",
                 "{a(f), a(g)} = 0 exactly", aa_defects, 1e-13)
 
     f = _complex_normal(rng, 3)
-    r_ferm = (fk.annihilate(fs, f) - fk.create(fs, f).adjoint()).norm()
-    diff = fk.annihilate(bs, f) - fk.create(bs, f).adjoint()
     yield check("05-adjointness", "a(f) is the adjoint of a*(f)",
-                [r_ferm, diff.restricted_norm(bs.cutoff - 1)], 1e-13)
+                [(fk.annihilate(sp, f) - fk.create(sp, f).adjoint()).restricted_norm(keep)
+                 for sp, keep in ((fs, fs.cutoff), (bs, bs.cutoff - 1))], 1e-13)
 
     N_op = fk.number_operator(bs)
     cf = fk.create(bs, f)

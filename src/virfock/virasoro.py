@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .circle import (
     pairing_integral,
     pullback_density,
     random_diffeo,
+    refit_size,
     schwarzian,
     witt_generator,
 )
@@ -177,34 +178,26 @@ def chi(f: FourierFunction, grid_size: int | None = None) -> float:
 
     For a trigonometric polynomial with min f > 0 the integrand is
     analytic in a strip, so the periodic trapezoid rule converges
-    geometrically; the default grid of max(CHI_MIN_GRID, 8N) points is
-    generous enough that the remaining error is far below 1e-12 unless f
-    nearly touches zero.  The rule sums 1/f arc by arc over
-    `FourierFunction.grid_arcs`, so a grid of any size takes
-    O(max(GRID_BLOCK, 8N)) memory; on one arc, the default grid's
-    included, the sum is bit for bit np.mean.  Raises ValueError when f
-    is not real and positive on the grid.
+    geometrically; the default grid of max(CHI_MIN_GRID, refit_size(N))
+    points leaves an error far below 1e-12 unless f nearly touches zero.
+    The rule sums 1/f arc by arc over `FourierFunction.grid_arcs`, so a
+    grid of any size takes O(max(GRID_BLOCK, refit_size(N))) memory; on
+    one arc, the default grid's included, the sum is bit for bit np.mean.
+    Raises ValueError when f is not real and positive on the grid.
     """
-    total, points = 0.0, 0
-    for vals in _positive_arcs(f, grid_size):
-        total += np.sum(1.0 / vals)
-        points += vals.size
-    return float(total / points)
-
-
-def _positive_arcs(f: FourierFunction,
-                   grid_size: int | None) -> Iterator[np.ndarray]:
-    """f on the uniform grid of ``grid_size`` points (default
-    max(CHI_MIN_GRID, 8N), one arc) arc by arc, as
-    `FourierFunction.grid_arcs` yields it; raises ValueError unless f is
-    real and positive there."""
     if not f.real_flag:
         raise ValueError("chi is defined for real fields only")
-    M = grid_size if grid_size is not None else max(CHI_MIN_GRID, 8 * f.degree)
+    M = grid_size if grid_size is not None else _chi_grid(f)
+    total = 0.0
     for vals in f.grid_arcs(M):
         if np.min(vals) <= 0.0:
             raise ValueError("chi requires f > 0 on the circle")
-        yield vals
+        total += np.sum(1.0 / vals)
+    return float(total / M)
+
+
+def _chi_grid(f: FourierFunction) -> int:
+    return max(CHI_MIN_GRID, refit_size(f.degree))
 
 
 def orbit_invariants(x: VirasoroElement) -> CartanCoords:
@@ -212,15 +205,15 @@ def orbit_invariants(x: VirasoroElement) -> CartanCoords:
 
     alpha = 1/chi(f) and
     beta = z - int (f')^2/(2f) + (1/2) int f - pi/chi(f),
-    both read from one sampling of f on the grid of `chi`.  Raises
+    with chi read from `chi` and the energy term from f and f' on chi's
+    default grid, max(CHI_MIN_GRID, refit_size(N)) points.  Raises
     ValueError when z is not real, or when f is not real and positive.
     """
     if abs(complex(x.z).imag) > 1e-9:
         raise ValueError("orbit invariants are defined for real elements")
     f = x.field
-    [fv] = _positive_arcs(f, None)
-    chi_val = float(np.mean(1.0 / fv))
-    dfv = derivative(f).grid_values(fv.size)
+    chi_val, M = chi(f), _chi_grid(f)
+    fv, dfv = f.grid_values(M), derivative(f).grid_values(M)
     energy = 2.0 * math.pi * float(np.mean(dfv ** 2 / (2.0 * fv)))
     beta = (float(np.real(x.z)) - energy
             + 0.5 * float(np.real(integrate(f))) - math.pi / chi_val)

@@ -81,6 +81,28 @@ def test_fermionic_cutoff_below_mode_count_is_rejected(cutoff):
     assert ModeSpace(3, FERMIONIC, cutoff=3) == ModeSpace(3, FERMIONIC)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((1, BOSONIC, 2.5), "cutoff must be an integer"),
+    ((1, BOSONIC, True), "cutoff must be an integer"),
+    ((3, FERMIONIC, 3.5), "cutoff must be an integer"),
+    ((2.0, BOSONIC, 3), "d must be an integer"),
+    ((True, FERMIONIC), "d must be an integer"),
+    ((0, BOSONIC, 3), "at least one mode"),
+    ((2, "anyonic", 3), "statistics must be"),
+    ((2, BOSONIC, None), "need a cutoff N >= 1"),
+    ((2, BOSONIC, 0), "need a cutoff N >= 1"),
+], ids=["float-cutoff", "bool-cutoff", "float-fermionic-cutoff", "float-d",
+        "bool-d", "no-modes", "anyonic", "no-bosonic-cutoff", "zero-bosonic-cutoff"])
+def test_mode_space_rejects_malformed_arguments(args, match):
+    with pytest.raises(ValueError, match=match):
+        ModeSpace(*args)
+
+
+def test_mode_space_accepts_numpy_integers():
+    sp = ModeSpace(np.int64(2), BOSONIC, np.int32(3))
+    assert sp == ModeSpace(2, BOSONIC, 3)
+
+
 def _filtered_product_basis(d, stat, cutoff):
     """The occupation basis as the full product filtered by total number,
     sorted by (total, occupation)."""
@@ -430,6 +452,9 @@ def test_restricted_norm_is_the_norm_of_the_kept_block(sp):
         keep = sp.totals <= m
         want = float(np.linalg.norm(op.mat[np.ix_(keep, keep)]))
         assert op.restricted_norm(m) == want
+    if sp.statistics == FERMIONIC:
+        # the complete fermionic space keeps every state at its cutoff
+        assert op.restricted_norm(sp.cutoff) == op.norm()
 
 
 # ---------------------------------------------------------------------------

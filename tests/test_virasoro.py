@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from virfock import virasoro
 from virfock.circle import (
+    GRID_BLOCK,
     CircleDiffeo,
     FourierFunction,
     grid_points,
@@ -207,6 +209,18 @@ def test_orbit_invariants_past_degree_grid_block_over_8_match_a_small_degree():
     small, large = (orbit_invariants(VirasoroElement(0.25, f)) for f in fields)
     assert abs(large.beta - small.beta) < 1e-12
     assert abs(large.alpha - small.alpha) < 1e-12
+
+
+def test_orbit_invariants_hold_on_a_default_grid_of_several_arcs(monkeypatch):
+    # a chi grid of two GRID_BLOCKs is summed over two arcs
+    f = FourierFunction.from_dict(
+        {0: 1.0, 1: 0.15 + 0.1j, -1: 0.15 - 0.1j, 2: 0.05, -2: 0.05}, degree=48)
+    x = VirasoroElement(0.25, f)
+    ref = orbit_invariants(x)
+    monkeypatch.setattr(virasoro, "CHI_MIN_GRID", 2 * GRID_BLOCK)
+    inv = orbit_invariants(x)
+    assert abs(inv.beta - ref.beta) <= 1e-13 and abs(inv.alpha - ref.alpha) <= 1e-13
+    assert inv.alpha == 1.0 / chi(f)
 
 
 # ---------------------------------------------------------------------------
