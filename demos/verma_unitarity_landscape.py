@@ -33,12 +33,10 @@ for n in (1, 2, 3):
     print(f"  n = {n}: det = {det}  ({sign})")
 print("the flip between n = 1 and n = 2 signals a ghost at c = 0\n")
 
-# unitarity_scan diagonalizes the float Gram level by level and reports
-# the first level whose smallest eigenvalue goes negative.
-scan = unitarity_scan([0.0, 1.0, 26.0], [0.5, 1.0], max_level=5)
+# unitarity_scan diagonalizes the float Gram at one point (c, h) level by
+# level and reports the first level whose smallest eigenvalue goes negative.
 for c, h in ((1.0, 1.0), (26.0, 1.0), (0.0, 1.0), (0.0, 0.5)):
-    entry = scan[(c, h)]
-    mins = ["%.3g" % m for m in entry["min_eigenvalue_by_level"]]
-    first = entry["first_negative_level"]
+    mins, first = unitarity_scan(c, h, max_level=5)
+    mins = ["%.3g" % m for m in mins]
     verdict = f"first negative level {first}" if first else "no ghost found"
     print(f"c = {c:4.1f}, h = {h:3.1f}:  min eigs by level {mins}  -> {verdict}")

@@ -15,9 +15,8 @@ derivative, integration, the two 2-cocycles, and the products
 N_f + N_g.  The group operations are sampled on the refit grid of their
 degree N and refit to N by FFT at four sites: `pullback_density`, the one
 sampler of u o phi (`compose` included), `invert`, `flow` and
-`schwarzian`.  Only series built from data take a degree (`from_dict`,
-`constant`, `zero`, `from_grid`, `CircleDiffeo.rotation`,
-`random_diffeo`): it is the ambient truncation that the refits read.
+`schwarzian`.  Only series built from data take a degree, the ambient
+truncation that the refits read: `from_dict`, `from_grid`, `random_diffeo`.
 
 Complex series serve the coefficient-exact operations only (the Witt
 basis d_n = i e^{i n theta} d/dtheta enters brackets, cocycles and
@@ -106,16 +105,6 @@ class FourierFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, degree: int) -> "FourierFunction":
-        return cls(np.zeros(2 * degree + 1, dtype=complex))
-
-    @classmethod
-    def constant(cls, value, degree: int) -> "FourierFunction":
-        c = np.zeros(2 * degree + 1, dtype=complex)
-        c[degree] = value
-        return cls(c)
-
-    @classmethod
     def from_dict(cls, modes: dict, degree: int) -> "FourierFunction":
         """Build from {k: c_k}; unspecified modes are zero."""
         c = np.zeros(2 * degree + 1, dtype=complex)
@@ -150,16 +139,6 @@ class FourierFunction:
         if abs(k) > self.degree:
             return 0.0 + 0.0j
         return complex(self.coeffs[k + self.degree])
-
-    def truncated(self, degree: int) -> "FourierFunction":
-        """The series at truncation degree ``degree``: modes with
-        |k| > degree are dropped, and a larger degree pads with zeros."""
-        if degree >= self.degree:
-            c = np.zeros(2 * degree + 1, dtype=complex)
-            c[degree - self.degree: degree + self.degree + 1] = self.coeffs
-            return FourierFunction(c)
-        lo, hi = self.degree - degree, self.degree + degree + 1
-        return FourierFunction(self.coeffs[lo:hi])
 
     def evaluate(self, theta):
         """Real values of a real series at arbitrary angles (any shape, 0-d
@@ -206,8 +185,7 @@ class FourierFunction:
 
     def _binary(self, other, sign) -> "FourierFunction":
         n = max(self.degree, other.degree)
-        a, b = self.truncated(n), other.truncated(n)
-        return FourierFunction(a.coeffs + sign * b.coeffs)
+        return FourierFunction(_padded(self, n) + sign * _padded(other, n))
 
     def __add__(self, other): return self._binary(other, 1.0)
 
@@ -248,10 +226,6 @@ class CircleDiffeo:
         if min_derivative <= 0.0:
             raise ValueError(f"not a diffeomorphism: min phi' = {min_derivative:.3e}")
 
-    @classmethod
-    def rotation(cls, alpha: float, degree: int) -> "CircleDiffeo":
-        return cls(FourierFunction.constant(float(alpha), degree))
-
     @property
     def degree(self) -> int:
         return self.p.degree
@@ -280,6 +254,13 @@ class CircleDiffeo:
 def grid_points(M: int) -> np.ndarray:
     """The uniform grid theta_j = 2 pi j / M, j = 0 .. M-1."""
     return TWO_PI * np.arange(M) / M
+
+
+def _padded(f: FourierFunction, n: int) -> np.ndarray:
+    """f's coefficients zero-padded to degree n >= N_f, for sums and pairings."""
+    c = np.zeros(2 * n + 1, dtype=complex)
+    c[n - f.degree: n + f.degree + 1] = f.coeffs
+    return c
 
 
 def _half_values(half: np.ndarray, z) -> np.ndarray:
@@ -330,8 +311,7 @@ def integrate(f: FourierFunction) -> complex:
 def pairing_integral(f: FourierFunction, g: FourierFunction) -> complex:
     """Exact integral of the product: 2 pi sum_k f_k g_{-k}."""
     n = max(f.degree, g.degree)
-    a, b = f.truncated(n).coeffs, g.truncated(n).coeffs
-    return TWO_PI * complex(np.dot(a, b[::-1]))
+    return TWO_PI * complex(np.dot(_padded(f, n), _padded(g, n)[::-1]))
 
 
 def multiply(f: FourierFunction, g: FourierFunction) -> FourierFunction:

@@ -160,9 +160,8 @@ def _orbit_rows(args) -> tuple[list[str], list[list]]:
         pts = projection_curve(x, args.n, s_values)
         rows = [[s, p.beta, p.alpha] for s, p in zip(s_values, pts)]
         return ["s", "beta", "alpha"], rows
-    rep = convexity_check(x, args.trials, np.random.default_rng(args.seed))
-    rows = [[trial, float(b), float(a)] for trial, (b, a) in
-            enumerate(zip(rep["beta_margins"], rep["alpha_margins"]))]
+    margins = convexity_check(x, args.trials, np.random.default_rng(args.seed))
+    rows = [[trial, float(b), float(a)] for trial, (b, a) in enumerate(margins.T)]
     return ["trial", "beta_margin", "alpha_margin"], rows
 
 

@@ -87,7 +87,7 @@ class VirasoroElement:
     @classmethod
     def cartan(cls, beta: float, alpha: float, degree: int) -> "VirasoroElement":
         """beta c + alpha dtheta."""
-        return cls(beta, FourierFunction.constant(alpha, degree))
+        return cls(beta, FourierFunction.from_dict({0: alpha}, degree))
 
     def __add__(self, other: "VirasoroElement") -> "VirasoroElement":
         return VirasoroElement(self.z + other.z, self.field + other.field)
@@ -122,7 +122,7 @@ def generator(n: int) -> VirasoroElement:
 
 def normalized_central() -> VirasoroElement:
     """chat = (24 pi i, 0), the central element dual to (n^3 - n)/12."""
-    return VirasoroElement(24j * math.pi, FourierFunction.zero(0))
+    return VirasoroElement(24j * math.pi, FourierFunction.from_dict({}, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +242,25 @@ def beta_hessian_form(h: FourierFunction) -> float:
 
 
 def convexity_check(x: VirasoroElement, trials: int,
-                    rng: np.random.Generator) -> dict:
+                    rng: np.random.Generator) -> np.ndarray:
     """Empirical check that Cartan projections of Ad_phi(x) dominate x.
 
     x must lie in the Cartan plane with positive dtheta component.  For
     each trial a random diffeomorphism of x's degree (6 modes, amplitude
     0.15) is drawn and the projection of the transformed element is
-    compared with (z, alpha).  Returns the margins per trial (``beta_margins``,
-    ``alpha_margins``) and their minima, nonnegative up to roundoff.
+    compared with (z, alpha).  Returns the margins as one (2, trials)
+    array, row 0 for beta and row 1 for alpha, nonnegative up to roundoff.
     """
-    base = cartan_projection(x)
-    rest = max(abs(x.field.coeff(k)) for k in range(-x.field.degree, x.field.degree + 1) if k != 0) \
-        if x.field.degree > 0 else 0.0
+    base, N = cartan_projection(x), x.field.degree
+    rest = np.delete(np.abs(x.field.coeffs), N).max(initial=0.0)
     if base.alpha <= 0.0 or rest > 1e-12 * max(1.0, base.alpha):
         raise ValueError("expected an element of the Cartan plane with alpha > 0")
-    beta_margins = np.empty(trials)
-    alpha_margins = np.empty(trials)
+    margins = np.empty((2, trials))
     for t in range(trials):
-        phi = random_diffeo(rng, degree=x.field.degree, modes=6, amplitude=0.15)
+        phi = random_diffeo(rng, degree=N, modes=6, amplitude=0.15)
         proj = cartan_projection(adjoint_action(phi, x))
-        beta_margins[t] = proj.beta - base.beta
-        alpha_margins[t] = proj.alpha - base.alpha
-    return {"min_beta_margin": float(beta_margins.min()),
-            "min_alpha_margin": float(alpha_margins.min()),
-            "beta_margins": beta_margins, "alpha_margins": alpha_margins}
+        margins[:, t] = proj.beta - base.beta, proj.alpha - base.alpha
+    return margins
 
 
 def projection_curve(x: VirasoroElement, n: int,
@@ -386,29 +381,17 @@ def singleton_norm(n: int, c, h):
     return 2 * n * h + c * Fraction(n ** 3 - n, 12)
 
 
-def unitarity_scan(c_values: Sequence[float], h_values: Sequence[float],
-                   max_level: int) -> dict:
-    """Smallest Gram eigenvalue per level for each (c, h) on the grid.
-
-    Returns a report keyed by (c, h) with the eigenvalue trace and the
-    first level at which the Gram matrix fails to be positive
-    semidefinite, below -1e-9 max(1, max |G|) (None if all levels pass).
-    """
+def unitarity_scan(c: float, h: float,
+                   max_level: int) -> tuple[list[float], int | None]:
+    """The smallest eigenvalue of the float Gram matrix at (c, h) for each
+    level 1 .. max_level, and the first level at which the matrix fails to
+    be positive semidefinite, below -1e-9 max(1, max |G|) (None if none does)."""
     if max_level > MAX_VERMA_LEVEL:
         raise ValueError(f"max_level must be <= {MAX_VERMA_LEVEL}")
-    report: dict = {}
-    for c in c_values:
-        for h in h_values:
-            mins = []
-            first_bad = None
-            for level in range(1, max_level + 1):
-                G = verma_gram(level, float(c), float(h))
-                eigs = np.linalg.eigvalsh(G)
-                mins.append(float(eigs[0]))
-                if first_bad is None and eigs[0] < -1e-9 * max(1.0, float(np.abs(G).max())):
-                    first_bad = level
-            report[(float(c), float(h))] = {
-                "min_eigenvalue_by_level": mins,
-                "first_negative_level": first_bad,
-            }
-    return report
+    mins, first_bad = [], None
+    for level in range(1, max_level + 1):
+        G = verma_gram(level, float(c), float(h))
+        mins.append(float(np.linalg.eigvalsh(G)[0]))
+        if first_bad is None and mins[-1] < -1e-9 * max(1.0, float(np.abs(G).max())):
+            first_bad = level
+    return mins, first_bad

@@ -1,6 +1,7 @@
 """Truncated Fourier calculus: products, brackets, diffeos, Schwarzians."""
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from virfock.circle import (
     lie_derivative,
     multiply,
     omega_cocycle,
+    pairing_integral,
     pullback_density,
     random_diffeo,
     refit_size,
@@ -89,7 +91,7 @@ def test_derivative_of_cosine():
 def test_integrate_examples():
     cos = FourierFunction.from_dict({1: 0.5, -1: 0.5}, degree=3)
     assert abs(integrate(cos)) < 1e-15
-    one = FourierFunction.constant(1.0, 3)
+    one = FourierFunction.from_dict({0: 1.0}, 3)
     assert integrate(one) == pytest.approx(TWO_PI, abs=1e-15)
     assert abs(integrate(FourierFunction.from_dict({3: 1.0}, degree=4))) < 1e-15
 
@@ -99,6 +101,22 @@ def test_integral_of_derivative_vanishes():
     for _ in range(5):
         f = random_field(rng, 10)
         assert abs(integrate(derivative(f))) < 1e-14
+
+
+@pytest.mark.parametrize("nf, ng", [(3, 9), (9, 3), (5, 5)], ids=["3-9", "9-3", "5-5"])
+def test_sums_and_pairings_of_series_of_unequal_degree(nf, ng):
+    # a sum zero-pads the lower degree; the pairing reads the common modes
+    rng = np.random.default_rng(40 + 10 * nf + ng)
+    f, g = random_function(rng, nf, False), random_function(rng, ng, False)
+    n, m = max(nf, ng), min(nf, ng)
+    a, b = np.pad(f.coeffs, n - nf), np.pad(g.coeffs, n - ng)
+    for out, want in ((f + g, a + b), (f - g, a - b), (g - f, b - a)):
+        assert out.degree == n
+        assert np.array_equal(out.coeffs, want)
+    ref = TWO_PI * sum(f.coeff(k) * g.coeff(-k) for k in range(-m, m + 1))
+    tol = 1e-15 * TWO_PI * np.sum(np.abs(f.coeffs)) * np.sum(np.abs(g.coeffs))
+    assert abs(pairing_integral(f, g) - ref) <= tol
+    assert abs(pairing_integral(g, f) - ref) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +240,16 @@ def test_evaluate_is_bitwise_blind_to_dead_high_modes():
     f = sparse_real_function(rng, 48)
     theta = np.concatenate([grid_points(384), rng.uniform(-20.0, 20.0, 50)])
     vals = f.evaluate(theta)
-    assert np.array_equal(f.truncated(96).evaluate(theta), vals)
-    assert np.array_equal(f.truncated(5).evaluate(theta), vals)
+    live = {k: f.coeff(k) for k in range(-5, 6)}
+    assert np.array_equal(FourierFunction.from_dict(live, 96).evaluate(theta), vals)
+    assert np.array_equal(FourierFunction.from_dict(live, 5).evaluate(theta), vals)
     scale = np.sum(np.abs(f.coeffs))
     assert np.max(np.abs(vals - explicit_sum(f, theta).real)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("f", [
-    FourierFunction.zero(6),
-    FourierFunction.constant(-1.25, 6),
+    FourierFunction.from_dict({}, 6),
+    FourierFunction.from_dict({0: -1.25}, 6),
 ], ids=["zero", "real-constant"])
 def test_evaluate_degenerate_series_match_the_explicit_sum(f):
     theta = np.concatenate([grid_points(17), [-7.5, 31.0]])
@@ -284,17 +303,17 @@ def test_bracket_jacobi_identity():
         assert j.sup_norm() < 1e-10
 
 
-@pytest.mark.parametrize("degree", [4, 12, 20])
+@pytest.mark.parametrize("degree", [12, 20])
 def test_bracket_is_the_lie_derivative_of_a_minus_one_density(degree):
-    # deg f + deg g = 12, the exact degree of the bracket; truncating it to
-    # ``degree`` drops the modes above it, or zero-fills them past 12
+    # deg f + deg g = 12, the exact degree of the bracket; adding the zero
+    # series of ``degree`` zero-fills the modes past 12
     rng = np.random.default_rng(26)
     f = random_field(rng, 7, modes=7)
     g = random_field(rng, 5, modes=5) + FourierFunction.from_dict({3: 0.5j}, 5)
     br = lie_bracket(f, g)
     assert br.degree == 12
     assert np.array_equal(br.coeffs, lie_derivative(f, g, -1.0).coeffs)
-    cut = br.truncated(degree)
+    cut = br + FourierFunction.from_dict({}, degree)
     assert cut.degree == degree
     # f g' - f' g by explicit coefficient convolution (modes -12..12)
     full = (np.convolve(f.coeffs, derivative(g).coeffs)
@@ -312,7 +331,7 @@ def test_pullback_by_rotation_shifts_argument():
     rng = np.random.default_rng(25)
     u = random_field(rng, 12)
     alpha = 0.731
-    rho = pullback_density(CircleDiffeo.rotation(alpha, degree=12), u, 1.5)
+    rho = pullback_density(CircleDiffeo(FourierFunction.from_dict({0: alpha}, 12)), u, 1.5)
     theta = grid_points(101)
     assert np.max(np.abs(rho.evaluate(theta) - u.evaluate(theta + alpha))) < 1e-10
 
@@ -320,7 +339,7 @@ def test_pullback_by_rotation_shifts_argument():
 def test_pullback_by_identity():
     rng = np.random.default_rng(26)
     u = random_field(rng, 10)
-    rho = pullback_density(CircleDiffeo(FourierFunction.zero(10)), u, 2)
+    rho = pullback_density(CircleDiffeo(FourierFunction.from_dict({}, 10)), u, 2)
     assert (rho - u).sup_norm() < 1e-13
 
 
@@ -343,13 +362,13 @@ def test_pullback_matches_grid_oracle():
 def test_lie_derivative_along_rotation_field():
     rng = np.random.default_rng(28)
     u = random_field(rng, 10)
-    out = lie_derivative(FourierFunction.constant(1.0, 10), u, 1.7)
+    out = lie_derivative(FourierFunction.from_dict({0: 1.0}, 10), u, 1.7)
     assert (out - derivative(u)).sup_norm() < 1e-13
 
 
 def test_lie_derivative_of_constant_weight_zero():
     X = FourierFunction.from_dict({1: 0.3, -1: 0.3}, degree=6)
-    out = lie_derivative(X, FourierFunction.constant(2.0, 6), 0)
+    out = lie_derivative(X, FourierFunction.from_dict({0: 2.0}, 6), 0)
     assert out.sup_norm() < 1e-14
 
 
@@ -374,13 +393,13 @@ def test_lie_derivative_is_flow_derivative_of_pullback():
 def test_compose_with_identity():
     rng = np.random.default_rng(30)
     phi = random_diffeo(rng, degree=16)
-    out = compose(phi, CircleDiffeo(FourierFunction.zero(16)))
+    out = compose(phi, CircleDiffeo(FourierFunction.from_dict({}, 16)))
     assert (out.p - phi.p).sup_norm() < 1e-11
 
 
 def test_compose_matches_the_pointwise_composition():
     rng = np.random.default_rng(35)
-    ident = CircleDiffeo(FourierFunction.zero(32))
+    ident = CircleDiffeo(FourierFunction.from_dict({}, 32))
     for _ in range(10):
         phi = random_diffeo(rng, degree=32, modes=5, amplitude=0.06, max_slope=0.4)
         psi = random_diffeo(rng, degree=24, modes=5, amplitude=0.06, max_slope=0.4)
@@ -405,9 +424,9 @@ def test_random_diffeo_slope_bound_holds_on_the_checked_grid(degree):
 
 
 def test_invert_rotation():
-    rot = CircleDiffeo.rotation(0.4, degree=8)
+    rot = CircleDiffeo(FourierFunction.from_dict({0: 0.4}, 8))
     inv = invert(rot)
-    expected = CircleDiffeo.rotation(-0.4, degree=8)
+    expected = CircleDiffeo(FourierFunction.from_dict({0: -0.4}, 8))
     assert (inv.p - expected.p).sup_norm() < 1e-12
 
 
@@ -446,8 +465,8 @@ def test_diffeo_rejects_non_monotone_candidate():
     (lambda: FourierFunction(np.zeros((3, 3))), "odd length"),
     (lambda: FourierFunction.from_dict({5: 1.0}, 4), "mode 5 exceeds degree 4"),
     (lambda: FourierFunction.from_grid(np.zeros(8), 4), r"at least 2N\+1 samples"),
-    (lambda: FourierFunction.zero(4).grid_values(8), "grid too coarse"),
-    (lambda: CircleDiffeo(FourierFunction.zero(8)).grid_jet(16),
+    (lambda: FourierFunction.from_dict({}, 4).grid_values(8), "grid too coarse"),
+    (lambda: CircleDiffeo(FourierFunction.from_dict({}, 8)).grid_jet(16),
      "grid too coarse for this degree"),
     (lambda: CircleDiffeo(FourierFunction.from_dict({1: 0.1}, 8)),
      "displacement must be real"),
@@ -457,7 +476,7 @@ def test_diffeo_rejects_non_monotone_candidate():
     (lambda: witt_generator(1).sup_norm(), "cannot sample a complex series"),
     (lambda: FourierFunction.from_grid(np.ones(9) + 0.5j, 4),
      "from_grid takes real samples, not complex ones"),
-    (lambda: list(FourierFunction.zero(4).grid_arcs(8)), "grid too coarse for this degree"),
+    (lambda: list(FourierFunction.from_dict({}, 4).grid_arcs(8)), "grid too coarse for this degree"),
     (lambda: list(witt_generator(1).grid_arcs(9)), "cannot sample a complex series"),
     (lambda: list(witt_generator(1).grid_arcs(2 * GRID_BLOCK)),
      "cannot sample a complex series"),
@@ -534,10 +553,10 @@ def test_refit_schwarzian_matches_the_horner_reference(degree):
 
 
 def test_schwarzian_vanishes_on_rotations_and_identity():
-    rot = CircleDiffeo.rotation(1.1, degree=12)
+    rot = CircleDiffeo(FourierFunction.from_dict({0: 1.1}, 12))
     assert schwarzian(rot).sup_norm() < 1e-13
     assert schwarzian(rot, modified=True).sup_norm() < 1e-13
-    ident = CircleDiffeo(FourierFunction.zero(12))
+    ident = CircleDiffeo(FourierFunction.from_dict({}, 12))
     assert schwarzian(ident).sup_norm() < 1e-13
     assert schwarzian(ident, modified=True).sup_norm() < 1e-13
 
@@ -656,14 +675,13 @@ def _constructor_paths():
     nearly = FourierFunction(c + 1e-13 * (rng.normal(size=c.size)
                                          + 1j * rng.normal(size=c.size)))
     return {
-        "zero": FourierFunction.zero(3),
-        "constant-real": FourierFunction.constant(2.0, 3),
-        "constant-complex": FourierFunction.constant(1.0j, 3),
+        "zero": FourierFunction.from_dict({}, 3),
+        "constant-real": FourierFunction.from_dict({0: 2.0}, 3),
+        "constant-complex": FourierFunction.from_dict({0: 1.0j}, 3),
         "from-dict-real": f,
         "from-dict-complex": h,
         "from-grid-real": FourierFunction.from_grid(f.evaluate(grid_points(32)), 6),
-        "truncated-up": f.truncated(9),
-        "truncated": h.truncated(2),
+        "padded-sum": f + FourierFunction.from_dict({}, 9),
         "derivative": derivative(f, 3),
         "derivative-complex": derivative(h),
         "sum": f + g,
@@ -688,6 +706,27 @@ def test_real_flag_agrees_with_is_real_on_every_constructor(path):
         assert f.real_flag and not is_real(f, tol=1e-14)
 
 
+def test_only_constructors_from_data_take_a_degree():
+    # the ambient truncation enters where data are built; every other
+    # operation reads the degree off its inputs
+    from virfock import circle, virasoro
+
+    takers = set()
+    for module in (circle, virasoro):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", getattr(obj, attr))
+                           for attr, raw in vars(obj).items()
+                           if not attr.startswith("_") and not isinstance(raw, property)]
+            takers |= {label for label, member in members if callable(member)
+                       and "degree" in inspect.signature(member).parameters}
+    assert takers == {"FourierFunction.from_dict", "FourierFunction.from_grid",
+                      "random_diffeo", "VirasoroElement.cartan"}
+
+
 def test_from_grid_reconstructs_band_limited_data():
     rng = np.random.default_rng(38)
     f = random_field(rng, 10)
@@ -709,9 +748,3 @@ def test_from_grid_round_trips_grid_values(M, real):
     assert np.array_equal(g.coeffs[::-1], np.conj(g.coeffs))
     assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-14 * np.sum(np.abs(f.coeffs))
 
-
-def test_truncation_records_tail():
-    f = FourierFunction.from_dict({k: 1.0 / (1 + k * k) for k in range(-8, 9)},
-                                  degree=8)
-    g = f.truncated(4)
-    assert g.degree == 4

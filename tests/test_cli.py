@@ -535,11 +535,10 @@ def test_cli_orbit_convexity_prints_the_margins_of_convexity_check(capsys):
     # the curve draws what virasoro-orbits/04 checks, trial by trial
     assert main(["orbit", "--curve", "convexity", "--trials", "5",
                  "--degree", "32"]) == 0
-    rep = convexity_check(VirasoroElement.cartan(0.0, 1.0, 32), 5,
-                          np.random.default_rng(12345))
+    margins = convexity_check(VirasoroElement.cartan(0.0, 1.0, 32), 5,
+                              np.random.default_rng(12345))
     want = ["trial,beta_margin,alpha_margin"] + [
-        f"{t},{float(b)!r},{float(a)!r}" for t, (b, a) in
-        enumerate(zip(rep["beta_margins"], rep["alpha_margins"]))]
+        f"{t},{float(b)!r},{float(a)!r}" for t, (b, a) in enumerate(margins.T)]
     assert capsys.readouterr().out.splitlines() == want
 
 

@@ -112,22 +112,22 @@ def test_chi_matches_adaptive_quadrature():
     rng = np.random.default_rng(41)
     for _ in range(5):
         f = random_real_field(rng, 12, scale=0.2)
-        f = f + FourierFunction.constant(1.5, 12)
+        f = f + FourierFunction.from_dict({0: 1.5}, 12)
         val, _ = quad(lambda th: 1.0 / f.evaluate(np.array([th]))[0].real,
                       0.0, TWO_PI, limit=200)
         assert abs(chi(f) - val / TWO_PI) < 1e-9
 
 
 def test_chi_of_constant_field():
-    f = FourierFunction.constant(2.5, 4)
+    f = FourierFunction.from_dict({0: 2.5}, 4)
     assert abs(chi(f) - 0.4) < 1e-13
 
 
 def test_chi_monotone_under_positive_perturbation():
     rng = np.random.default_rng(42)
     for _ in range(10):
-        f = FourierFunction.constant(2.0, 10) + random_real_field(rng, 10, scale=0.2)
-        g = FourierFunction.constant(0.5, 10) + random_real_field(rng, 10, scale=0.1)
+        f = FourierFunction.from_dict({0: 2.0}, 10) + random_real_field(rng, 10, scale=0.2)
+        g = FourierFunction.from_dict({0: 0.5}, 10) + random_real_field(rng, 10, scale=0.1)
         assert chi(f + g) <= chi(f) + 1e-12
 
 
@@ -228,7 +228,7 @@ def test_orbit_invariants_hold_on_a_default_grid_of_several_arcs(monkeypatch):
 
 
 def test_pairing_of_cartan_data():
-    lam = VirasoroFunctional(2.0, FourierFunction.constant(0.5, 8))
+    lam = VirasoroFunctional(2.0, FourierFunction.from_dict({0: 0.5}, 8))
     x = VirasoroElement.cartan(3.0, 1.0, 8)
     # a z + int u f = 2*3 + 0.5 * 2 pi
     assert abs(pairing(lam, x) - (6.0 + math.pi)) < 1e-12
@@ -302,9 +302,11 @@ def test_orbit_suite_passes_where_inversion_error_failed_it(seed):
 def test_cartan_projection_moves_into_dominance_cone():
     rng = np.random.default_rng(46)
     x = VirasoroElement.cartan(0.0, 1.0, 48)
-    rep = convexity_check(x, trials=50, rng=rng)
-    assert rep["min_beta_margin"] >= -1e-8
-    assert rep["min_alpha_margin"] >= -1e-8
+    margins = convexity_check(x, trials=50, rng=rng)
+    assert margins.shape == (2, 50)
+    beta_margin, alpha_margin = margins.min(axis=1)
+    assert beta_margin >= -1e-8
+    assert alpha_margin >= -1e-8
 
 
 def test_beta_hessian_nonpositive_on_random_directions():
@@ -321,7 +323,7 @@ def test_beta_hessian_on_cosines(n):
 
 
 def test_beta_hessian_vanishes_on_constants():
-    h = FourierFunction.constant(1.7, 6)
+    h = FourierFunction.from_dict({0: 1.7}, 6)
     assert abs(beta_hessian_form(h)) < 1e-12
 
 
@@ -411,14 +413,11 @@ def test_level_one_gram_at_h_zero():
 
 
 def test_unitarity_scan_known_points():
-    scan = unitarity_scan([0.0, 1.0, 26.0], [0.0, 0.5, 1.0], max_level=5)
-    clean = scan[(1.0, 1.0)]
-    assert clean["first_negative_level"] is None
-    assert min(clean["min_eigenvalue_by_level"]) > -1e-9
-    big = scan[(26.0, 1.0)]
-    assert big["first_negative_level"] is None
-    bad = scan[(0.0, 0.5)]
-    assert bad["first_negative_level"] == 2
+    mins, first_negative_level = unitarity_scan(1.0, 1.0, max_level=5)
+    assert first_negative_level is None
+    assert len(mins) == 5 and min(mins) > -1e-9
+    assert unitarity_scan(26.0, 1.0, max_level=5)[1] is None
+    assert unitarity_scan(0.0, 0.5, max_level=5)[1] == 2
 
 
 def test_c_zero_h_one_negative_norms_appear():
@@ -430,8 +429,7 @@ def test_c_zero_h_one_negative_norms_appear():
         gram = verma_gram(2 * n, Fraction(0), h, partitions=((2 * n,), (n, n)))
         det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
         assert (det > 0) == positive
-    scan = unitarity_scan([0.0], [1.0], max_level=3)
-    assert scan[(0.0, 1.0)]["first_negative_level"] == 3
+    assert unitarity_scan(0.0, 1.0, max_level=3)[1] == 3
 
 
 def test_verma_level_guard():
@@ -444,19 +442,19 @@ def _cartan_check(field):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: chi(FourierFunction.constant(1j, 4)), "real fields only"),
+    (lambda: chi(FourierFunction.from_dict({0: 1j}, 4)), "real fields only"),
     (lambda: chi(FourierFunction.from_dict({0: 1.0, 1: 0.6, -1: 0.6}, 4)), "f > 0"),
-    (lambda: chi(FourierFunction.zero(4)), "f > 0"),
-    (lambda: orbit_invariants(VirasoroElement(0.5j, FourierFunction.constant(1.0, 4))),
+    (lambda: chi(FourierFunction.from_dict({}, 4)), "f > 0"),
+    (lambda: orbit_invariants(VirasoroElement(0.5j, FourierFunction.from_dict({0: 1.0}, 4))),
      "real elements"),
     (lambda: _cartan_check(FourierFunction.from_dict({0: 1.0, 2: 0.1, -2: 0.1}, 8)),
      "Cartan plane with alpha > 0"),
-    (lambda: _cartan_check(FourierFunction.constant(0.0, 8)), "Cartan plane with alpha > 0"),
+    (lambda: _cartan_check(FourierFunction.from_dict({0: 0.0}, 8)), "Cartan plane with alpha > 0"),
     (lambda: verma_gram(3, Fraction(1), Fraction(1), partitions=((2, 1), (1, 2))),
      r"\(1, 2\) is not a descending partition of 3"),
     (lambda: verma_gram(3, Fraction(1), Fraction(1), partitions=((2,),)),
      r"\(2,\) is not a descending partition of 3"),
-    (lambda: unitarity_scan([1.0], [1.0], MAX_VERMA_LEVEL + 1),
+    (lambda: unitarity_scan(1.0, 1.0, MAX_VERMA_LEVEL + 1),
      f"max_level must be <= {MAX_VERMA_LEVEL}"),
 ], ids=["chi-complex", "chi-not-positive", "chi-zero", "invariants-complex-z",
         "convexity-off-the-plane", "convexity-alpha-zero", "verma-ascending",
