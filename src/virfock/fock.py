@@ -25,7 +25,7 @@ and with which amplitude, and one builder sums coefficient-weighted
 ladder words over those tables.  States need no product algebra of their
 own: the Bogoliubov vacuum series, metaplectic and spin alike, applies
 powers of the pair creator -1/2 sum T_ji a*_i a*_j to Omega, and degree-2
-hat vectors are written straight onto the occupation index.
+hat vectors are written straight onto the degree-2 slice of the basis.
 
 Storage: a FockOperator holds three numpy arrays, ``rows``, ``cols`` and
 ``vals``, that list its entries in row-major order, each position once.
@@ -80,20 +80,23 @@ FERMIONIC = "fermionic"
 class ModeSpace:
     """Truncated Fock space over C^d with a fixed occupation basis.
 
-    The basis is ordered by total particle number, ties broken
-    lexicographically, so the vacuum always sits at index 0.
+    ``basis`` is a read-only (dim, d) int array of occupations, ordered by
+    total number (the read-only ``totals``), ties broken lexicographically:
+    the vacuum sits at index 0, and the degree-2 rows are the pairs e_i + e_j,
+    i <= j (i < j fermionic), in reversed ``np.triu_indices`` order.
 
     ``ladders['-']`` and ``ladders['+']`` are the tables of a_i and a*_i:
     a pair (target, amp) of (d, dim + 1) arrays with a_i|basis[j]> =
     amp[i, j] |basis[target[i, j]]>.  Index ``dim`` stands for "killed or
     pushed past the cutoff"; its own column maps to itself with amplitude
-    zero, so ladder words can be chained without masking.
+    zero, so ladder words can be chained without masking.  Their int64
+    occupation keys need (top + 2)^d <= 2^63, top = 1 fermionic, N bosonic.
 
     ``word_table`` chains them into the table of a whole ladder word; the
     read-only result is cached in ``words``, so each word is chained once.
     """
 
-    __slots__ = ("d", "statistics", "cutoff", "basis", "index", "dim", "totals",
+    __slots__ = ("d", "statistics", "cutoff", "basis", "dim", "totals",
                  "ladders", "words")
 
     def __init__(self, d: int, statistics: str, cutoff: int | None = None):
@@ -111,23 +114,30 @@ class ModeSpace:
             raise ValueError(f"fermionic spaces need a cutoff >= d = {d}")
         else:
             cutoff = d
-        self.d = d
+        self.d = int(d)
         self.statistics = statistics
         self.cutoff = int(cutoff)
         top = 1 if statistics == FERMIONIC else self.cutoff
-        self.basis = tuple(occ for n in range(self.cutoff + 1)
-                           for occ in _occupations(d, n, top))
-        self.index = {occ: i for i, occ in enumerate(self.basis)}
+        if (top + 2) ** self.d > 2 ** 63:
+            raise ValueError(f"int64 occupation keys need (top + 2)^d <= 2^63, "
+                             f"got {top + 2}^{self.d}")
+        # grown mode by mode in lexicographic order, then stably sorted by total
+        occ = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(self.d):
+            occ = np.hstack([np.repeat(occ, top + 1, axis=0),
+                             np.tile(np.arange(top + 1), len(occ))[:, None]])
+            occ = occ[occ.sum(axis=1) <= self.cutoff]
+        self.basis = occ[np.argsort(occ.sum(axis=1), kind="stable")]
+        self.totals = self.basis.sum(axis=1)
+        self.basis.flags.writeable = self.totals.flags.writeable = False
         self.dim = len(self.basis)
-        self.totals = np.array([sum(occ) for occ in self.basis])
         self.ladders = self._ladder_tables(top)
         self.words = {}
 
     def _ladder_tables(self, top: int) -> dict:
-        occ = np.array(self.basis).reshape(self.dim, self.d)
         # lexicographic key with room for occupation top + 1
         radix = (top + 2) ** np.arange(self.d - 1, -1, -1)
-        keys = occ @ radix
+        keys = self.basis @ radix
         order = np.argsort(keys)
 
         def table(valid, shift, amp):
@@ -139,7 +149,7 @@ class ModeSpace:
             return (np.hstack([target, none]),
                     np.hstack([np.where(valid, amp, 0.0), np.zeros((self.d, 1))]))
 
-        n = occ.T
+        n = self.basis.T
         shift = radix[:, None]
         if self.statistics == BOSONIC:
             lower = table(n > 0, -shift, np.sqrt(n))
@@ -183,15 +193,6 @@ class ModeSpace:
 
     def __hash__(self):
         return hash((self.d, self.statistics, self.cutoff))
-
-
-def _occupations(d: int, total: int, top: int) -> list[tuple]:
-    """Occupations of d modes, each at most ``top``, summing to ``total``,
-    in lexicographic order."""
-    if d == 1:
-        return [(total,)] if total <= top else []
-    return [(k,) + rest for k in range(min(total, top) + 1)
-            for rest in _occupations(d - 1, total - k, top)]
 
 
 def _same_space(a: ModeSpace, b: ModeSpace) -> ModeSpace:
@@ -488,16 +489,14 @@ def hat_element(space: ModeSpace, A) -> FockVector:
     must be hermitian (M symmetric) on a bosonic space and skew (M
     antisymmetric) on a fermionic one.  Written in closed form, without
     the ladder tables: M_ji on |e_i + e_j> for i < j and, bosonic,
-    M_ii / sqrt(2) on |2 e_i>.  The `fock-central` suite checks the
-    identity ||A-hat||^2 = 1/2 ||A||_HS^2.
+    M_ii / sqrt(2) on |2 e_i>, the degree-2 states in reversed triu
+    order.  The `fock-central` suite checks ||A-hat||^2 = 1/2 ||A||_HS^2.
     """
     M = _pair_matrix(space, A)
+    i, j = np.triu_indices(space.d, 0 if space.sign > 0 else 1)
     amps = np.zeros(space.dim, dtype=complex)
-    unit = np.eye(space.d, dtype=int)
-    first = 0 if space.statistics == BOSONIC else 1
-    for i, j in zip(*np.triu_indices(space.d, first)):
-        k = space.index[tuple(unit[i] + unit[j])]
-        amps[k] = M[j, i] / math.sqrt(2.0) if i == j else M[j, i]
+    amps[np.flatnonzero(space.totals == 2)[::-1]] = np.where(
+        i == j, M[j, i] / math.sqrt(2.0), M[j, i])
     return FockVector(space, amps)
 
 

@@ -51,9 +51,24 @@ def random_vec(rng, d):
     return rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
+def _filtered_product_basis(d, stat, cutoff):
+    """The occupation basis as the full product filtered by total number,
+    sorted by (total, occupation)."""
+    top = 1 if stat == FERMIONIC else cutoff
+    occs = [occ for occ in itertools.product(range(top + 1), repeat=d)
+            if sum(occ) <= cutoff]
+    return tuple(sorted(occs, key=lambda occ: (sum(occ), occ)))
+
+
+def _product_index(space):
+    """Occupation tuple -> basis position, read off the product oracle."""
+    occs = _filtered_product_basis(space.d, space.statistics, space.cutoff)
+    return {occ: k for k, occ in enumerate(occs)}
+
+
 def _basis_vector(space, occ):
     amps = np.zeros(space.dim, dtype=complex)
-    amps[space.index[occ]] = 1.0
+    amps[_product_index(space)[occ]] = 1.0
     return FockVector(space, amps)
 
 
@@ -91,8 +106,11 @@ def test_fermionic_cutoff_below_mode_count_is_rejected(cutoff):
     ((2, "anyonic", 3), "statistics must be"),
     ((2, BOSONIC, None), "need a cutoff N >= 1"),
     ((2, BOSONIC, 0), "need a cutoff N >= 1"),
+    # 595 states, but the occupation keys need 4^33 > 2^63
+    ((33, BOSONIC, 2), r"int64 occupation keys need \(top \+ 2\)\^d <= 2\^63, got 4\^33"),
 ], ids=["float-cutoff", "bool-cutoff", "float-fermionic-cutoff", "float-d",
-        "bool-d", "no-modes", "anyonic", "no-bosonic-cutoff", "zero-bosonic-cutoff"])
+        "bool-d", "no-modes", "anyonic", "no-bosonic-cutoff", "zero-bosonic-cutoff",
+        "int64-keys"])
 def test_mode_space_rejects_malformed_arguments(args, match):
     with pytest.raises(ValueError, match=match):
         ModeSpace(*args)
@@ -103,24 +121,60 @@ def test_mode_space_accepts_numpy_integers():
     assert sp == ModeSpace(2, BOSONIC, 3)
 
 
-def _filtered_product_basis(d, stat, cutoff):
-    """The occupation basis as the full product filtered by total number,
-    sorted by (total, occupation)."""
-    top = 1 if stat == FERMIONIC else cutoff
-    occs = [occ for occ in itertools.product(range(top + 1), repeat=d)
-            if sum(occ) <= cutoff]
-    return tuple(sorted(occs, key=lambda occ: (sum(occ), occ)))
+BASIS_SPACES = {str(d): [(d, BOSONIC, n) for n in range(1, 9)] + [(d, FERMIONIC, None)]
+                for d in (1, 2, 3, 4)}
+BASIS_SPACES.update({"10-fermionic": [(10, FERMIONIC, None)],
+                     "12-fermionic": [(12, FERMIONIC, None)],
+                     "5-bosonic-6": [(5, BOSONIC, 6)],
+                     "2-bosonic-96": [(2, BOSONIC, 96)]})
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_basis_matches_the_filtered_product(d):
-    spaces = [ModeSpace(d, BOSONIC, n) for n in range(1, 9)] \
-        + [ModeSpace(d, FERMIONIC)]
-    for sp in spaces:
-        want = _filtered_product_basis(d, sp.statistics, sp.cutoff)
-        assert sp.basis == want
-        assert sp.index == {occ: i for i, occ in enumerate(want)}
+@pytest.mark.parametrize("spaces", BASIS_SPACES.values(), ids=BASIS_SPACES.keys())
+def test_basis_matches_the_filtered_product(spaces):
+    for args in spaces:
+        sp = ModeSpace(*args)
+        want = np.array(_filtered_product_basis(sp.d, sp.statistics, sp.cutoff))
+        assert sp.basis.dtype == sp.totals.dtype == np.int64
+        assert np.array_equal(sp.basis, want)
+        assert np.array_equal(sp.totals, want.sum(axis=1))
         assert sp.dim == len(want)
+
+
+def test_basis_and_totals_are_read_only():
+    # fock-central shares spaces through a cache, so no caller may edit one
+    sp = ModeSpace(2, BOSONIC, cutoff=3)
+    for a in (sp.basis, sp.totals):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+LADDER_SPACES = [(1, BOSONIC, 6), (2, BOSONIC, 5), (3, BOSONIC, 4), (4, BOSONIC, 2),
+                 (1, FERMIONIC, None), (3, FERMIONIC, None), (5, FERMIONIC, None)]
+
+
+@pytest.mark.parametrize("d,stat,cutoff", LADDER_SPACES)
+def test_ladder_tables_match_the_product_oracle(d, stat, cutoff):
+    # a_i and a*_i move one occupation by one, with amplitude sqrt(n_i) or
+    # sqrt(n_i + 1) for bosons and the Jordan-Wigner sign for fermions;
+    # index dim means killed or pushed past the cutoff
+    sp = ModeSpace(d, stat, cutoff)
+    index = _product_index(sp)
+    for letter, step in (("-", -1), ("+", 1)):
+        target, amp = sp.ladders[letter]
+        assert target.shape == amp.shape == (d, sp.dim + 1)
+        assert np.all(target[:, -1] == sp.dim) and np.all(amp[:, -1] == 0.0)
+        for occ, j in index.items():
+            for i in range(d):
+                moved = occ[:i] + (occ[i] + step,) + occ[i + 1:]
+                if moved in index:
+                    if stat == BOSONIC:
+                        want = math.sqrt(max(occ[i], moved[i]))
+                    else:
+                        want = (-1.0) ** sum(occ[:i])
+                    assert target[i, j] == index[moved]
+                    assert amp[i, j] == want
+                else:
+                    assert target[i, j] == sp.dim and amp[i, j] == 0.0
 
 
 def test_fock_central_builds_each_space_once(monkeypatch):
@@ -223,8 +277,7 @@ def tensor_ladders(space):
         for factor in [string] * i + [lower] + [np.eye(levels)] * (space.d - 1 - i):
             full = np.kron(full, factor)
         ladders.append(full)
-    keep = [int(np.ravel_multi_index(occ, (levels,) * space.d))
-            for occ in space.basis]
+    keep = np.ravel_multi_index(space.basis.T, (levels,) * space.d)
     return ladders, keep
 
 
@@ -553,10 +606,11 @@ def test_squeeze_vacuum_matches_closed_form_amplitudes(N, r):
     # (-tanh(r)/2)^n sqrt((2n)!) / n!, with no truncation error for 2n <= N
     sp = ModeSpace(1, BOSONIC, cutoff=N)
     _, F = vacuum_implementer(sp, squeeze_map(r))
+    index = _product_index(sp)
     for n in range(N // 2 + 1):
         want = (-math.tanh(r) / 2) ** n * math.sqrt(math.factorial(2 * n)) \
             / math.factorial(n)
-        got = F.amps[sp.index[(2 * n,)]] / F.amps[sp.index[(0,)]]
+        got = F.amps[index[(2 * n,)]] / F.amps[index[(0,)]]
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -823,6 +877,23 @@ def test_second_quantized_antilinear_part_hits_vacuum_as_hat(stat, d):
     assert (out + hat_element(sp, x.G2)).norm() < 1e-12
 
 
+@pytest.mark.parametrize("stat", [BOSONIC, FERMIONIC])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_hat_element_sits_on_the_product_oracle_pairs(d, stat):
+    # M_ji on |e_i + e_j> for i < j and, bosonic, M_ii / sqrt(2) on |2 e_i>
+    rng = np.random.default_rng(69 + d)
+    sp = ModeSpace(d, stat, cutoff=3 if stat == BOSONIC else None)
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    M = M + sp.sign * M.T
+    want = np.zeros(sp.dim, dtype=complex)
+    index, unit = _product_index(sp), np.eye(d, dtype=int)
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        if i < j or stat == BOSONIC:
+            pair = tuple((unit[i] + unit[j]).tolist())
+            want[index[pair]] = M[j, i] / math.sqrt(2.0) if i == j else M[j, i]
+    assert np.array_equal(hat_element(sp, M).amps, want)
+
+
 def test_fermionic_hat_element_rejects_a_non_antisymmetric_matrix():
     sp = ModeSpace(2, FERMIONIC)
     with pytest.raises(ValueError, match="antisymmetric"):
@@ -890,7 +961,7 @@ def test_vacuum_residuals_read_F_as_a_prefix_of_the_roomy_space():
     rng = np.random.default_rng(67)
     sp = ModeSpace(2, BOSONIC, cutoff=4)
     roomy = ModeSpace(2, BOSONIC, cutoff=6)
-    assert roomy.basis[:sp.dim] == sp.basis
+    assert np.array_equal(roomy.basis[:sp.dim], sp.basis)
     g = (0.3 * random_algebra_element(rng, 2, sp.sign)).exp()
     amps = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
     F = FockVector(sp, amps / np.linalg.norm(amps))
