@@ -22,8 +22,7 @@ from . import (circle, convexcore, fock, realmaps, reports, suites,  # noqa: F40
 # such as the entry arrays of Fock operator products, stay on the heap
 # instead of being unmapped and faulted in again on every call: one
 # fock-cutoff benchmark pass took 8,000 minor page faults without it and 950
-# with it, at about 2.7 us each on a 2-vCPU virtual machine.  Importing
-# scipy used to raise the thresholds as a side effect.
+# with it, at about 2.7 us each on a 2-vCPU virtual machine.
 _np.empty(1 << 17)
 
 __version__ = "0.1.0"

@@ -223,10 +223,8 @@ class FockVector:
 
     def degree_norms(self) -> np.ndarray:
         """Norm of each fixed-particle-number component, index = degree."""
-        out = np.zeros(self.space.cutoff + 1)
-        for n in range(self.space.cutoff + 1):
-            out[n] = float(np.linalg.norm(self.amps[self.space.totals == n]))
-        return out
+        power = self.amps.real ** 2 + self.amps.imag ** 2
+        return np.sqrt(np.bincount(self.space.totals, power, self.space.cutoff + 1))
 
     def __add__(self, other):
         _same_space(self.space, other.space)

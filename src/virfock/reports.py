@@ -12,6 +12,9 @@ reads 0.0.  A NaN anywhere in the batch makes the residual NaN, and a
 NaN residual fails.  Boolean checks are encoded as residual 0.0 (holds)
 or 1.0 (fails) against tolerance 0.5, so the uniform rule pass =
 residual <= tolerance applies everywhere.
+
+A report's environment records the python and numpy versions and the
+platform string, all read in-process (platform.platform() runs `uname -p`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,9 @@ def environment_info() -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "platform": platform.platform(),
+        "platform": "-".join(filter(None, (
+            platform.system(), platform.release(), platform.machine(),
+            "with", "".join(platform.libc_ver())))),
     }
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -578,20 +579,49 @@ def _run_module(*args):
 
 def test_importing_the_package_loads_every_module():
     # the benchmark times `import virfock` as setup; a lazy package would
-    # move the module imports into the first timed pass.  No module needs
-    # scipy.optimize, scipy.sparse or scipy.linalg, and importing them costs
-    # more than all of virfock: only the top-level scipy package is loaded,
-    # for the version string of the reports.
+    # move the module imports into the first timed pass.  Every module runs
+    # on numpy alone: scipy, which costs about a tenth of the import, stays
+    # a test dependency.
     proc = _run_python("-c", "import sys, virfock; print(' '.join(sorted("
                        "m for m in sys.modules if m.startswith('virfock.')))); "
-                       "print(' '.join(m for m in ('scipy.optimize', "
-                       "'scipy.sparse', 'scipy.linalg') if m in sys.modules))")
+                       "print(' '.join(m for m in sys.modules "
+                       "if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
     modules, scipy_loaded = proc.stdout.splitlines()
     assert modules.split() == [
         f"virfock.{m}" for m in ("circle", "convexcore", "fock", "realmaps",
                                  "reports", "suites", "symplectic", "virasoro")]
     assert scipy_loaded == ""
+
+
+def test_a_run_starts_no_process_and_loads_no_scipy():
+    # platform.platform() asks `uname -p` for the processor in a child
+    # process, so a report reads its fields without it.  Popen calls are
+    # recorded, not refused: platform swallows the OSError of a refusal.
+    proc = _run_python("-c", "\n".join([
+        "import json, subprocess, sys",
+        "calls = []",
+        "init = subprocess.Popen.__init__",
+        "def recording_init(self, *args, **kwargs):",
+        "    calls.append(repr(args[0] if args else kwargs.get('args')))",
+        "    init(self, *args, **kwargs)",
+        "subprocess.Popen.__init__ = recording_init",
+        "import virfock",
+        "from virfock.reports import emit",
+        "from virfock.suites import SuiteConfig, run_suite",
+        "text = emit([run_suite(SuiteConfig('fock-vacuum'))], 'json')",
+        "print(json.dumps({'calls': calls, 'environment': json.loads(text)"
+        "['environment'], 'scipy': [m for m in sys.modules if m == 'scipy' "
+        "or m.startswith('scipy.')]}))",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["calls"] == []
+    assert seen["scipy"] == []
+    assert list(seen["environment"]) == ["python", "numpy", "platform"]
+    # where `uname -p` adds nothing, the string is platform.platform()'s
+    if platform.uname().processor in ("", "unknown", platform.machine()):
+        assert seen["environment"]["platform"] == platform.platform()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

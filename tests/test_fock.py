@@ -599,6 +599,26 @@ def test_squeeze_vacuum_overlap_closed_form(r):
     assert np.max(odd) < 1e-14
 
 
+@pytest.mark.parametrize("d, stat, cutoff", [(1, BOSONIC, 80), (2, BOSONIC, 12),
+                                             (3, BOSONIC, 6), (4, FERMIONIC, 4)])
+def test_degree_norms_match_the_masked_norm_of_each_degree(d, stat, cutoff):
+    rng = np.random.default_rng(37)
+    sp = ModeSpace(d, stat, cutoff)
+    g = (0.2 * random_algebra_element(rng, d, sp.sign)).exp()
+    _, F = vacuum_implementer(sp, g)
+    noise = FockVector(sp, rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim))
+    for v in (F, noise):
+        want = np.array([np.linalg.norm(v.amps[sp.totals == n])
+                         for n in range(cutoff + 1)])
+        got = v.degree_norms()
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        # one state per degree: both sum the same single square
+        assert d > 1 or np.array_equal(got, want)
+    # the series vacuum has no odd component at all
+    assert not F.degree_norms()[1::2].any()
+
+
 @pytest.mark.parametrize("N", [8, 40, 80])
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
 def test_squeeze_vacuum_matches_closed_form_amplitudes(N, r):
