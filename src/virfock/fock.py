@@ -89,8 +89,8 @@ class ModeSpace:
     a pair (target, amp) of (d, dim + 1) arrays with a_i|basis[j]> =
     amp[i, j] |basis[target[i, j]]>.  Index ``dim`` stands for "killed or
     pushed past the cutoff"; its own column maps to itself with amplitude
-    zero, so ladder words can be chained without masking.  Their int64
-    occupation keys need (top + 2)^d <= 2^63, top = 1 fermionic, N bosonic.
+    zero, so ladder words can be chained without masking.  The a*_i table is
+    built as the basis grows mode by mode, and the a_i table inverts it.
 
     ``word_table`` chains them into the table of a whole ladder word; the
     read-only result is cached in ``words``, so each word is chained once.
@@ -118,49 +118,52 @@ class ModeSpace:
         self.statistics = statistics
         self.cutoff = int(cutoff)
         top = 1 if statistics == FERMIONIC else self.cutoff
-        if (top + 2) ** self.d > 2 ** 63:
-            raise ValueError(f"int64 occupation keys need (top + 2)^d <= 2^63, "
-                             f"got {top + 2}^{self.d}")
-        # grown mode by mode in lexicographic order, then stably sorted by total
+        # grown mode by mode in lexicographic order: row r spawns (r, v) for
+        # v < room[r], and up[i, r] is the row of r + e_i (the row count if
+        # none): a*_i sends (r, v) to (up[i, r], v) if v < room[up[i, r]], and
+        # a* on the new mode sends it to (r, v + 1)
         occ = np.zeros((1, 0), dtype=np.int64)
+        totals = np.zeros(1, dtype=np.int64)
+        up = np.zeros((0, 1), dtype=np.int64)
         for _ in range(self.d):
-            occ = np.hstack([np.repeat(occ, top + 1, axis=0),
-                             np.tile(np.arange(top + 1), len(occ))[:, None]])
-            occ = occ[occ.sum(axis=1) <= self.cutoff]
-        self.basis = occ[np.argsort(occ.sum(axis=1), kind="stable")]
-        self.totals = self.basis.sum(axis=1)
+            room = np.minimum(top, self.cutoff - totals) + 1
+            first = np.cumsum(room) - room
+            parent = np.repeat(np.arange(len(room)), room)
+            rows = np.arange(len(parent))
+            v = rows - first[parent]
+            room, first = np.append(room, 0), np.append(first, len(rows))
+            u = up[:, parent]
+            up = np.vstack([np.where(v < room[u], first[u] + v, len(rows)),
+                            np.where(v + 1 < room[parent], rows + 1, len(rows))])
+            occ = np.column_stack([occ[parent], v])
+            totals = totals[parent] + v
+        # stably sorted by total, then up is renumbered and gains column dim
+        order = np.argsort(totals, kind="stable")
+        self.basis, self.totals = occ[order], totals[order]
         self.basis.flags.writeable = self.totals.flags.writeable = False
-        self.dim = len(self.basis)
-        self.ladders = self._ladder_tables(top)
+        self.dim = len(order)
+        del occ, u
+        renumber = np.empty(self.dim + 1, dtype=np.int64)
+        renumber[order], renumber[-1] = np.arange(self.dim), self.dim
+        up = renumber[up[:, np.append(order, 0)]]
+        up[:, -1] = self.dim
+        self.ladders = self._ladder_tables(up)
         self.words = {}
 
-    def _ladder_tables(self, top: int) -> dict:
-        # lexicographic key with room for occupation top + 1
-        radix = (top + 2) ** np.arange(self.d - 1, -1, -1)
-        keys = self.basis @ radix
-        order = np.argsort(keys)
-
-        def table(valid, shift, amp):
-            target = np.searchsorted(keys, keys + shift, sorter=order)
-            # an invalid shift may search past the end; it is masked out
-            target = np.where(valid, order[np.minimum(target, self.dim - 1)],
-                              self.dim)
-            none = np.full((self.d, 1), self.dim)
-            return (np.hstack([target, none]),
-                    np.hstack([np.where(valid, amp, 0.0), np.zeros((self.d, 1))]))
-
+    def _ladder_tables(self, up: np.ndarray) -> dict:
+        # a_i inverts a*_i; the killed entries all land in column dim
+        down = np.full_like(up, self.dim)
+        down[np.arange(self.d)[:, None], up] = np.arange(self.dim + 1)
+        down[:, -1] = self.dim
         n = self.basis.T
-        shift = radix[:, None]
         if self.statistics == BOSONIC:
-            lower = table(n > 0, -shift, np.sqrt(n))
-            upper = table(self.totals < self.cutoff, shift, np.sqrt(n + 1))
+            amps = np.sqrt(n), np.sqrt(n + 1)
         else:
             # Jordan-Wigner sign (-1)^(occupied modes below i)
-            below = np.cumsum(n, axis=0) - n
-            sign = 1.0 - 2.0 * (below % 2)
-            lower = table(n == 1, -shift, sign)
-            upper = table(n == 0, shift, sign)
-        return {"-": lower, "+": upper}
+            amps = (1.0 - 2.0 * ((np.cumsum(n, axis=0) - n) % 2),) * 2
+        zero = np.zeros((self.d, 1))
+        return {k: (t, np.hstack([np.where(t[:, :-1] < self.dim, a, 0.0), zero]))
+                for k, t, a in zip("-+", (down, up), amps)}
 
     @property
     def sign(self) -> int:
@@ -323,10 +326,8 @@ class FockOperator:
     def restricted_norm(self, max_degree: int) -> float:
         """Frobenius norm of P A P with P the projection onto total number
         <= max_degree."""
-        # the basis is sorted by total number, so P keeps a prefix
-        k = int(np.searchsorted(self.space.totals, max_degree, side="right"))
-        n = int(np.searchsorted(self.rows, k))
-        return float(np.linalg.norm(self.vals[:n][self.cols[:n] < k]))
+        keep = self.space.totals <= max_degree
+        return float(np.linalg.norm(self.vals[keep[self.rows] & keep[self.cols]]))
 
     def __add__(self, other):
         return self._plus(other, 1)

@@ -352,8 +352,8 @@ def verma_gram(level: int, c: Fraction | float, h: Fraction | float,
     ``partitions`` are descending tuples summing to the level; by default
     all of them, in the order of `partitions_of`.  Exact rational entries
     (dtype=object) when both c and h are rational; float entries
-    otherwise.  The matrix is symmetric because the adjoint exchanges d_n
-    and d_{-n}.
+    otherwise.  Both triangles are computed, so the symmetry that the
+    adjoint (d_n <-> d_{-n}) implies is checked rather than copied.
     """
     if level < 0 or level > MAX_VERMA_LEVEL:
         raise ValueError(f"level must lie in 0..{MAX_VERMA_LEVEL}")
@@ -369,9 +369,8 @@ def verma_gram(level: int, c: Fraction | float, h: Fraction | float,
     c, h = num(c), num(h)
     k = len(parts)
     G = np.empty((k, k), dtype=object if exact else float)
-    for i in range(k):
-        for j in range(i, k):
-            G[i, j] = G[j, i] = _gram_entry(parts[i], parts[j], c, h)
+    for i, j in [*zip(*np.triu_indices(k)), *zip(*np.tril_indices(k, -1))]:
+        G[i, j] = _gram_entry(parts[i], parts[j], c, h)
     return G
 
 

@@ -53,10 +53,13 @@ def random_vec(rng, d):
 
 def _filtered_product_basis(d, stat, cutoff):
     """The occupation basis as the full product filtered by total number,
-    sorted by (total, occupation)."""
-    top = 1 if stat == FERMIONIC else cutoff
-    occs = [occ for occ in itertools.product(range(top + 1), repeat=d)
-            if sum(occ) <= cutoff]
+    sorted by (total, occupation).  Each total t is enumerated as the
+    multisets (sets for fermions) of t modes, so the (top + 1)^d product
+    is never walked."""
+    choose = (itertools.combinations if stat == FERMIONIC
+              else itertools.combinations_with_replacement)
+    occs = [tuple(modes.count(i) for i in range(d))
+            for t in range(cutoff + 1) for modes in choose(range(d), t)]
     return tuple(sorted(occs, key=lambda occ: (sum(occ), occ)))
 
 
@@ -106,11 +109,8 @@ def test_fermionic_cutoff_below_mode_count_is_rejected(cutoff):
     ((2, "anyonic", 3), "statistics must be"),
     ((2, BOSONIC, None), "need a cutoff N >= 1"),
     ((2, BOSONIC, 0), "need a cutoff N >= 1"),
-    # 595 states, but the occupation keys need 4^33 > 2^63
-    ((33, BOSONIC, 2), r"int64 occupation keys need \(top \+ 2\)\^d <= 2\^63, got 4\^33"),
 ], ids=["float-cutoff", "bool-cutoff", "float-fermionic-cutoff", "float-d",
-        "bool-d", "no-modes", "anyonic", "no-bosonic-cutoff", "zero-bosonic-cutoff",
-        "int64-keys"])
+        "bool-d", "no-modes", "anyonic", "no-bosonic-cutoff", "zero-bosonic-cutoff"])
 def test_mode_space_rejects_malformed_arguments(args, match):
     with pytest.raises(ValueError, match=match):
         ModeSpace(*args)
@@ -126,7 +126,10 @@ BASIS_SPACES = {str(d): [(d, BOSONIC, n) for n in range(1, 9)] + [(d, FERMIONIC,
 BASIS_SPACES.update({"10-fermionic": [(10, FERMIONIC, None)],
                      "12-fermionic": [(12, FERMIONIC, None)],
                      "5-bosonic-6": [(5, BOSONIC, 6)],
-                     "2-bosonic-96": [(2, BOSONIC, 96)]})
+                     "2-bosonic-96": [(2, BOSONIC, 96)],
+                     # many modes at a small cutoff: 595 and 861 states out of 3^d
+                     "33-bosonic-2": [(33, BOSONIC, 2)],
+                     "40-bosonic-2": [(40, BOSONIC, 2)]})
 
 
 @pytest.mark.parametrize("spaces", BASIS_SPACES.values(), ids=BASIS_SPACES.keys())
@@ -149,7 +152,8 @@ def test_basis_and_totals_are_read_only():
 
 
 LADDER_SPACES = [(1, BOSONIC, 6), (2, BOSONIC, 5), (3, BOSONIC, 4), (4, BOSONIC, 2),
-                 (1, FERMIONIC, None), (3, FERMIONIC, None), (5, FERMIONIC, None)]
+                 (1, FERMIONIC, None), (3, FERMIONIC, None), (5, FERMIONIC, None),
+                 (33, BOSONIC, 2), (40, BOSONIC, 2)]
 
 
 @pytest.mark.parametrize("d,stat,cutoff", LADDER_SPACES)

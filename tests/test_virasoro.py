@@ -399,6 +399,17 @@ def test_gram_symmetric_exactly():
             assert gram[i, j] == gram[j, i]
 
 
+def test_gram_symmetry_check_sees_an_asymmetric_entry(monkeypatch):
+    # verma_gram computes every entry, so an order-dependent error in one
+    # must show in virasoro-verma/04 rather than be copied across the diagonal
+    entry = virasoro._gram_entry
+    monkeypatch.setattr(virasoro, "_gram_entry",
+                        lambda mu, nu, c, h: entry(mu, nu, c, h) + (len(mu) - len(nu)))
+    rep = run_suite(SuiteConfig(suite="virasoro-verma"))
+    (check,) = [c for c in rep.checks if c.check_id == "04-gram-symmetry"]
+    assert not check.passed and check.residual >= 1.0
+
+
 def test_gram_float_matches_exact():
     c, h = Fraction(11, 3), Fraction(2, 5)
     exact = verma_gram(3, c, h)
