@@ -122,8 +122,7 @@ class ModeSpace:
         # v < room[r], and up[i, r] is the row of r + e_i (the row count if
         # none): a*_i sends (r, v) to (up[i, r], v) if v < room[up[i, r]], and
         # a* on the new mode sends it to (r, v + 1)
-        occ = np.zeros((1, 0), dtype=np.int64)
-        totals = np.zeros(1, dtype=np.int64)
+        occ, totals = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
         up = np.zeros((0, 1), dtype=np.int64)
         for _ in range(self.d):
             room = np.minimum(top, self.cutoff - totals) + 1

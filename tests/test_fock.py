@@ -52,10 +52,10 @@ def random_vec(rng, d):
 
 
 def _filtered_product_basis(d, stat, cutoff):
-    """The occupation basis as the full product filtered by total number,
-    sorted by (total, occupation).  Each total t is enumerated as the
-    multisets (sets for fermions) of t modes, so the (top + 1)^d product
-    is never walked."""
+    """Every occupation of total number <= cutoff, sorted by (total,
+    occupation): the product (range(top + 1))^d filtered by total, but
+    each total t is enumerated as the multisets (sets for fermions) of t
+    modes, so that product is never walked."""
     choose = (itertools.combinations if stat == FERMIONIC
               else itertools.combinations_with_replacement)
     occs = [tuple(modes.count(i) for i in range(d))
